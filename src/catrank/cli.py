@@ -12,16 +12,14 @@ flags win. ``CATRANK_WORKERS`` sets the default worker count.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 import time
 
-import numpy as np
-
 from . import coherence, embeddings, evaluation, neighbors, report
 from .data_model import (
+    METRICS,
     CategoryIndex,
     EntityGraph,
     FeatureMatrix,
@@ -29,15 +27,14 @@ from .data_model import (
     load_features,
     load_graph,
     load_votes,
+    open_text,
+    read_features,
     save_features_binary,
     save_features_text,
     save_votes,
 )
 from .errors import DataError
 from .manifest import write_manifest
-
-
-METRIC_CHOICES = ("l1", "l2", "cosine", "kl", "js")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,7 +46,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_config(path: str) -> dict:
     values = {}
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -117,7 +114,7 @@ def build_parser() -> _Parser:
 
     p = add("knn", "build the close-neighbor relation")
     p.add_argument("--features", required=True)
-    p.add_argument("--metric", choices=list(METRIC_CHOICES), required=True)
+    p.add_argument("--metric", choices=METRICS, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--k", type=int, help="count strategy: exact k nearest")
     group.add_argument("--avg-target", type=float,
@@ -163,8 +160,6 @@ def build_parser() -> _Parser:
     p.add_argument("--votes", required=True)
     p.add_argument("--categories", required=True)
     p.add_argument("--exact-limit", type=int, default=evaluation.DEFAULT_EXACT_LIMIT)
-    p.add_argument("--fallback", choices=["index"], default="index",
-                   help="ordering rule for categories missing from the ranking")
     p.add_argument("--out", required=True)
 
     p = add("report", "descriptive statistics and tables")
@@ -177,7 +172,7 @@ def build_parser() -> _Parser:
     rp.add_argument("--out", required=True)
     rp = rsub.add_parser("quantiles")
     rp.add_argument("--features", required=True)
-    rp.add_argument("--metric", choices=list(METRIC_CHOICES), required=True)
+    rp.add_argument("--metric", choices=METRICS, required=True)
     rp.add_argument("--targets", default="5,10,25,50,100")
     rp.add_argument("--exact-limit", type=int, default=neighbors.DEFAULT_EXACT_LIMIT)
     rp.add_argument("--sample-pairs", type=int, default=neighbors.DEFAULT_SAMPLE_PAIRS)
@@ -192,71 +187,6 @@ def build_parser() -> _Parser:
     rp.add_argument("--out", required=True, help="CSV output path")
     rp.add_argument("--text", help="aligned text output path")
     return parser
-
-
-METRIC_CHOICES = ("l1", "l2", "cosine", "kl", "js")
-
-
-# ---------------------------------------------------------------------------
-# native artifact helpers
-
-
-def _load_native_features(path: str) -> tuple[FeatureMatrix, list[str]]:
-    if os.path.exists(path + ".json"):
-        with open(path + ".json", encoding="utf-8") as f:
-            meta = json.load(f)
-        data = np.fromfile(path, dtype="<f4")
-        if data.size != meta["n"] * meta["dim"]:
-            raise DataError(f"{path}: binary size does not match sidecar")
-        rows = data.reshape(meta["n"], meta["dim"]).astype(np.float64)
-        return FeatureMatrix(kind=meta["kind"], rows=rows), list(meta["ids"])
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().split()
-        if len(header) != 3:
-            raise DataError(f"{path}: bad feature header")
-        n, dim, kind = int(header[0]), int(header[1]), header[2]
-        rows = np.empty((n, dim))
-        ids = []
-        for i in range(n):
-            line = f.readline().rstrip("\n")
-            ent, _, rest = line.partition("\t")
-            ids.append(ent)
-            vec = np.array(rest.split(), dtype=np.float64)
-            if vec.shape[0] != dim:
-                raise DataError(f"{path}: row {i} has {vec.shape[0]} components, expected {dim}")
-            rows[i] = vec
-    return FeatureMatrix(kind=kind, rows=rows), ids
-
-
-def _load_ranking_csv(path: str, cats: CategoryIndex) -> list[int]:
-    order = []
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or "category" not in reader.fieldnames:
-            raise DataError(f"{path}: ranking CSV needs a 'category' column")
-        for row in reader:
-            name = row["category"]
-            c = cats.index.get(name)
-            if c is None:
-                raise DataError(f"{path}: unknown category {name!r}")
-            order.append(c)
-    if not order:
-        raise DataError(f"{path}: empty ranking")
-    return order
-
-
-def _scores_csv(scores, cats: CategoryIndex) -> str:
-    lines = ["category,n_members,conductance,surprise,log_surprise,n_observers_used"]
-    for s in scores:
-        name = cats.names[s.category]
-        if "," in name or '"' in name:
-            name = '"' + name.replace('"', '""') + '"'
-        cond = "" if s.conductance is None else repr(s.conductance)
-        lines.append(",".join([
-            name, str(s.n_members), cond, repr(s.surprise), repr(s.log_surprise),
-            str(s.n_observers_used),
-        ]))
-    return "\n".join(lines) + "\n"
 
 
 def _write(path: str, text: str):
@@ -367,7 +297,7 @@ def _run_embed(args):
 
 
 def _run_knn(args):
-    fm, _ = _load_native_features(args.features)
+    fm, _ = read_features(args.features)
     params = {"metric": args.metric, "workers": args.workers}
     if args.k is not None:
         nbrs = neighbors.knn_by_count(fm, args.metric, args.k, workers=args.workers)
@@ -400,7 +330,7 @@ def _run_coherence(args):
         nbrs, cats, min_size=args.min_size, adjusted_p=args.adjusted_p)
     if not scores:
         raise DataError("no scorable category (all below min-size)")
-    _write(args.out, _scores_csv(scores, cats))
+    _write(args.out, report.scores_csv(scores, cats))
     print(f"coherence: scored {len(scores)} categories, skipped {skipped}")
     params = {"min_size": args.min_size, "adjusted_p": args.adjusted_p}
     return params, [args.neighbors, args.categories], [args.out]
@@ -409,12 +339,8 @@ def _run_coherence(args):
 def _run_rank(args):
     nbrs = neighbors.NeighborSet.load(args.neighbors)
     cats = CategoryIndex.load(args.categories)
-    try:
-        ranking = coherence.rank_categories(
-            nbrs, cats, args.criterion, min_size=args.min_size,
-            adjusted_p=args.adjusted_p)
-    except ValueError as e:
-        raise DataError(str(e)) from None
+    ranking = coherence.rank_categories(
+        nbrs, cats, args.criterion, min_size=args.min_size, adjusted_p=args.adjusted_p)
     _write(args.out, report.ranking_csv(ranking, cats))
     print(f"ranking: {len(ranking)} categories by {args.criterion}, "
           f"skipped {ranking.n_skipped}")
@@ -425,7 +351,7 @@ def _run_rank(args):
 
 def _run_grid(args):
     os.makedirs(args.out_dir, exist_ok=True)
-    fm, _ = _load_native_features(args.features)
+    fm, _ = read_features(args.features)
     cats = CategoryIndex.load(args.categories)
     inputs = [args.features, args.categories]
     votes = None
@@ -439,12 +365,9 @@ def _run_grid(args):
         criteria=tuple(_str_list(args.criteria)),
         min_size=args.min_size,
     )
-    try:
-        result = coherence.run_grid(
-            {args.features_name: fm}, cats, menu, votes=votes, workers=args.workers,
-            seed=args.seed, exact_limit=args.exact_limit, sample_pairs=args.sample_pairs)
-    except ValueError as e:
-        raise DataError(str(e)) from None
+    result = coherence.run_grid(
+        {args.features_name: fm}, cats, menu, votes=votes, workers=args.workers,
+        seed=args.seed, exact_limit=args.exact_limit, sample_pairs=args.sample_pairs)
     outputs = []
     rank_dir = os.path.join(args.out_dir, "rankings")
     os.makedirs(rank_dir, exist_ok=True)
@@ -452,20 +375,8 @@ def _run_grid(args):
         path = os.path.join(rank_dir, key.replace("|", "_") + ".csv")
         _write(path, report.ranking_csv(result.rankings[key], cats))
         outputs.append(path)
-    columns: list[str] = []
-    for row in result.rows:
-        for col in row:
-            if col not in columns:
-                columns.append(col)
     summary_csv = os.path.join(args.out_dir, "summary.csv")
-    lines = [",".join(columns)]
-    for row in result.rows:
-        cells = []
-        for col in columns:
-            v = row.get(col, "")
-            cells.append(repr(v) if isinstance(v, float) else str(v))
-        lines.append(",".join(cells))
-    _write(summary_csv, "\n".join(lines) + "\n")
+    _write(summary_csv, report.summary_csv(result.rows))
     outputs.append(summary_csv)
     summary_json = os.path.join(args.out_dir, "summary.json")
     with open(summary_json, "w", encoding="utf-8") as f:
@@ -484,7 +395,7 @@ def _run_grid(args):
 def _run_evaluate(args):
     cats = CategoryIndex.load(args.categories)
     votes = load_votes(args.votes, cats)
-    order = _load_ranking_csv(args.ranking, cats)
+    order = report.read_ranking_csv(args.ranking, cats).ordered_categories
     rep = evaluation.evaluate(votes, order, exact_limit=args.exact_limit)
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(rep.to_dict(), f, indent=2, sort_keys=True)
@@ -494,7 +405,7 @@ def _run_evaluate(args):
           f"(cheating score {rep.cheating_score:g} of {rep.n_answers})")
     for i, frac in enumerate(rep.agreement_histogram, 1):
         print(f"agreement {i}: {frac:.4f}")
-    params = {"exact_limit": args.exact_limit, "fallback": args.fallback}
+    params = {"exact_limit": args.exact_limit}
     return params, [args.ranking, args.votes, args.categories], [args.out]
 
 
@@ -509,7 +420,7 @@ def _run_report(args):
             graph = EntityGraph.load(args.graph)
             inputs += [args.graph, args.subset]
             subset = []
-            with open(args.subset, encoding="utf-8") as f:
+            with open_text(args.subset) as f:
                 for lineno, raw in enumerate(f, 1):
                     name = raw.strip()
                     if not name:
@@ -522,7 +433,7 @@ def _run_report(args):
         _write(args.out, report.stats_text(stats))
         return {"bucket_width": args.bucket_width}, inputs, [args.out]
     if args.report_command == "quantiles":
-        fm, _ = _load_native_features(args.features)
+        fm, _ = read_features(args.features)
         rows = report.distance_quantiles(
             fm, args.metric, _int_list(args.targets), exact_limit=args.exact_limit,
             sample_pairs=args.sample_pairs, seed=args.seed, workers=args.workers)
@@ -531,7 +442,7 @@ def _run_report(args):
         return params, [args.features], [args.out]
     # top
     cats = CategoryIndex.load(args.categories)
-    ranking = _ranking_from_csv(args.ranking, cats)
+    ranking = report.read_ranking_csv(args.ranking, cats)
     table = report.top_table(ranking, args.top, cats)
     _write(args.out, report.top_csv(table))
     outputs = [args.out]
@@ -541,34 +452,6 @@ def _run_report(args):
     if table.truncated_note:
         print(table.truncated_note)
     return {"top": args.top}, [args.ranking, args.categories], outputs
-
-
-def _ranking_from_csv(path: str, cats: CategoryIndex) -> coherence.CoherenceRanking:
-    """Rebuild a CoherenceRanking from its persisted CSV."""
-    scores = []
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.DictReader(f)
-        needed = {"category", "log_surprise", "n_members", "n_observers_used"}
-        if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
-            raise DataError(f"{path}: not a ranking CSV")
-        for row in reader:
-            c = cats.index.get(row["category"])
-            if c is None:
-                raise DataError(f"{path}: unknown category {row['category']!r}")
-            cond = row.get("conductance", "")
-            scores.append(coherence.CategoryScore(
-                category=c,
-                n_members=int(row["n_members"]),
-                conductance=float(cond) if cond else None,
-                surprise=0.0,
-                log_surprise=float(row["log_surprise"]),
-                n_observers_used=int(row["n_observers_used"]),
-            ))
-    if not scores:
-        raise DataError(f"{path}: empty ranking")
-    # preserve the persisted order; criterion only labels the value column
-    criterion = "surprise"
-    return coherence.CoherenceRanking(criterion=criterion, scores=scores, n_skipped=0)
 
 
 _RUNNERS = {
@@ -623,22 +506,21 @@ def _apply_config(parser, config):
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    if "--config" in argv:
-        at = argv.index("--config")
-        try:
-            config = _read_config(argv[at + 1])
-        except IndexError:
-            parser.error("--config needs a path")
-        except OSError as e:
-            print(f"catrank: cannot read config: {e}", file=sys.stderr)
-            return 1
-        _apply_config(parser, config)
-    args = parser.parse_args(argv)
-    runner = _RUNNERS[args.command]
-    started = time.monotonic()
     try:
-        params, inputs, outputs = runner(args)
-    except DataError as e:
+        if "--config" in argv:
+            at = argv.index("--config")
+            if at + 1 == len(argv):
+                parser.error("--config needs a path")
+            try:
+                config = _read_config(argv[at + 1])
+            except OSError as e:
+                print(f"catrank: cannot read config: {e}", file=sys.stderr)
+                return 1
+            _apply_config(parser, config)
+        args = parser.parse_args(argv)
+        started = time.monotonic()
+        params, inputs, outputs = _RUNNERS[args.command](args)
+    except (DataError, ValueError) as e:
         print(f"catrank: data error: {e}", file=sys.stderr)
         return 2
     except OSError as e:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,66 @@ DISTRIBUTION_SUM_TOLERANCE = 1e-3
 # Rows already normalized this tightly are left untouched so that
 # save/load round trips are bit-identical.
 _RENORMALIZE_GATE = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# shared readers
+
+
+@contextmanager
+def open_text(path: str, newline: str | None = None):
+    """Open a UTF-8 input file; undecodable bytes and CSV syntax errors
+    raised while reading it become DataError naming the file."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as f:
+            yield f
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise DataError(f"{path}: unreadable text: {e}") from None
+
+
+def read_json_object(path: str, keys: tuple[str, ...] = ()) -> dict:
+    """Parse a JSON file that must hold an object carrying ``keys``."""
+    with open_text(path) as f:
+        try:
+            payload = json.load(f)
+        except json.JSONDecodeError as e:
+            raise DataError(f"{path}:{e.lineno}: invalid JSON: {e.msg}") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    missing = [k for k in keys if k not in payload]
+    if missing:
+        raise DataError(f"{path}: missing keys {missing}")
+    return payload
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _is_name_list(value) -> bool:
+    """A list of distinct strings."""
+    return (isinstance(value, list) and all(isinstance(s, str) for s in value)
+            and len(set(value)) == len(value))
+
+
+def _index_lists(raw, count: int, n: int, where: str) -> list[np.ndarray]:
+    """``count`` JSON lists of integers in ``[0, n)``, as int64 arrays."""
+    if not isinstance(raw, list) or len(raw) != count:
+        raise DataError(f"{where}: expected {count} lists")
+    arrays = []
+    for i, values in enumerate(raw):
+        try:
+            arr = np.asarray(values)
+        except ValueError:
+            arr = None
+        if arr is None or arr.ndim != 1 or (arr.size and arr.dtype.kind != "i"):
+            raise DataError(f"{where}[{i}]: expected a list of integers")
+        arrays.append(arr.astype(np.int64, copy=False))
+    flat = np.concatenate(arrays) if arrays else np.zeros(0, np.int64)
+    bad = (flat < 0) | (flat >= n)
+    if bad.any():
+        raise DataError(f"{where}: index {int(flat[bad.argmax()])} outside [0, {n})")
+    return arrays
 
 
 # ---------------------------------------------------------------------------
@@ -92,21 +153,22 @@ class EntityGraph:
 
     @classmethod
     def load(cls, path: str) -> "EntityGraph":
-        with open(path, encoding="utf-8") as f:
-            payload = json.load(f)
-        adjacency = [np.asarray(a, dtype=np.int64) for a in payload["adjacency"]]
-        return cls(ids=list(payload["ids"]), adjacency=adjacency)
+        payload = read_json_object(path, ("ids", "adjacency"))
+        ids = payload["ids"]
+        if not _is_name_list(ids):
+            raise DataError(f"{path}: 'ids' must be a list of distinct strings")
+        adjacency = _index_lists(payload["adjacency"], len(ids), len(ids),
+                                 f"{path}: adjacency")
+        return cls(ids=ids, adjacency=adjacency)
 
 
-def load_graph(path: str, fmt: str = "edgelist-tsv", symmetrize: bool = False):
+def load_graph(path: str, symmetrize: bool = False):
     """Ingest a TSV edge list into an EntityGraph.
 
     Duplicate edges are deduplicated and self-loops dropped (both counted in
     the returned report). ``symmetrize`` adds the reverse of every retained
     edge. Returns ``(graph, GraphLoadReport)``.
     """
-    if fmt != "edgelist-tsv":
-        raise ValueError(f"unknown graph format: {fmt}")
     ids: list[str] = []
     index: dict[str, int] = {}
 
@@ -120,7 +182,7 @@ def load_graph(path: str, fmt: str = "edgelist-tsv", symmetrize: bool = False):
 
     raw_edges: list[tuple[int, int]] = []
     n_self = 0
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -212,15 +274,18 @@ class CategoryIndex:
 
     @classmethod
     def load(cls, path: str) -> "CategoryIndex":
-        with open(path, encoding="utf-8") as f:
-            payload = json.load(f)
-        members = [np.asarray(m, dtype=np.int64) for m in payload["members"]]
-        memberships = _invert_members(members, payload["n_entities"])
+        payload = read_json_object(path, ("n_entities", "names", "members"))
+        n, names = payload["n_entities"], payload["names"]
+        if not _is_count(n):
+            raise DataError(f"{path}: 'n_entities' must be a nonnegative integer")
+        if not _is_name_list(names):
+            raise DataError(f"{path}: 'names' must be a list of distinct strings")
+        members = _index_lists(payload["members"], len(names), n, f"{path}: members")
         return cls(
-            names=list(payload["names"]),
+            names=names,
             members=members,
-            memberships=memberships,
-            n_entities=payload["n_entities"],
+            memberships=_invert_members(members, n),
+            n_entities=n,
         )
 
 
@@ -244,7 +309,7 @@ def load_categories(path: str, graph: EntityGraph):
     n_skipped = 0
     n_dup = 0
     n_kept = 0
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -339,22 +404,61 @@ def _normalize_distribution_rows(rows: np.ndarray, context: str):
         rows[needs] /= sums[needs, None]
 
 
-def load_features(path: str, kind: str, graph: EntityGraph) -> FeatureMatrix:
-    """Ingest the text feature format and align rows to graph dense order.
+def read_features(path: str) -> tuple[FeatureMatrix, list[str]]:
+    """Read a feature file in file order, with the kind the file declares.
 
-    Every graph entity must appear exactly once. Distribution rows must be
-    nonnegative and are renormalized to sum 1; point rows must be finite.
-    A ``<path>.json`` sidecar next to the file switches to the binary format.
+    Returns the matrix and the entity id of each row. A ``<path>.json``
+    sidecar next to the file switches to the binary format. Rows must be
+    finite; distribution rows must be nonnegative and are renormalized to
+    sum 1.
     """
+    fm, ids, n = _parse_features(path)
+    if len(ids) != n:
+        raise DataError(f"{path}: header declares {n} rows, found {len(ids)}")
+    return fm, ids
+
+
+def load_features(path: str, kind: str, graph: EntityGraph) -> FeatureMatrix:
+    """Read a feature file (see ``read_features``) and align its rows to
+    graph dense order. Every graph entity must appear exactly once."""
     if kind not in FEATURE_KINDS:
         raise ValueError(f"feature kind must be one of {FEATURE_KINDS}, got {kind!r}")
+    fm, ids, n = _parse_features(path)
+    if fm.kind != kind:
+        raise DataError(f"{path}: requested kind {kind!r} but file declares {fm.kind!r}")
+    if n != graph.n_entities:
+        raise DataError(f"{path}: file declares {n} entities, graph has {graph.n_entities}")
+    row_of = np.full(n, -1, dtype=np.int64)
+    for r, ent in enumerate(ids):
+        e = graph.index.get(ent)
+        if e is None:
+            raise DataError(f"{path}: row {r} names unknown entity {ent!r}")
+        row_of[e] = r
+    missing = np.flatnonzero(row_of < 0)
+    if len(missing):
+        raise DataError(
+            f"{path}: missing rows for {len(missing)} entities, "
+            f"first missing ids: {[graph.ids[i] for i in missing[:10]]}"
+        )
+    return FeatureMatrix(kind=kind, rows=fm.rows[row_of])
+
+
+def _parse_features(path: str) -> tuple[FeatureMatrix, list[str], int]:
+    """Rows in file order, their ids, and the row count the file declares."""
     if os.path.exists(path + ".json"):
-        return _load_features_binary(path, kind, graph)
-    return _load_features_text(path, kind, graph)
+        rows, ids, kind, n = _parse_features_binary(path)
+    else:
+        rows, ids, kind, n = _parse_features_text(path)
+    if not np.all(np.isfinite(rows)):
+        bad = int(np.argwhere(~np.isfinite(rows))[0][0])
+        raise DataError(f"{path}: non-finite component in row {bad}")
+    if kind == "distribution":
+        _normalize_distribution_rows(rows, path)
+    return FeatureMatrix(kind=kind, rows=rows), ids, n
 
 
-def _load_features_text(path: str, kind: str, graph: EntityGraph) -> FeatureMatrix:
-    with open(path, encoding="utf-8") as f:
+def _parse_features_text(path: str):
+    with open_text(path) as f:
         header = None
         lineno = 0
         for lineno, raw in enumerate(f, 1):
@@ -371,31 +475,26 @@ def _load_features_text(path: str, kind: str, graph: EntityGraph) -> FeatureMatr
             n, dim = int(parts[0]), int(parts[1])
         except ValueError:
             raise DataError(f"{path}:{lineno}: non-integer header counts") from None
-        file_kind = parts[2].lower()
-        if file_kind not in FEATURE_KINDS:
+        if n < 0 or dim < 1:
+            raise DataError(f"{path}:{lineno}: header needs n >= 0 and dim >= 1")
+        kind = parts[2].lower()
+        if kind not in FEATURE_KINDS:
             raise DataError(f"{path}:{lineno}: unknown kind {parts[2]!r} in header")
-        if file_kind != kind:
-            raise DataError(
-                f"{path}: requested kind {kind!r} but file declares {file_kind!r}"
-            )
-        if n != graph.n_entities:
-            raise DataError(
-                f"{path}: header declares {n} entities, graph has {graph.n_entities}"
-            )
-        rows = np.full((n, dim), np.nan, dtype=np.float64)
-        seen = np.zeros(n, dtype=bool)
+        ids: list[str] = []
+        vecs: list[np.ndarray] = []
+        seen: set[str] = set()
         for lineno, raw in enumerate(f, lineno + 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             ent, _, rest = line.partition("\t")
+            ent = ent.strip()
             if not rest:
                 raise DataError(f"{path}:{lineno}: expected 'entity<TAB>values'")
-            e = graph.index.get(ent.strip())
-            if e is None:
-                raise DataError(f"{path}:{lineno}: unknown entity {ent.strip()!r}")
-            if seen[e]:
-                raise DataError(f"{path}:{lineno}: duplicate row for {ent.strip()!r}")
+            if ent in seen:
+                raise DataError(f"{path}:{lineno}: duplicate row for {ent!r}")
+            if len(ids) == n:
+                raise DataError(f"{path}:{lineno}: more rows than the {n} the header declares")
             try:
                 vec = np.array(rest.split(), dtype=np.float64)
             except ValueError:
@@ -404,56 +503,28 @@ def _load_features_text(path: str, kind: str, graph: EntityGraph) -> FeatureMatr
                 raise DataError(
                     f"{path}:{lineno}: expected {dim} components, got {vec.shape[0]}"
                 )
-            rows[e] = vec
-            seen[e] = True
-
-    if not seen.all():
-        missing = [graph.ids[i] for i in np.flatnonzero(~seen)[:10]]
-        raise DataError(
-            f"{path}: missing rows for {int((~seen).sum())} entities, "
-            f"first missing ids: {missing}"
-        )
-    return _finish_features(rows, kind, path)
+            seen.add(ent)
+            ids.append(ent)
+            vecs.append(vec)
+    rows = np.array(vecs, dtype=np.float64).reshape(len(vecs), dim)
+    return rows, ids, kind, n
 
 
-def _load_features_binary(path: str, kind: str, graph: EntityGraph) -> FeatureMatrix:
-    with open(path + ".json", encoding="utf-8") as f:
-        meta = json.load(f)
-    n, dim, file_kind = meta["n"], meta["dim"], meta["kind"]
-    if file_kind != kind:
-        raise DataError(f"{path}: requested kind {kind!r} but sidecar declares {file_kind!r}")
-    if n != graph.n_entities:
-        raise DataError(f"{path}: sidecar declares {n} entities, graph has {graph.n_entities}")
+def _parse_features_binary(path: str):
+    sidecar = path + ".json"
+    meta = read_json_object(sidecar, ("n", "dim", "kind", "ids"))
+    n, dim, kind, ids = meta["n"], meta["dim"], meta["kind"], meta["ids"]
+    if not (_is_count(n) and _is_count(dim) and dim >= 1):
+        raise DataError(f"{sidecar}: needs integer n >= 0 and dim >= 1")
+    if kind not in FEATURE_KINDS:
+        raise DataError(f"{sidecar}: unknown kind {kind!r}")
+    if not _is_name_list(ids) or len(ids) != n:
+        raise DataError(f"{sidecar}: 'ids' must list {n} distinct entity ids")
     data = np.fromfile(path, dtype="<f4")
     if data.size != n * dim:
         raise DataError(f"{path}: expected {n * dim} float32 values, found {data.size}")
-    raw = data.reshape(n, dim).astype(np.float64)
-    rows = np.full((n, dim), np.nan, dtype=np.float64)
-    seen = np.zeros(n, dtype=bool)
-    for row_i, ent in enumerate(meta["ids"]):
-        e = graph.index.get(ent)
-        if e is None:
-            raise DataError(f"{path}: sidecar row {row_i} names unknown entity {ent!r}")
-        if seen[e]:
-            raise DataError(f"{path}: sidecar row {row_i} duplicates entity {ent!r}")
-        rows[e] = raw[row_i]
-        seen[e] = True
-    if not seen.all():
-        missing = [graph.ids[i] for i in np.flatnonzero(~seen)[:10]]
-        raise DataError(
-            f"{path}: missing rows for {int((~seen).sum())} entities, "
-            f"first missing ids: {missing}"
-        )
-    return _finish_features(rows, kind, path)
-
-
-def _finish_features(rows: np.ndarray, kind: str, context: str) -> FeatureMatrix:
-    if not np.all(np.isfinite(rows)):
-        bad = int(np.argwhere(~np.isfinite(rows))[0][0])
-        raise DataError(f"{context}: non-finite component in row {bad}")
-    if kind == "distribution":
-        _normalize_distribution_rows(rows, context)
-    return FeatureMatrix(kind=kind, rows=rows)
+    with np.errstate(invalid="ignore"):  # signalling NaNs; rejected as non-finite next
+        return data.reshape(n, dim).astype(np.float64), ids, kind, n
 
 
 def save_features_text(fm: FeatureMatrix, ids: list[str], path: str):
@@ -519,7 +590,7 @@ def load_votes(path: str, cats: CategoryIndex) -> VoteDataset:
     questions: list[Question] = []
     by_id: dict[str, int] = {}
     answers: list[tuple[int, int]] = []
-    with open(path, encoding="utf-8", newline="") as f:
+    with open_text(path, newline="") as f:
         reader = csv.reader(f)
         try:
             header = next(reader)
@@ -579,35 +650,8 @@ def save_votes(votes: VoteDataset, cats: CategoryIndex, path: str):
 
 
 # ---------------------------------------------------------------------------
-# menu configuration
+# menu vocabulary
 
 METRICS = ("l1", "l2", "cosine", "kl", "js")
 DISTRIBUTION_ONLY_METRICS = frozenset({"kl", "js"})
-CLOSENESS_STRATEGIES = ("count", "distance")
 CRITERIA = ("conductance", "surprise")
-DEFAULT_SIZES = (5, 10, 25, 50, 100)
-
-
-@dataclass(frozen=True)
-class MenuConfig:
-    """One cell of the feature x metric x closeness x criterion grid."""
-
-    feature: str
-    metric: str
-    closeness: str
-    size: float
-    criterion: str
-
-    def validate(self, feature_kind: str):
-        if self.metric not in METRICS:
-            raise ValueError(f"unknown metric {self.metric!r}")
-        if self.closeness not in CLOSENESS_STRATEGIES:
-            raise ValueError(f"unknown closeness strategy {self.closeness!r}")
-        if self.criterion not in CRITERIA:
-            raise ValueError(f"unknown criterion {self.criterion!r}")
-        if self.size <= 0:
-            raise ValueError("size must be positive")
-        if self.metric in DISTRIBUTION_ONLY_METRICS and feature_kind != "distribution":
-            raise ValueError(
-                f"metric {self.metric!r} requires distribution features, got {feature_kind!r}"
-            )

@@ -22,7 +22,7 @@ from threading import Lock
 import numpy as np
 from scipy.special import expit
 
-from .data_model import EntityGraph, FeatureMatrix
+from .data_model import EntityGraph, FeatureMatrix, open_text
 from .errors import DataError
 
 _WALK_SALT = 0x57A1C
@@ -94,7 +94,7 @@ def save_walks(walks: list[np.ndarray], ids: list[str], path: str):
 
 def load_walks(path: str, graph: EntityGraph) -> list[np.ndarray]:
     walks = []
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.strip()
             if not line:

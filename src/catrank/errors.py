@@ -4,6 +4,6 @@
 class DataError(Exception):
     """Raised when an input file or loaded structure violates its contract.
 
-    The CLI maps this to exit status 2; programmer errors (bad arguments to
-    library functions) raise ValueError instead and are not caught.
+    Library functions raise ValueError for arguments they cannot act on.
+    The CLI maps both to exit status 2.
     """

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .data_model import FeatureMatrix
+from .data_model import FeatureMatrix, open_text, read_json_object
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -49,12 +49,6 @@ class NeighborSet:
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def to_lists(self) -> list[list[tuple[int, float]]]:
-        return [
-            list(zip(self.neighbors(v)[0].tolist(), self.neighbors(v)[1].tolist()))
-            for v in range(self.n)
-        ]
-
     def save(self, path: str):
         with open(path, "w", encoding="utf-8") as f:
             for v in range(self.n):
@@ -68,10 +62,10 @@ class NeighborSet:
     def load(cls, path: str) -> "NeighborSet":
         meta = {}
         if os.path.exists(path + ".meta.json"):
-            with open(path + ".meta.json", encoding="utf-8") as f:
-                meta = json.load(f)
+            meta = read_json_object(path + ".meta.json")
         per_row: list[tuple[list[int], list[float]]] = []
-        with open(path, encoding="utf-8") as f:
+        linenos: list[int] = []
+        with open_text(path) as f:
             for lineno, raw in enumerate(f, 1):
                 line = raw.rstrip("\n")
                 if not line:
@@ -94,11 +88,19 @@ class NeighborSet:
                         except ValueError:
                             raise DataError(f"{path}:{lineno}: bad cell {cell!r}") from None
                 per_row.append((ids, ds))
-        indptr = np.zeros(len(per_row) + 1, dtype=np.int64)
+                linenos.append(lineno)
+        n = len(per_row)
+        indptr = np.zeros(n + 1, dtype=np.int64)
         for v, (ids, _) in enumerate(per_row):
             indptr[v + 1] = indptr[v] + len(ids)
         indices = np.array([i for ids, _ in per_row for i in ids], dtype=np.int64)
         distances = np.array([d for _, ds in per_row for d in ds], dtype=np.float64)
+        bad = (indices < 0) | (indices >= n)
+        if bad.any():
+            at = int(bad.argmax())
+            v = int(np.searchsorted(indptr, at, side="right")) - 1
+            raise DataError(f"{path}:{linenos[v]}: neighbor index {int(indices[at])} "
+                            f"outside [0, {n})")
         return cls(indptr=indptr, indices=indices, distances=distances, meta=meta)
 
 

@@ -1,18 +1,22 @@
-"""Descriptive statistics and result tables.
+"""Descriptive statistics, result tables, and the ranking CSV they persist.
 
-Everything here formats data computed elsewhere; output is byte-identical
-given identical inputs (floats rendered with repr, fixed orderings).
+Everything here formats data computed elsewhere, or reads a ranking back;
+output is byte-identical given identical inputs (floats rendered with repr,
+fixed orderings).
 """
 
 from __future__ import annotations
 
+import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import CoherenceRanking
-from .data_model import CategoryIndex, FeatureMatrix
+from .coherence import CategoryScore, CoherenceRanking
+from .data_model import CategoryIndex, FeatureMatrix, open_text
+from .errors import DataError
 from .neighbors import DEFAULT_EXACT_LIMIT, DEFAULT_SAMPLE_PAIRS, calibrate_thresholds
 
 
@@ -86,17 +90,61 @@ def distance_quantiles(features: FeatureMatrix, metric: str, targets,
     return list(zip([float(t) for t in targets], ds))
 
 
+def _csv(header: list[str], rows) -> str:
+    """CSV text with minimal quoting and ``\\n`` line ends; None is an
+    empty cell and Python floats keep their shortest round-trip form."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
 def quantiles_csv(rows: list[tuple[float, float]]) -> str:
-    lines = ["target_avg_neighbors,distance_threshold"]
-    for t, d in rows:
-        lines.append(f"{t:g},{repr(d)}")
-    return "\n".join(lines) + "\n"
+    return _csv(["target_avg_neighbors", "distance_threshold"],
+                ([f"{t:g}", d] for t, d in rows))
+
+
+def scores_csv(scores: list[CategoryScore], cats: CategoryIndex) -> str:
+    """Per-category coherence scores in category-index order."""
+    return _csv(
+        ["category", "n_members", "conductance", "surprise", "log_surprise",
+         "n_observers_used"],
+        ([cats.names[s.category], s.n_members, s.conductance, s.surprise,
+          s.log_surprise, s.n_observers_used] for s in scores),
+    )
+
+
+def summary_csv(rows: list[dict]) -> str:
+    """Grid summary rows; columns in first-seen order, absent cells empty."""
+    columns = list(dict.fromkeys(col for row in rows for col in row))
+    return _csv(columns, ([row.get(col, "") for col in columns] for row in rows))
+
+
+RANKING_COLUMNS = ["rank", "category", "criterion_value", "conductance",
+                   "log_surprise", "n_members", "n_observers_used"]
 
 
 @dataclass
 class TopTable:
     rows: list[dict]
     truncated_note: str | None = None
+
+
+def _ranking_rows(ranking: CoherenceRanking, n: int, cats: CategoryIndex) -> list[dict]:
+    return [
+        {
+            "rank": rank,
+            "category": cats.names[s.category],
+            "criterion_value": s.conductance if ranking.criterion == "conductance"
+            else s.log_surprise,
+            "conductance": s.conductance,
+            "log_surprise": s.log_surprise,
+            "n_members": s.n_members,
+            "n_observers_used": s.n_observers_used,
+        }
+        for rank, s in enumerate(ranking.scores[:n], 1)
+    ]
 
 
 def top_table(ranking: CoherenceRanking, n: int, cats: CategoryIndex) -> TopTable:
@@ -107,22 +155,70 @@ def top_table(ranking: CoherenceRanking, n: int, cats: CategoryIndex) -> TopTabl
     if n > len(ranking):
         note = f"requested {n} rows, ranking has {len(ranking)}"
         n = len(ranking)
-    rows = []
-    for rank, s in enumerate(ranking.scores[:n], 1):
-        rows.append({
-            "rank": rank,
-            "category": cats.names[s.category],
-            "criterion_value": _criterion_value(ranking.criterion, s),
-            "conductance": s.conductance,
-            "log_surprise": s.log_surprise,
-            "n_members": s.n_members,
-            "n_observers_used": s.n_observers_used,
-        })
-    return TopTable(rows=rows, truncated_note=note)
+    return TopTable(rows=_ranking_rows(ranking, n, cats), truncated_note=note)
 
 
-def _criterion_value(criterion: str, score):
-    return score.conductance if criterion == "conductance" else score.log_surprise
+def _rows_csv(rows: list[dict]) -> str:
+    return _csv(RANKING_COLUMNS, ([r[c] for c in RANKING_COLUMNS] for r in rows))
+
+
+def ranking_csv(ranking: CoherenceRanking, cats: CategoryIndex) -> str:
+    """Full ranking in the persistent CSV schema (natural-log surprise)."""
+    return _rows_csv(_ranking_rows(ranking, len(ranking), cats))
+
+
+def top_csv(table: TopTable) -> str:
+    return _rows_csv(table.rows)
+
+
+def read_ranking_csv(path: str, cats: CategoryIndex) -> CoherenceRanking:
+    """Read a ranking written by ``ranking_csv``, keeping its order.
+
+    The criterion is not stored as such: a file whose every criterion_value
+    cell equals its conductance cell is a conductance ranking, any other a
+    surprise ranking.
+    """
+    scores: list[CategoryScore] = []
+    seen: set[int] = set()
+    by_conductance = True
+    with open_text(path, newline="") as f:
+        reader = csv.reader(f)
+        if next(reader, None) != RANKING_COLUMNS:
+            raise DataError(f"{path}:1: header must be {','.join(RANKING_COLUMNS)}")
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(RANKING_COLUMNS):
+                raise DataError(f"{where}: expected {len(RANKING_COLUMNS)} columns, "
+                                f"got {len(row)}")
+            rank, name, value, cond, log_s, n_members, n_observers = row
+            c = cats.index.get(name)
+            if c is None:
+                raise DataError(f"{where}: unknown category {name!r}")
+            if c in seen:
+                raise DataError(f"{where}: category {name!r} listed twice")
+            try:
+                numbers = (int(rank), float(cond) if cond else None, float(log_s),
+                           int(n_members), int(n_observers))
+            except ValueError:
+                raise DataError(f"{where}: non-numeric field") from None
+            rank, conductance, log_surprise, n_members, n_observers = numbers
+            if rank != len(scores) + 1:
+                raise DataError(f"{where}: rank {rank} out of sequence")
+            if not (log_surprise <= 0.0 and (conductance is None or 0.0 <= conductance <= 1.0)):
+                raise DataError(f"{where}: need log_surprise <= 0 and conductance in [0, 1]")
+            by_conductance = by_conductance and value == cond
+            seen.add(c)
+            scores.append(CategoryScore(
+                category=c, n_members=n_members, conductance=conductance,
+                surprise=math.exp(log_surprise), log_surprise=log_surprise,
+                n_observers_used=n_observers,
+            ))
+    if not scores:
+        raise DataError(f"{path}: empty ranking")
+    return CoherenceRanking(criterion="conductance" if by_conductance else "surprise",
+                            scores=scores, n_skipped=0)
 
 
 def _cell(v) -> str:
@@ -133,40 +229,8 @@ def _cell(v) -> str:
     return str(v)
 
 
-def ranking_csv(ranking: CoherenceRanking, cats: CategoryIndex) -> str:
-    """Full ranking in the persistent CSV schema (natural-log surprise)."""
-    lines = ["rank,category,criterion_value,conductance,log_surprise,n_members,n_observers_used"]
-    for rank, s in enumerate(ranking.scores, 1):
-        name = cats.names[s.category]
-        if "," in name or '"' in name:
-            name = '"' + name.replace('"', '""') + '"'
-        lines.append(",".join([
-            str(rank), name,
-            _cell(_criterion_value(ranking.criterion, s)),
-            _cell(s.conductance),
-            _cell(s.log_surprise),
-            str(s.n_members),
-            str(s.n_observers_used),
-        ]))
-    return "\n".join(lines) + "\n"
-
-
-def top_csv(table: TopTable) -> str:
-    lines = ["rank,category,criterion_value,conductance,log_surprise,n_members,n_observers_used"]
-    for r in table.rows:
-        name = r["category"]
-        if "," in name or '"' in name:
-            name = '"' + name.replace('"', '""') + '"'
-        lines.append(",".join([
-            str(r["rank"]), name, _cell(r["criterion_value"]), _cell(r["conductance"]),
-            _cell(r["log_surprise"]), str(r["n_members"]), str(r["n_observers_used"]),
-        ]))
-    return "\n".join(lines) + "\n"
-
-
 def top_text(table: TopTable) -> str:
-    headers = ["rank", "category", "criterion_value", "conductance",
-               "log_surprise", "n_members", "n_observers_used"]
+    headers = RANKING_COLUMNS
     cells = [[_cell(r[h]) for h in headers] for r in table.rows]
     widths = [max(len(h), *(len(c[i]) for c in cells)) if cells else len(h)
               for i, h in enumerate(headers)]

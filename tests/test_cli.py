@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -306,3 +307,88 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "entities" in proc.stdout
+
+
+def write_points(path, kind="point"):
+    """Dim-2 point features for the 12 entities: one tight cluster per clique."""
+    rows = [f"n{v}\t{10.0 * (v // 6) + 0.1 * (v % 6)!r} {1.0 + 0.01 * v!r}" for v in range(12)]
+    path.write_text(f"12 2 {kind}\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    return path
+
+
+def write_clique_neighbors(path, n=12):
+    """Each entity lists its next three clique-mates."""
+    lines = []
+    for v in range(n):
+        base = 6 * (v // 6)
+        cells = ",".join(f"{base + (v - base + j) % 6}:{float(j)!r}" for j in (1, 2, 3))
+        lines.append(f"{v}\t{cells}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_report_top_on_conductance_ranking(pipeline):
+    tmp, out = pipeline
+    nb = write_clique_neighbors(tmp / "nb.tsv")
+    cats = str(out / "categories.json")
+    ranking, top = tmp / "ranking.csv", tmp / "top.csv"
+    assert main(["rank", "--neighbors", str(nb), "--categories", cats,
+                 "--criterion", "conductance", "--out", str(ranking)]) == 0
+    assert main(["report", "top", "--ranking", str(ranking), "--categories", cats,
+                 "--out", str(top)]) == 0
+    with open(top, encoding="utf-8", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 5
+    assert all(r["criterion_value"] == r["conductance"] for r in rows)
+    assert rows[0]["criterion_value"] != rows[0]["log_surprise"]
+
+
+def _bad_config(tmp, out):
+    cfg = tmp / "catrank.conf"
+    cfg.write_text("seed 9\n", encoding="utf-8")
+    return ["--config", str(cfg), "walk", "--graph", str(out / "graph.json"),
+            "--out", str(tmp / "walks.txt")]
+
+
+def _kl_on_points(tmp, out):
+    return ["knn", "--features", str(write_points(tmp / "f.tsv")), "--metric", "kl",
+            "--k", "2", "--out", str(tmp / "nb.tsv")]
+
+
+def _universe_mismatch(tmp, out):
+    return ["coherence", "--neighbors", str(write_clique_neighbors(tmp / "nb.tsv", n=6)),
+            "--categories", str(out / "categories.json"), "--out", str(tmp / "s.csv")]
+
+
+def _category_only_ranking(tmp, out):
+    ranking = tmp / "ranking.csv"
+    ranking.write_text("category\ncliqueA\ncliqueB\n", encoding="utf-8")
+    return ["evaluate", "--ranking", str(ranking), "--votes", str(out / "votes.csv"),
+            "--categories", str(out / "categories.json"), "--out", str(tmp / "e.json")]
+
+
+@pytest.mark.parametrize("argv", [_bad_config, _kl_on_points, _universe_mismatch,
+                                  _category_only_ranking])
+def test_rejected_input_exits_2_without_traceback(pipeline, capsys, argv):
+    tmp, out = pipeline
+    capsys.readouterr()
+    assert main(argv(tmp, out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("catrank: data error: ")
+    assert "Traceback" not in err
+
+
+def test_grid_summary_quotes_feature_name(pipeline):
+    tmp, out = pipeline
+    grid_dir = tmp / "grid"
+    assert main([
+        "grid", "--features", str(write_points(tmp / "f.tsv")), "--features-name", 'f,"1"',
+        "--categories", str(out / "categories.json"), "--metrics", "l2",
+        "--strategies", "count", "--sizes", "3", "--criteria", "surprise",
+        "--out-dir", str(grid_dir),
+    ]) == 0
+    with open(grid_dir / "summary.csv", encoding="utf-8", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 1
+    assert None not in rows[0]
+    assert (rows[0]["feature"], rows[0]["metric"], rows[0]["size"]) == ('f,"1"', "l2", "3")

@@ -5,11 +5,11 @@ from catrank.data_model import (
     CategoryIndex,
     EntityGraph,
     FeatureMatrix,
-    MenuConfig,
     load_categories,
     load_features,
     load_graph,
     load_votes,
+    read_features,
     save_features_binary,
     save_features_text,
     save_votes,
@@ -290,12 +290,46 @@ def test_votes_round_trip(tmp_path, vote_cats):
 
 
 # ---------------------------------------------------------------------------
-# menu config
+# native artifacts
 
 
-def test_menu_config_kl_needs_distribution():
-    cfg = MenuConfig(feature="f", metric="kl", closeness="count", size=5,
-                     criterion="surprise")
-    cfg.validate("distribution")
-    with pytest.raises(ValueError, match="distribution"):
-        cfg.validate("point")
+@pytest.mark.parametrize("name, text, message", [
+    ("categories.json", '{"n_entities": 2, "names": ["c"], "members": [[0, 2]]}',
+     r"index 2 outside \[0, 2\)"),
+    ("categories.json", '{"n_entities": 2, "names": ["c"], "members": [[0, 1]]',
+     r":1: invalid JSON"),
+    ("categories.json", '{"names": ["c"], "members": [[0, 1]]}', "missing keys"),
+    ("categories.json", '{"n_entities": 2, "names": ["c"], "members": [[0.5]]}',
+     "list of integers"),
+    ("graph.json", '{"ids": ["A", "B"]}', "missing keys"),
+    ("graph.json", '{"ids": ["A", "B"], "adjacency": [[1], [5]]}', r"outside \[0, 2\)"),
+])
+def test_native_json_artifacts_validated(tmp_path, name, text, message):
+    path = write(tmp_path / name, text)
+    load = CategoryIndex.load if name.startswith("categories") else EntityGraph.load
+    with pytest.raises(DataError, match=message) as exc:
+        load(path)
+    assert name in str(exc.value)
+
+
+def test_binary_feature_sidecar_missing_keys(tmp_path, small_graph):
+    path = tmp_path / "f.bin"
+    save_features_binary(FeatureMatrix(kind="point", rows=np.ones((2, 2))),
+                         small_graph.ids, str(path))
+    write(tmp_path / "f.bin.json", '{"n": 2, "dim": 2, "kind": "point"}')
+    with pytest.raises(DataError, match=r"f\.bin\.json: missing keys \['ids'\]"):
+        load_features(str(path), "point", small_graph)
+
+
+def test_read_features_keeps_file_order_and_checks_rows(tmp_path):
+    p = write(tmp_path / "f.tsv", "2 2 point\nB\t0.5 0.5\nA\t0.25 0.75\n")
+    fm, ids = read_features(p)
+    assert ids == ["B", "A"]
+    assert fm.kind == "point"
+    assert fm.rows.tolist() == [[0.5, 0.5], [0.25, 0.75]]
+    bad = write(tmp_path / "g.tsv", "2 2 point\nB\t0.5 0.5\nA\tnan 0.75\n")
+    with pytest.raises(DataError, match="non-finite"):
+        read_features(bad)
+    short = write(tmp_path / "h.tsv", "2 2 point\nB\t0.5 0.5\n")
+    with pytest.raises(DataError, match="declares 2 rows, found 1"):
+        read_features(short)

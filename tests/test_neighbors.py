@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from catrank.data_model import FeatureMatrix
+from catrank.errors import DataError
 from catrank.neighbors import (
     NeighborSet,
     calibrate_threshold,
@@ -196,3 +197,11 @@ def test_neighbor_set_round_trip_with_empty_lists(tmp_path):
     back = NeighborSet.load(path)
     assert np.array_equal(back.indptr, nbrs.indptr)
     assert np.array_equal(back.indices, nbrs.indices)
+
+
+@pytest.mark.parametrize("cell", ["3:0.5", "-1:0.5"])
+def test_neighbor_set_load_rejects_index_out_of_range(tmp_path, cell):
+    path = tmp_path / "nb.tsv"
+    path.write_text(f"0\t1:0.5\n1\t0:0.5,{cell}\n2\t\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"nb\.tsv:2: neighbor index -?\d outside \[0, 3\)"):
+        NeighborSet.load(str(path))

@@ -5,11 +5,13 @@ import pytest
 
 from catrank.coherence import rank_categories
 from catrank.data_model import FeatureMatrix
+from catrank.errors import DataError
 from catrank.report import (
     category_stats,
     distance_quantiles,
     quantiles_csv,
     ranking_csv,
+    read_ranking_csv,
     stats_text,
     top_csv,
     top_table,
@@ -88,12 +90,12 @@ def test_quantiles_csv_deterministic():
     assert a.startswith("target_avg_neighbors,distance_threshold\n")
 
 
-def small_ranking(n_cats=12):
+def small_ranking(n_cats=12, criterion="surprise"):
     lists = [[(v + 1) % 30, (v + 2) % 30] for v in range(30)]
     nbrs = neighbor_set_from_lists(lists)
     members = [[(3 * c) % 30, (3 * c + 1) % 30, (3 * c + 2) % 30] for c in range(n_cats)]
     cats = categories_from_members(members, 30)
-    return rank_categories(nbrs, cats, "surprise"), cats
+    return rank_categories(nbrs, cats, criterion), cats
 
 
 def test_top_table_rows_and_order():
@@ -153,3 +155,33 @@ def test_ranking_csv_schema_and_determinism():
     header = a.splitlines()[0]
     assert header == "rank,category,criterion_value,conductance,log_surprise,n_members,n_observers_used"
     assert len(a.splitlines()) == len(ranking) + 1
+
+
+@pytest.mark.parametrize("criterion", ["surprise", "conductance"])
+def test_ranking_csv_reads_back(tmp_path, criterion):
+    ranking, cats = small_ranking(criterion=criterion)
+    path = tmp_path / "ranking.csv"
+    path.write_text(ranking_csv(ranking, cats), encoding="utf-8")
+    back = read_ranking_csv(str(path), cats)
+    assert back.criterion == criterion
+    assert back.ordered_categories == ranking.ordered_categories
+    for a, b in zip(back.scores, ranking.scores):
+        assert (a.n_members, a.conductance, a.log_surprise, a.n_observers_used) == \
+            (b.n_members, b.conductance, b.log_surprise, b.n_observers_used)
+        assert a.surprise == pytest.approx(b.surprise, rel=1e-12)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: ["category"] + [l.split(",")[1] for l in lines[1:]], r":1: header"),
+    (lambda lines: lines[:2] + lines[1:2], r":3: category 'cat\d+' listed twice"),
+    (lambda lines: lines[:1] + lines[2:], r":2: rank 2 out of sequence"),
+    (lambda lines: lines[:1] + [lines[1].replace(",3,", ",x,", 1)], r":2: non-numeric"),
+    (lambda lines: lines[:1], "empty ranking"),
+])
+def test_read_ranking_csv_rejects_malformed(tmp_path, edit, message):
+    ranking, cats = small_ranking()
+    path = tmp_path / "ranking.csv"
+    path.write_text("\n".join(edit(ranking_csv(ranking, cats).splitlines())) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(DataError, match=message):
+        read_ranking_csv(str(path), cats)
