@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.special import gammaln, logsumexp
 
 from . import evaluation
@@ -92,74 +93,6 @@ def p_cat(cats: CategoryIndex, cat: int, universe_size: int | None = None,
     return size / n
 
 
-def conductance(cat: int, nbrs: NeighborSet, cats: CategoryIndex) -> float | None:
-    """Fraction of members' directed neighbor relationships staying inside.
-
-    Returns None when no member has any close neighbor.
-    """
-    if cats.size(cat) < 2:
-        raise ValueError("conductance needs a category with at least 2 members")
-    inside, total, _ = _category_counts(cats.members[cat], nbrs)
-    if total == 0:
-        return None
-    return inside / total
-
-
-def _category_counts(members: np.ndarray, nbrs: NeighborSet):
-    """Directed inside/total relationship counts plus per-observer (C, G)."""
-    mask = np.zeros(nbrs.n, dtype=bool)
-    mask[members] = True
-    inside = 0
-    total = 0
-    observers: list[tuple[int, int]] = []
-    for m in members.tolist():
-        ids, _ = nbrs.neighbors(m)
-        c = len(ids)
-        g = int(mask[ids].sum()) if c else 0
-        inside += g
-        total += c
-        observers.append((c, g))
-    return inside, total, observers
-
-
-def surprise_level(cat: int, nbrs: NeighborSet, cats: CategoryIndex,
-                   universe_size: int | None = None,
-                   adjusted_p: bool = False) -> tuple[float, float, int]:
-    """Mean binomial-tail probability over the category's observers.
-
-    Returns ``(linear, log, n_observers_used)``.
-    """
-    members = cats.members[cat]
-    if len(members) < 2:
-        raise ValueError("surprise level needs a category with at least 2 members")
-    p = p_cat(cats, cat, universe_size, adjusted=adjusted_p)
-    _, _, observers = _category_counts(members, nbrs)
-    return _surprise_from_observers(observers, p)
-
-
-def _surprise_from_observers(observers, p):
-    cache: dict[tuple[int, int], float] = {}
-    logs = []
-    for c, g in observers:
-        if c == 0:
-            continue
-        key = (c, g)
-        lt = cache.get(key)
-        if lt is None:
-            lt = binomial_tail(c, g, p)[1]
-            cache[key] = lt
-        logs.append(lt)
-    if not logs:
-        return 1.0, 0.0, 0
-    n_obs = len(logs)
-    arr = np.array(logs)
-    if arr.max() > _LINEAR_MEAN_FLOOR:
-        mean = float(np.exp(arr).mean())
-        return mean, min(0.0, math.log(mean)), n_obs
-    log_mean = float(logsumexp(arr)) - math.log(n_obs)
-    return math.exp(log_mean), min(0.0, log_mean), n_obs
-
-
 @dataclass
 class CategoryScore:
     category: int
@@ -186,6 +119,94 @@ class CoherenceRanking:
         return len(self.scores)
 
 
+def _score(nbrs: NeighborSet, cats: CategoryIndex, cat_ids: list[int],
+           universe_size: int | None = None,
+           adjusted_p: bool = False) -> list[CategoryScore]:
+    """Conductance and surprise level of each listed category, in one pass.
+
+    Each member observes C close neighbors, G of them members. p depends
+    only on the size, so each distinct (C, G, size) tail is computed once;
+    each mean is taken over the category's own observers in member order.
+    """
+    if nbrs.n != cats.n_entities:
+        raise ValueError("neighbor set and category index cover different universes")
+    if not cat_ids:
+        return []
+    sizes = np.array([cats.size(cat) for cat in cat_ids], dtype=np.int64)
+    if sizes.min() < 2:
+        raise ValueError("scoring needs categories with at least 2 members")
+    n = nbrs.n
+    # One category at a time: a single product over all memberships would
+    # hold every (member, neighbor) entry at once. int32 counts (no entity
+    # has 2**31 neighbors) halve the temporaries.
+    near = sparse.csr_matrix(
+        (np.ones(len(nbrs.indices), dtype=np.int32), nbrs.indices, nbrs.indptr),
+        shape=(n, n))
+    mask = np.zeros(n, dtype=np.int32)
+    inside = []
+    for cat in cat_ids:
+        members = cats.members[cat]
+        mask[members] = 1
+        inside.append(near[members] @ mask)
+        mask[members] = 0
+    c_obs = nbrs.out_degrees()[np.concatenate([cats.members[cat] for cat in cat_ids])]
+    g_obs = np.concatenate(inside)
+
+    observed = c_obs > 0
+    keys = np.stack([np.repeat(sizes, sizes), c_obs, g_obs], axis=1, dtype=np.int32)[observed]
+    distinct, which = np.unique(keys, axis=0, return_inverse=True)
+    p_of_size = {s: p_cat(cats, cat, universe_size, adjusted=adjusted_p)
+                 for cat, s in zip(cat_ids, sizes.tolist())}
+    tails = np.array([binomial_tail(c, g, p_of_size[s])[1]
+                      for s, c, g in distinct.tolist()], dtype=np.float64)
+    logs = tails[which.ravel()]
+
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    obs_at = np.concatenate(([0], np.cumsum(observed)))
+    scores = []
+    for cat, lo, hi, obs_lo, obs_hi in zip(cat_ids, starts.tolist(), ends.tolist(),
+                                           obs_at[starts].tolist(), obs_at[ends].tolist()):
+        total = int(c_obs[lo:hi].sum())
+        arr = logs[obs_lo:obs_hi]
+        if not arr.size:
+            s, log_s = 1.0, 0.0
+        elif arr.max() > _LINEAR_MEAN_FLOOR:
+            s = float(np.exp(arr).mean())
+            log_s = min(0.0, math.log(s))
+        else:
+            log_mean = float(logsumexp(arr)) - math.log(arr.size)
+            s, log_s = math.exp(log_mean), min(0.0, log_mean)
+        scores.append(CategoryScore(
+            category=cat,
+            n_members=hi - lo,
+            conductance=int(g_obs[lo:hi].sum()) / total if total else None,
+            surprise=s,
+            log_surprise=log_s,
+            n_observers_used=arr.size,
+        ))
+    return scores
+
+
+def conductance(cat: int, nbrs: NeighborSet, cats: CategoryIndex) -> float | None:
+    """Fraction of members' directed neighbor relationships staying inside.
+
+    Returns None when no member has any close neighbor.
+    """
+    return _score(nbrs, cats, [cat])[0].conductance
+
+
+def surprise_level(cat: int, nbrs: NeighborSet, cats: CategoryIndex,
+                   universe_size: int | None = None,
+                   adjusted_p: bool = False) -> tuple[float, float, int]:
+    """Mean binomial-tail probability over the category's observers.
+
+    Returns ``(linear, log, n_observers_used)``.
+    """
+    s = _score(nbrs, cats, [cat], universe_size, adjusted_p)[0]
+    return s.surprise, s.log_surprise, s.n_observers_used
+
+
 def score_categories(nbrs: NeighborSet, cats: CategoryIndex, min_size: int = 2,
                      adjusted_p: bool = False) -> tuple[list[CategoryScore], int]:
     """Score every category with at least ``min_size`` members.
@@ -194,28 +215,9 @@ def score_categories(nbrs: NeighborSet, cats: CategoryIndex, min_size: int = 2,
     """
     if min_size < 2:
         raise ValueError("min_size must be at least 2")
-    if nbrs.n != cats.n_entities:
-        raise ValueError("neighbor set and category index cover different universes")
-    scores = []
-    skipped = 0
-    for cat in range(cats.n_categories):
-        members = cats.members[cat]
-        if len(members) < min_size:
-            skipped += 1
-            continue
-        inside, total, observers = _category_counts(members, nbrs)
-        cond = inside / total if total else None
-        p = p_cat(cats, cat, adjusted=adjusted_p)
-        s, log_s, n_obs = _surprise_from_observers(observers, p)
-        scores.append(CategoryScore(
-            category=cat,
-            n_members=len(members),
-            conductance=cond,
-            surprise=s,
-            log_surprise=log_s,
-            n_observers_used=n_obs,
-        ))
-    return scores, skipped
+    scorable = [cat for cat in range(cats.n_categories) if cats.size(cat) >= min_size]
+    scores = _score(nbrs, cats, scorable, adjusted_p=adjusted_p)
+    return scores, cats.n_categories - len(scorable)
 
 
 def _order_scores(scores: list[CategoryScore], criterion: str) -> list[CategoryScore]:

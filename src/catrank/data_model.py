@@ -235,11 +235,10 @@ class CategoryLoadReport:
 
 @dataclass
 class CategoryIndex:
-    """Category -> member entities and entity -> categories, both directions sorted."""
+    """Category -> member entities, each member list sorted and unique."""
 
     names: list[str]
     members: list[np.ndarray]
-    memberships: list[np.ndarray]
     n_entities: int
     index: dict[str, int] = field(default_factory=dict)
 
@@ -255,13 +254,12 @@ class CategoryIndex:
         return len(self.members[c])
 
     def validate(self):
-        pairs_a = {(int(e), c) for c, ms in enumerate(self.members) for e in ms}
-        pairs_b = {(e, int(c)) for e, cs in enumerate(self.memberships) for c in cs}
-        if pairs_a != pairs_b:
-            raise DataError("members and memberships are not inverse maps")
-        for c, ms in enumerate(self.members):
-            if len(ms) != len(set(ms.tolist())) or np.any(np.diff(ms) < 0):
-                raise DataError(f"member list of category {c} not sorted/unique")
+        flat = np.concatenate(self.members) if self.members else np.zeros(0, np.int64)
+        owner = np.repeat(np.arange(self.n_categories), [len(m) for m in self.members])
+        bad = (np.diff(flat) <= 0) & (owner[1:] == owner[:-1])
+        if bad.any():
+            raise DataError(f"members[{int(owner[bad.argmax()])}]: entity ids are not "
+                            "sorted and unique")
 
     def save(self, path: str):
         payload = {
@@ -281,20 +279,12 @@ class CategoryIndex:
         if not _is_name_list(names):
             raise DataError(f"{path}: 'names' must be a list of distinct strings")
         members = _index_lists(payload["members"], len(names), n, f"{path}: members")
-        return cls(
-            names=names,
-            members=members,
-            memberships=_invert_members(members, n),
-            n_entities=n,
-        )
-
-
-def _invert_members(members: list[np.ndarray], n_entities: int) -> list[np.ndarray]:
-    per_entity: list[list[int]] = [[] for _ in range(n_entities)]
-    for c, ms in enumerate(members):
-        for e in ms.tolist():
-            per_entity[e].append(c)
-    return [np.array(sorted(cs), dtype=np.int64) for cs in per_entity]
+        cats = cls(names=names, members=members, n_entities=n)
+        try:
+            cats.validate()
+        except DataError as e:
+            raise DataError(f"{path}: {e}") from None
+        return cats
 
 
 def load_categories(path: str, graph: EntityGraph):
@@ -343,7 +333,6 @@ def load_categories(path: str, graph: EntityGraph):
     cats = CategoryIndex(
         names=names,
         members=members,
-        memberships=_invert_members(members, graph.n_entities),
         n_entities=graph.n_entities,
         index=cat_index,
     )

@@ -90,17 +90,17 @@ class NeighborSet:
                 per_row.append((ids, ds))
                 linenos.append(lineno)
         n = len(per_row)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        for v, (ids, _) in enumerate(per_row):
-            indptr[v + 1] = indptr[v] + len(ids)
+        degrees = np.fromiter((len(ids) for ids, _ in per_row), dtype=np.int64, count=n)
+        indptr = np.concatenate(([0], np.cumsum(degrees)))
         indices = np.array([i for ids, _ in per_row for i in ids], dtype=np.int64)
         distances = np.array([d for _, ds in per_row for d in ds], dtype=np.float64)
-        bad = (indices < 0) | (indices >= n)
-        if bad.any():
-            at = int(bad.argmax())
-            v = int(np.searchsorted(indptr, at, side="right")) - 1
-            raise DataError(f"{path}:{linenos[v]}: neighbor index {int(indices[at])} "
-                            f"outside [0, {n})")
+        owner = np.repeat(np.arange(n), degrees)
+        for bad, why in (((indices < 0) | (indices >= n), f"outside [0, {n})"),
+                         (indices == owner, "is the entity itself")):
+            if bad.any():
+                at = int(bad.argmax())
+                raise DataError(f"{path}:{linenos[owner[at]]}: neighbor index "
+                                f"{int(indices[at])} {why}")
         return cls(indptr=indptr, indices=indices, distances=distances, meta=meta)
 
 
@@ -120,11 +120,9 @@ def _run_chunks(fn, chunks, workers: int):
 
 def _assemble(n: int, rows_idx: list[np.ndarray], rows_dist: list[np.ndarray],
               meta: dict) -> NeighborSet:
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    for v in range(n):
-        indptr[v + 1] = indptr[v] + len(rows_idx[v])
+    degrees = np.fromiter(map(len, rows_idx), dtype=np.int64, count=n)
     return NeighborSet(
-        indptr=indptr,
+        indptr=np.concatenate(([0], np.cumsum(degrees))),
         indices=np.concatenate(rows_idx) if n else np.zeros(0, np.int64),
         distances=np.concatenate(rows_dist) if n else np.zeros(0, np.float64),
         meta=meta,
@@ -173,7 +171,7 @@ def neighbors_by_distance(features: FeatureMatrix, metric: str, d: float,
                           workers: int = 1) -> NeighborSet:
     """All other entities within distance <= d; symmetric by construction."""
     metrics.check_metric(metric, features)
-    if d < 0:
+    if not d >= 0:  # also rejects NaN
         raise ValueError("distance threshold must be nonnegative")
     n = features.n_entities
     rows = features.rows
@@ -184,9 +182,10 @@ def neighbors_by_distance(features: FeatureMatrix, metric: str, d: float,
     def work(chunk):
         dm = metrics.block(metric, rows, np.asarray(chunk), prep)
         for local, v in enumerate(chunk):
-            row = dm[local].copy()
-            row[v] = np.inf
-            cols = np.flatnonzero(row <= d)
+            row = dm[local]
+            within = row <= d
+            within[v] = False
+            cols = np.flatnonzero(within)
             order = cols[np.argsort(row[cols], kind="stable")]
             out_idx[v] = order.astype(np.int64)
             out_dist[v] = row[order]
@@ -278,29 +277,20 @@ def calibrate_threshold(features: FeatureMatrix, metric: str, k_target: float,
     )[0]
 
 
+def _keep_entries(nbrs: NeighborSet, keep: np.ndarray, meta: dict) -> NeighborSet:
+    """The entries where ``keep`` holds, each row keeping its order."""
+    kept_before = np.concatenate(([0], np.cumsum(keep)))
+    return NeighborSet(indptr=kept_before[nbrs.indptr], indices=nbrs.indices[keep],
+                       distances=nbrs.distances[keep], meta=meta)
+
+
 def slice_knn(nbrs: NeighborSet, k: int) -> NeighborSet:
     """Restrict count-strategy lists to their first k entries (lists are
     sorted by (distance, index), so the prefix is the exact smaller-k result)."""
-    n = nbrs.n
-    idx_rows = []
-    dist_rows = []
-    for v in range(n):
-        ids, ds = nbrs.neighbors(v)
-        idx_rows.append(ids[:k])
-        dist_rows.append(ds[:k])
-    meta = dict(nbrs.meta, k=k)
-    return _assemble(n, idx_rows, dist_rows, meta)
+    position = np.arange(len(nbrs.indices)) - np.repeat(nbrs.indptr[:-1], nbrs.out_degrees())
+    return _keep_entries(nbrs, position < k, dict(nbrs.meta, k=k))
 
 
 def filter_by_distance(nbrs: NeighborSet, d: float) -> NeighborSet:
     """Restrict distance-strategy lists to entries with distance <= d."""
-    n = nbrs.n
-    idx_rows = []
-    dist_rows = []
-    for v in range(n):
-        ids, ds = nbrs.neighbors(v)
-        cut = np.searchsorted(ds, d, side="right")
-        idx_rows.append(ids[:cut])
-        dist_rows.append(ds[:cut])
-    meta = dict(nbrs.meta, d=d)
-    return _assemble(n, idx_rows, dist_rows, meta)
+    return _keep_entries(nbrs, nbrs.distances <= d, dict(nbrs.meta, d=d))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from catrank.data_model import CategoryIndex, EntityGraph, _invert_members
+from catrank.data_model import CategoryIndex, EntityGraph
 from catrank.neighbors import NeighborSet
 
 
@@ -28,7 +28,6 @@ def categories_from_members(members, n_entities, names=None):
     return CategoryIndex(
         names=list(names),
         members=members,
-        memberships=_invert_members(members, n_entities),
         n_entities=n_entities,
     )
 

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import catrank
 from catrank.cli import main
 
 
@@ -300,10 +301,13 @@ def test_workers_env_default(tmp_path, monkeypatch):
 def test_module_entry_point(tmp_path):
     graph, cats, votes = make_dataset(tmp_path)
     out = tmp_path / "work"
+    # the child imports the package the test imported, installed or not
+    src = os.path.dirname(os.path.dirname(catrank.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "catrank", "ingest", "--graph", str(graph),
          "--out-dir", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
     assert "entities" in proc.stdout

@@ -198,25 +198,37 @@ def test_surprise_knn_category_vs_exact_oracle():
 
 
 def test_surprise_random_instances_vs_exact_oracle():
+    # several overlapping categories per instance, two of equal size (so they
+    # share tail keys), scored in one batch and checked one by one
     rng = np.random.default_rng(21)
     for trial in range(25):
         n = int(rng.integers(5, 31))
+        sizes = rng.integers(2, n + 1, size=4)
+        sizes[1] = sizes[0]
+        member_lists = [sorted(rng.choice(n, size=int(s), replace=False).tolist())
+                        for s in sizes]
         lists = []
         for v in range(n):
             others = [x for x in range(n) if x != v]
             deg = int(rng.integers(0, min(6, n - 1) + 1))
             lists.append(sorted(rng.choice(others, size=deg, replace=False).tolist()))
+        lists[member_lists[2][0]] = []  # an observer with zero neighbors
         nbrs = neighbor_set_from_lists(lists)
-        size = int(rng.integers(2, n + 1))
-        members = sorted(rng.choice(n, size=size, replace=False).tolist())
-        cats = categories_from_members([members], n)
-        linear, log, _ = surprise_level(0, nbrs, cats)
-        want = exact_surprise(members, nbrs, n)
-        assert linear == pytest.approx(float(want), rel=1e-9)
-        assert log <= 0.0
-        cond = conductance(0, nbrs, cats)
-        if cond is not None:
-            assert 0.0 <= cond <= 1.0
+        cats = categories_from_members(member_lists, n)
+        scores, skipped = score_categories(nbrs, cats)
+        assert skipped == 0
+        assert [s.category for s in scores] == [0, 1, 2, 3]
+        for s, members in zip(scores, member_lists):
+            want = exact_surprise(members, nbrs, n)
+            assert s.surprise == pytest.approx(float(want), rel=1e-9)
+            assert s.log_surprise <= 0.0
+            assert s.n_observers_used == sum(1 for m in members if lists[m])
+            assert surprise_level(s.category, nbrs, cats) == (
+                s.surprise, s.log_surprise, s.n_observers_used)
+            inside = sum(1 for m in members for x in lists[m] if x in members)
+            total = sum(len(lists[m]) for m in members)
+            assert s.conductance == (float(Fraction(inside, total)) if total else None)
+            assert conductance(s.category, nbrs, cats) == s.conductance
 
 
 def test_surprise_monotone_in_inside_count():

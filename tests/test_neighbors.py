@@ -99,8 +99,15 @@ def test_distance_max_keeps_everything():
         np.sqrt(((fm.rows[i] - fm.rows[j]) ** 2).sum())
         for i in range(12) for j in range(12)
     )
-    nbrs = neighbors_by_distance(fm, "l2", float(dmax))
-    assert all(d == 11 for d in nbrs.out_degrees())
+    for radius in (float(dmax), float("inf")):
+        nbrs = neighbors_by_distance(fm, "l2", radius)
+        assert all(d == 11 for d in nbrs.out_degrees())
+
+
+@pytest.mark.parametrize("radius", [-1.0, float("nan")])
+def test_distance_threshold_must_be_nonnegative(radius):
+    with pytest.raises(ValueError, match="nonnegative"):
+        neighbors_by_distance(points([[0.0], [1.0]]), "l2", radius)
 
 
 def test_distance_strategy_symmetric():
@@ -204,4 +211,11 @@ def test_neighbor_set_load_rejects_index_out_of_range(tmp_path, cell):
     path = tmp_path / "nb.tsv"
     path.write_text(f"0\t1:0.5\n1\t0:0.5,{cell}\n2\t\n", encoding="utf-8")
     with pytest.raises(DataError, match=r"nb\.tsv:2: neighbor index -?\d outside \[0, 3\)"):
+        NeighborSet.load(str(path))
+
+
+def test_neighbor_set_load_rejects_self_neighbor(tmp_path):
+    path = tmp_path / "nb.tsv"
+    path.write_text("0\t1:0.5\n1\t0:0.5\n2\t0:1.5,2:0.0\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"nb\.tsv:3: neighbor index 2 is the entity itself"):
         NeighborSet.load(str(path))
