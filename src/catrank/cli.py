@@ -71,6 +71,10 @@ def _default_workers() -> int:
     return int(env) if env else 1
 
 
+_WORKERS_HELP = ("threads for neighbor search and threshold calibration (knn, grid, "
+                "report quantiles); other stages run in one thread")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="catrank", description=__doc__)
     parser.add_argument("--config", help="key = value defaults file")
@@ -78,7 +82,7 @@ def build_parser() -> _Parser:
 
     def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--workers", type=int, default=_default_workers())
+        p.add_argument("--workers", type=int, default=_default_workers(), help=_WORKERS_HELP)
         return p
 
     p = add("ingest", "load external files into native artifacts")
@@ -178,7 +182,7 @@ def build_parser() -> _Parser:
     rp.add_argument("--sample-pairs", type=int, default=neighbors.DEFAULT_SAMPLE_PAIRS)
     rp.add_argument("--seed", type=int, default=0)
     # SUPPRESS keeps a parent-level --workers value from being clobbered
-    rp.add_argument("--workers", type=int, default=argparse.SUPPRESS)
+    rp.add_argument("--workers", type=int, default=argparse.SUPPRESS, help=_WORKERS_HELP)
     rp.add_argument("--out", required=True)
     rp = rsub.add_parser("top")
     rp.add_argument("--ranking", required=True)
@@ -245,11 +249,10 @@ def _run_walk(args):
         walk_length=args.walk_length,
         seed=args.seed,
     )
-    walks = embeddings.generate_walks(graph, cfg, workers=args.workers)
+    walks = embeddings.generate_walks(graph, cfg)
     embeddings.save_walks(walks, graph.ids, args.out)
     print(f"walks: {len(walks)} walks over {graph.n_entities} entities")
-    params = {"walks_per_vertex": cfg.walks_per_vertex, "walk_length": cfg.walk_length,
-              "workers": args.workers}
+    params = {"walks_per_vertex": cfg.walks_per_vertex, "walk_length": cfg.walk_length}
     return params, [args.graph], [args.out]
 
 
@@ -266,11 +269,11 @@ def _run_embed(args):
         inputs.append(args.walks)
         walks = embeddings.load_walks(args.walks, graph)
     else:
-        walks = embeddings.generate_walks(graph, cfg, workers=args.workers)
+        walks = embeddings.generate_walks(graph, cfg)
     model = embeddings.train_skipgram(
         walks, graph.n_entities, dim=args.dim, window=args.window, seed=args.seed,
         initial_lr=args.initial_lr, final_lr=args.final_lr, method=args.method,
-        negative=args.negative, workers=args.workers,
+        negative=args.negative,
     )
     fm = FeatureMatrix(kind="point", rows=model.input_vectors)
     outputs = [args.out]
@@ -283,7 +286,7 @@ def _run_embed(args):
         "dim": args.dim, "window": args.window, "seed": args.seed,
         "walks_per_vertex": cfg.walks_per_vertex, "walk_length": cfg.walk_length,
         "initial_lr": args.initial_lr, "final_lr": args.final_lr,
-        "method": args.method, "negative": args.negative, "workers": args.workers,
+        "method": args.method, "negative": args.negative,
         "corpus_walks": len(walks),
         "corpus_tokens": int(sum(len(w) for w in walks)),
     }

@@ -300,6 +300,8 @@ def run_grid(features: dict[str, FeatureMatrix], cats: CategoryIndex, menu: Grid
             any_valid = True
     if not any_valid:
         raise ValueError("no valid feature/metric combination in the menu")
+    if "count" in menu.strategies and min(int(s) for s in menu.sizes) < 1:
+        raise ValueError("count sizes must be at least 1")
 
     for fname, fm in features.items():
         for metric in menu.metrics:

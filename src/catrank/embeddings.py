@@ -2,22 +2,28 @@
 
 Walks over the adjacency are treated as sentences and fed to a skip-gram
 model with a hierarchical softmax output layer over a Huffman tree of
-entity frequencies. Every (center, context) pair within the window updates
-the parameters along the context entity's tree path; the learning rate
-decays linearly over the total number of trained pairs.
+entity frequencies (or, optionally, negative sampling). Every
+(center, context) pair within the window updates the parameters along the
+context entity's tree path; the learning rate decays linearly over the
+total number of trained pairs, in the order the pairs are trained.
+
+Update order: walks train in consecutive groups of ``_GROUP``, in corpus
+order. Step j of a group updates pair j of every walk in it at once, from
+one parameter snapshot, so each walk sees its own earlier pairs exactly as
+in per-pair SGD and sees the other walks of its group one step late
+(mini-batching across walks, as in Ji et al., arXiv:1604.04661). Negative
+sampling draws its noise per group from one generator seeded by ``seed``.
 
 Determinism: each walk draws from its own generator derived from
-(seed, pass, start vertex), so the corpus does not depend on worker count.
-Training is bitwise reproducible with one worker; with several workers the
-updates race hogwild-style and only converge statistically.
+(seed, pass, start vertex), and training has one fixed order, so walks and
+vectors are bitwise reproducible; the ``workers`` keyword of
+``generate_walks`` and ``train_skipgram`` is accepted and ignored.
 """
 
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from threading import Lock
 
 import numpy as np
 from scipy.special import expit
@@ -28,6 +34,7 @@ from .errors import DataError
 _WALK_SALT = 0x57A1C
 _INIT_SALT = 0x1417
 _NEG_SALT = 0x9E6
+_GROUP = 64  # walks trained in lockstep
 
 
 @dataclass
@@ -62,6 +69,7 @@ def generate_walks(graph: EntityGraph, cfg: WalkConfig, workers: int = 1) -> lis
     """walks_per_vertex truncated walks per vertex, in seeded-shuffled order.
 
     Each step picks a uniform out-neighbor; a sink vertex ends its walk early.
+    ``workers`` is ignored: threads do not pay off for this Python loop.
     """
     cfg.validate()
     n = graph.n_entities
@@ -74,16 +82,9 @@ def generate_walks(graph: EntityGraph, cfg: WalkConfig, workers: int = 1) -> lis
             schedule.append((pass_i, int(v)))
 
     adjacency = graph.adjacency
-
-    def run(task):
-        pass_i, v = task
-        rng = np.random.default_rng([cfg.seed, _WALK_SALT, 1, pass_i, v])
-        return _single_walk(adjacency, v, cfg.walk_length, rng)
-
-    if workers <= 1:
-        return [run(t) for t in schedule]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, schedule, chunksize=256))
+    return [_single_walk(adjacency, v, cfg.walk_length,
+                         np.random.default_rng([cfg.seed, _WALK_SALT, 1, pass_i, v]))
+            for pass_i, v in schedule]
 
 
 def save_walks(walks: list[np.ndarray], ids: list[str], path: str):
@@ -224,9 +225,85 @@ def _count_pairs(walks, window: int) -> int:
 def _make_noise_cdf(freqs: np.ndarray) -> np.ndarray:
     # word2vec convention: unigram distribution raised to the 3/4 power
     w = np.asarray(freqs, dtype=np.float64) ** 0.75
-    if w.sum() == 0:
-        w = np.ones_like(w)
-    return np.cumsum(w / w.sum())
+    cdf = np.cumsum(w / w.sum())
+    cdf[-1] = 1.0  # so a uniform draw in [0, 1) always lands on an entity
+    return cdf
+
+
+def _pair_offsets(length: int, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Center and context positions of every pair in a walk of ``length``,
+    in sequential training order (by center, then by context)."""
+    t = np.repeat(np.arange(length), 2 * window + 1)
+    c = t + np.tile(np.arange(-window, window + 1), length)
+    keep = (c >= 0) & (c < length) & (c != t)
+    return t[keep], c[keep]
+
+
+def _padded_paths(tree: HuffmanTree):
+    """Huffman paths as ``(n, max_len)`` arrays: node ids, labels 1 - code
+    and a mask, both bool. Padding points at the root, which is on every path,
+    so it adds no row to an update."""
+    lens = np.array(tree.code_lengths())
+    points = np.full((tree.n_leaves, lens.max()), tree.n_internal - 1, dtype=np.int64)
+    mask = np.arange(points.shape[1]) < lens[:, None]
+    points[mask] = np.concatenate(tree.points)
+    labels = np.zeros(points.shape, dtype=bool)
+    labels[mask] = np.concatenate(tree.codes) == 0
+    return points, labels, mask, lens
+
+
+def _sgd_step(in_vecs, out_vecs, centers, targets, labels, mask, alpha):
+    """One SGD update for P pairs at once from the same parameter snapshot.
+
+    Pair p moves ``in_vecs[centers[p]]`` and the output rows
+    ``out_vecs[targets[p]]`` down the gradient of its logistic losses, with
+    step size ``alpha[p]``; updates that land on the same row add up.
+    """
+    n_pairs, width = targets.shape
+    dim = in_vecs.shape[1]
+    x = in_vecs[centers]
+    rows = out_vecs[targets]
+    err = expit(np.matmul(rows, x[:, :, None])[:, :, 0]) - labels
+    if mask is not None:
+        err *= mask
+    grad_x = np.matmul(err[:, None, :], rows)[:, 0, :] * alpha[:, None]
+    # a center can repeat within a step; flat 1-D ufunc.at is fast, 2-D is not
+    np.subtract.at(in_vecs.reshape(-1), (centers[:, None] * dim + np.arange(dim)).ravel(),
+                   grad_x.ravel())
+    # one GEMM for the distinct output rows; unique's cost is set by the step, not by n
+    uniq, inv = np.unique(targets, return_inverse=True)
+    owner = np.repeat(np.arange(n_pairs), width)
+    coef = np.bincount(inv.ravel() * n_pairs + owner, weights=(err * alpha[:, None]).ravel(),
+                       minlength=len(uniq) * n_pairs).reshape(len(uniq), n_pairs)
+    out_vecs[uniq] -= coef @ x
+
+
+def _lockstep_pairs(group: list[np.ndarray], offsets: dict):
+    """A group's (center, context) pairs in training order, and the bounds of
+    its steps: step j holds pair j of every walk in the group that has one."""
+    counts = np.array([len(offsets[len(w)][0]) for w in group])
+    centers = np.zeros((int(counts.max()), len(group)), dtype=np.int64)
+    contexts = np.zeros_like(centers)
+    for i, walk in enumerate(group):
+        t, c = offsets[len(walk)]
+        centers[:len(t), i] = walk[t]
+        contexts[:len(c), i] = walk[c]
+    live = np.arange(len(centers))[:, None] < counts
+    bounds = np.concatenate(([0], np.cumsum(live.sum(axis=1))))
+    return centers[live], contexts[live], bounds
+
+
+def _noise_targets(contexts: np.ndarray, negative: int, noise_cdf: np.ndarray, rng):
+    """Each context followed by ``negative`` noise draws, none equal to it."""
+    targets = np.empty((len(contexts), negative + 1), dtype=np.int64)
+    targets[:, 0] = contexts
+    noise = targets[:, 1:]
+    noise[:] = np.searchsorted(noise_cdf, rng.random(noise.shape), side="right")
+    clash = noise == contexts[:, None]
+    while clash.any():
+        noise[clash] = np.searchsorted(noise_cdf, rng.random(int(clash.sum())), side="right")
+        clash = noise == contexts[:, None]
+    return targets
 
 
 def train_skipgram(walks: list[np.ndarray], n_entities: int, *, dim: int = 128,
@@ -237,6 +314,8 @@ def train_skipgram(walks: list[np.ndarray], n_entities: int, *, dim: int = 128,
 
     ``method="hs"`` is the hierarchical-softmax default; ``"negative"``
     switches to negative sampling with ``negative`` noise draws per pair.
+    Walks train in lockstep groups of ``_GROUP`` (see the module docstring);
+    the result is bitwise reproducible and ``workers`` is ignored.
     """
     if dim < 1:
         raise ValueError("dim must be at least 1")
@@ -246,60 +325,48 @@ def train_skipgram(walks: list[np.ndarray], n_entities: int, *, dim: int = 128,
         raise ValueError("empty walk corpus")
     if method not in ("hs", "negative"):
         raise ValueError(f"unknown training method {method!r}")
+    if negative < 0:
+        raise ValueError("negative must be nonnegative")
 
     freqs = np.zeros(n_entities, dtype=np.int64)
     for walk in walks:
         freqs += np.bincount(walk, minlength=n_entities)
+    if method == "negative" and np.count_nonzero(freqs) < 2:
+        raise ValueError("negative sampling needs at least 2 distinct entities in the walks")
     tree = build_huffman(freqs)
 
     rng = np.random.default_rng([seed, _INIT_SALT])
     vectors = (rng.random((n_entities, dim)) - 0.5) / dim
     node_vecs = np.zeros((n_entities - 1, dim))
-    noise_cdf = _make_noise_cdf(freqs) if method == "negative" else None
-    neg_vecs = np.zeros((n_entities, dim)) if method == "negative" else None
-
-    total_pairs = _count_pairs(walks, window)
-    lr_span = final_lr - initial_lr
-    counter = [0]
-    counter_lock = Lock()
-
-    def train_walks(shard, pair_rng):
-        for walk in shard:
-            n = len(walk)
-            for t in range(n):
-                center = int(walk[t])
-                lo = 0 if t < window else t - window
-                hi = min(t + window + 1, n)
-                for c in range(lo, hi):
-                    if c == t:
-                        continue
-                    alpha = initial_lr + lr_span * (counter[0] / total_pairs)
-                    context = int(walk[c])
-                    if method == "hs":
-                        g_center, pts, g_nodes = hs_pair_grads(
-                            vectors, node_vecs, tree, center, context)
-                        node_vecs[pts] -= alpha * g_nodes
-                        vectors[center] -= alpha * g_center
-                    else:
-                        _neg_pair_update(vectors, neg_vecs, center, context,
-                                         alpha, negative, noise_cdf, pair_rng)
-                    if workers == 1:
-                        counter[0] += 1
-                    else:
-                        with counter_lock:
-                            counter[0] += 1
-
-    if workers <= 1:
-        train_walks(walks, np.random.default_rng([seed, _NEG_SALT]))
+    if method == "hs":
+        out_vecs = node_vecs
+        points, path_labels, path_mask, path_lens = _padded_paths(tree)
     else:
-        shards = [walks[i::workers] for i in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(train_walks, shard, np.random.default_rng([seed, _NEG_SALT, w]))
-                for w, shard in enumerate(shards)
-            ]
-            for fut in futures:
-                fut.result()
+        out_vecs = np.zeros((n_entities, dim))
+        noise_cdf = _make_noise_cdf(freqs)
+        noise_rng = np.random.default_rng([seed, _NEG_SALT])
+        ns_labels = np.r_[1.0, np.zeros(negative)]
+
+    lengths = [len(w) for w in walks]
+    offsets = {n: _pair_offsets(n, window) for n in set(lengths)}
+    total_pairs = sum(len(offsets[n][0]) for n in lengths)
+    lr_span = final_lr - initial_lr
+    done = 0
+    for g0 in range(0, len(walks), _GROUP):
+        centers, contexts, bounds = _lockstep_pairs(walks[g0:g0 + _GROUP], offsets)
+        alpha = initial_lr + lr_span * ((done + np.arange(len(centers))) / total_pairs)
+        done += len(centers)
+        if method == "negative":
+            targets = _noise_targets(contexts, negative, noise_cdf, noise_rng)
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            if method == "hs":
+                ctx = contexts[lo:hi]
+                width = int(path_lens[ctx].max())
+                _sgd_step(vectors, out_vecs, centers[lo:hi], points[ctx, :width],
+                          path_labels[ctx, :width], path_mask[ctx, :width], alpha[lo:hi])
+            else:
+                _sgd_step(vectors, out_vecs, centers[lo:hi], targets[lo:hi], ns_labels,
+                          None, alpha[lo:hi])
 
     return SkipGramModel(
         input_vectors=vectors,
@@ -313,36 +380,19 @@ def train_skipgram(walks: list[np.ndarray], n_entities: int, *, dim: int = 128,
     )
 
 
-def _neg_pair_update(vectors, neg_vecs, center, context, alpha, negative,
-                     noise_cdf, rng):
-    l1 = vectors[center]
-    targets = [context]
-    labels = [1.0]
-    while len(targets) < negative + 1:
-        w = int(np.searchsorted(noise_cdf, rng.random()))
-        if w != context:
-            targets.append(w)
-            labels.append(0.0)
-    l2 = neg_vecs[targets]
-    f = expit(l2 @ l1)
-    err = f - np.array(labels)
-    neg_vecs[targets] -= alpha * np.outer(err, l1)
-    vectors[center] -= alpha * (err @ l2)
-
-
 def embed(graph: EntityGraph, walk_cfg: WalkConfig, *, dim: int = 128,
           initial_lr: float = 0.025, final_lr: float = 0.0001,
-          method: str = "hs", negative: int = 5, workers: int = 1) -> FeatureMatrix:
+          method: str = "hs", negative: int = 5) -> FeatureMatrix:
     """Walk generation, Huffman coding and skip-gram training end to end.
 
     ``walk_cfg.seed`` drives both walk sampling and weight initialization.
     """
     if graph.n_entities < 2:
         raise ValueError("embedding needs at least 2 entities")
-    walks = generate_walks(graph, walk_cfg, workers=workers)
+    walks = generate_walks(graph, walk_cfg)
     model = train_skipgram(
         walks, graph.n_entities, dim=dim, window=walk_cfg.window,
         seed=walk_cfg.seed, initial_lr=initial_lr, final_lr=final_lr,
-        method=method, negative=negative, workers=workers,
+        method=method, negative=negative,
     )
     return FeatureMatrix(kind="point", rows=model.input_vectors)

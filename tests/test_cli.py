@@ -371,8 +371,14 @@ def _category_only_ranking(tmp, out):
             "--categories", str(out / "categories.json"), "--out", str(tmp / "e.json")]
 
 
+def _zero_count_size(tmp, out):
+    return ["grid", "--features", str(write_points(tmp / "f.tsv")),
+            "--categories", str(out / "categories.json"), "--metrics", "l2",
+            "--strategies", "count", "--sizes", "0,5", "--out-dir", str(tmp / "grid")]
+
+
 @pytest.mark.parametrize("argv", [_bad_config, _kl_on_points, _universe_mismatch,
-                                  _category_only_ranking])
+                                  _category_only_ranking, _zero_count_size])
 def test_rejected_input_exits_2_without_traceback(pipeline, capsys, argv):
     tmp, out = pipeline
     capsys.readouterr()

@@ -7,6 +7,8 @@ from catrank.data_model import FeatureMatrix
 from catrank.embeddings import (
     HuffmanTree,
     WalkConfig,
+    _make_noise_cdf,
+    _noise_targets,
     build_huffman,
     embed,
     generate_walks,
@@ -232,6 +234,75 @@ def test_train_normalization_after_training():
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
+def lockstep_hs_reference(walks, n_entities, *, dim, window, seed,
+                          initial_lr=0.025, final_lr=0.0001):
+    """Per-pair SGD in the trainer's documented order, for one group of walks:
+    step j applies pair j of every walk, all from one parameter snapshot. For a
+    single walk this is plain sequential per-pair SGD."""
+    start = train_skipgram(walks, n_entities, dim=dim, window=window, seed=seed,
+                           initial_lr=0.0, final_lr=0.0)
+    vectors = start.input_vectors.copy()
+    node_vecs = start.node_vectors.copy()
+    per_walk = [[(int(w[t]), int(w[c])) for t in range(len(w))
+                 for c in range(max(0, t - window), min(len(w), t + window + 1)) if c != t]
+                for w in walks]
+    total = sum(map(len, per_walk))
+    i = 0
+    for j in range(max(map(len, per_walk))):
+        step = [pairs[j] for pairs in per_walk if j < len(pairs)]
+        grads = [hs_pair_grads(vectors, node_vecs, start.tree, center, context)
+                 for center, context in step]
+        for (center, _), (g_center, pts, g_nodes) in zip(step, grads):
+            alpha = initial_lr + (final_lr - initial_lr) * (i / total)
+            i += 1
+            node_vecs[pts] -= alpha * g_nodes
+            vectors[center] -= alpha * g_center
+    return vectors, node_vecs
+
+
+def assert_matches_reference(walks, n_entities):
+    ref_vectors, ref_nodes = lockstep_hs_reference(walks, n_entities, dim=8, window=3,
+                                                   seed=21, initial_lr=0.2)
+    model = train_skipgram(walks, n_entities, dim=8, window=3, seed=21, initial_lr=0.2)
+    assert np.abs(ref_nodes).max() > 0.01  # the walks moved the parameters
+    assert np.abs(model.input_vectors - ref_vectors).max() <= 1e-12
+    assert np.abs(model.node_vectors - ref_nodes).max() <= 1e-12
+
+
+def test_single_walk_matches_per_pair_sgd():
+    graph = two_cliques_graph(5)
+    walk = generate_walks(graph, WalkConfig(walks_per_vertex=1, walk_length=30, seed=21))[0]
+    assert_matches_reference([walk], graph.n_entities)
+
+
+def test_walk_group_matches_lockstep_reference():
+    # repeated walks put the same center and tree nodes in one step several times;
+    # a short walk drops out of the group early
+    graph = two_cliques_graph(5)
+    walks = generate_walks(graph, WalkConfig(walks_per_vertex=1, walk_length=30, seed=21))
+    assert_matches_reference([walks[0], walks[1], walks[0], walks[2][:5], walks[0]],
+                             graph.n_entities)
+
+
+@pytest.mark.parametrize("method", ["hs", "negative"])
+def test_train_independent_of_worker_count(method):
+    graph = two_cliques_graph(6)
+    walks = generate_walks(graph, WalkConfig(walks_per_vertex=12, walk_length=10, seed=22))
+    a = train_skipgram(walks, graph.n_entities, dim=8, window=2, seed=22, method=method,
+                       negative=3, workers=1)
+    b = train_skipgram(walks, graph.n_entities, dim=8, window=2, seed=22, method=method,
+                       negative=3, workers=2)
+    assert np.array_equal(a.input_vectors, b.input_vectors)
+    assert np.array_equal(a.node_vectors, b.node_vectors)
+
+
+def test_noise_draws_skip_the_context():
+    cdf = _make_noise_cdf(np.array([1000, 1, 1]))
+    targets = _noise_targets(np.zeros(200, dtype=np.int64), 5, cdf, np.random.default_rng(23))
+    assert (targets[:, 0] == 0).all()
+    assert set(np.unique(targets[:, 1:]).tolist()) == {1, 2}
+
+
 def test_embed_dim_default_128():
     graph = two_cliques_graph(3)
     fm = embed(graph, WalkConfig(walks_per_vertex=1, walk_length=4, window=2, seed=14))
@@ -262,6 +333,10 @@ def test_train_rejects_bad_args():
         train_skipgram(walks, graph.n_entities, dim=0)
     with pytest.raises(ValueError):
         train_skipgram([], graph.n_entities, dim=4)
+    with pytest.raises(ValueError):
+        train_skipgram(walks, graph.n_entities, dim=4, method="negative", negative=-1)
+    with pytest.raises(ValueError):  # noise cannot avoid the only entity walked
+        train_skipgram([np.zeros(4, dtype=np.int64)], 2, dim=4, method="negative")
 
 
 def mean_cosine(rows, pairs):
@@ -269,14 +344,22 @@ def mean_cosine(rows, pairs):
     return float(np.mean([unit[a] @ unit[b] for a, b in pairs]))
 
 
-def test_two_cliques_separate():
+def cliques_separate(method):
     graph = two_cliques_graph(10)
     cfg = WalkConfig(walks_per_vertex=5, walk_length=20, window=3, seed=18)
-    fm = embed(graph, cfg, dim=16)
+    fm = embed(graph, cfg, dim=16, method=method)
     intra = [(a, b) for a in range(10) for b in range(10) if a != b]
     intra += [(a, b) for a in range(10, 20) for b in range(10, 20) if a != b]
     inter = [(a, b) for a in range(10) for b in range(10, 20)]
-    assert mean_cosine(fm.rows, intra) > mean_cosine(fm.rows, inter)
+    return mean_cosine(fm.rows, intra) > mean_cosine(fm.rows, inter)
+
+
+def test_two_cliques_separate():
+    assert cliques_separate("hs")
+
+
+def test_two_cliques_separate_negative_sampling():
+    assert cliques_separate("negative")
 
 
 def test_negative_sampling_variant_trains():
