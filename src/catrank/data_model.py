@@ -404,6 +404,8 @@ def read_features(path: str) -> tuple[FeatureMatrix, list[str]]:
     fm, ids, n = _parse_features(path)
     if len(ids) != n:
         raise DataError(f"{path}: header declares {n} rows, found {len(ids)}")
+    if not ids:
+        raise DataError(f"{path}: no feature rows")
     return fm, ids
 
 

@@ -328,9 +328,7 @@ def train_skipgram(walks: list[np.ndarray], n_entities: int, *, dim: int = 128,
     if negative < 0:
         raise ValueError("negative must be nonnegative")
 
-    freqs = np.zeros(n_entities, dtype=np.int64)
-    for walk in walks:
-        freqs += np.bincount(walk, minlength=n_entities)
+    freqs = np.bincount(np.concatenate(walks), minlength=n_entities)
     if method == "negative" and np.count_nonzero(freqs) < 2:
         raise ValueError("negative sampling needs at least 2 distinct entities in the walks")
     tree = build_huffman(freqs)

@@ -77,6 +77,21 @@ def prepare(metric: str, rows: np.ndarray, eps: float = KL_EPS) -> dict:
     return prep
 
 
+def block_width(metric: str, dim: int) -> int:
+    """Elements per (query, row) pair in the largest temporary of ``block``:
+    l1, l2 and js broadcast a (q, n, dim) array, cosine and kl are GEMMs."""
+    return dim if metric in ("l1", "l2", "js") else 1
+
+
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b.T`` through GEMM for any number of rows of ``a``. numpy hands a
+    one-row product to GEMV, whose sums can differ from GEMM's in the last
+    bit, so a query's distances would depend on whether its block had one row."""
+    if len(a) == 1:
+        return (np.repeat(a, 2, axis=0) @ b.T)[:1]
+    return a @ b.T
+
+
 def block(metric: str, rows: np.ndarray, q: slice | np.ndarray, prep: dict) -> np.ndarray:
     """Distances from ``rows[q]`` to every row, as a (len(q), n) matrix."""
     Q = rows[q]
@@ -87,9 +102,9 @@ def block(metric: str, rows: np.ndarray, q: slice | np.ndarray, prep: dict) -> n
         return np.sqrt((d * d).sum(axis=-1))
     if metric == "cosine":
         unit = prep["unit"]
-        return np.clip(1.0 - unit[q] @ unit.T, 0.0, 2.0)
+        return np.clip(1.0 - _gemm(unit[q], unit), 0.0, 2.0)
     if metric == "kl":
-        return prep["neg_entropy"][q][:, None] - Q @ prep["log_floor"].T
+        return prep["neg_entropy"][q][:, None] - _gemm(Q, prep["log_floor"])
     # js
     h = prep["neg_entropy"]
     m = 0.5 * (Q[:, None, :] + rows[None, :, :])

@@ -25,8 +25,13 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_EXACT_LIMIT = 20_000
 DEFAULT_SAMPLE_PAIRS = 10_000_000
-# Keeps each query-chunk distance block around tens of MB.
-_BLOCK_ELEMENTS = 4_000_000
+# Elements in the largest float64 temporary of one distance block (4 MB):
+# query rows x n x metrics.block_width. Blocks this small stay in cache.
+_BLOCK_ELEMENTS = 2**19
+# Sampled calibration draws its pairs in batches of this many elements // dim.
+# The batch size fixes which pairs a seed draws, so it stays apart from the
+# block budget, which only sets how many of them one kernel call takes.
+_SAMPLE_BATCH_ELEMENTS = 4_000_000
 
 
 @dataclass
@@ -104,29 +109,40 @@ class NeighborSet:
         return cls(indptr=indptr, indices=indices, distances=distances, meta=meta)
 
 
-def _query_chunks(n: int, workers: int):
-    rows = max(1, min(n, _BLOCK_ELEMENTS // n))
+def _query_chunks(n: int, width: int, workers: int):
+    rows = max(1, min(n, _BLOCK_ELEMENTS // (n * width)))
     if workers > 1:
         rows = max(1, min(rows, math.ceil(n / (workers * 4))))
-    return [range(s, min(s + rows, n)) for s in range(0, n, rows)]
+    return [np.arange(s, min(s + rows, n)) for s in range(0, n, rows)]
 
 
 def _run_chunks(fn, chunks, workers: int):
+    """``fn`` over the chunks, results yielded in chunk order. Threads take
+    the chunks in waves of ``workers``, so no more than one wave of results
+    is held before the caller consumes it."""
     if workers <= 1:
-        return [fn(c) for c in chunks]
+        yield from map(fn, chunks)
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, chunks))
+        for s in range(0, len(chunks), workers):
+            yield from pool.map(fn, chunks[s:s + workers])
 
 
-def _assemble(n: int, rows_idx: list[np.ndarray], rows_dist: list[np.ndarray],
-              meta: dict) -> NeighborSet:
-    degrees = np.fromiter(map(len, rows_idx), dtype=np.int64, count=n)
-    return NeighborSet(
-        indptr=np.concatenate(([0], np.cumsum(degrees))),
-        indices=np.concatenate(rows_idx) if n else np.zeros(0, np.int64),
-        distances=np.concatenate(rows_dist) if n else np.zeros(0, np.float64),
-        meta=meta,
-    )
+def _blocks(features: FeatureMatrix, metric: str, workers: int, fn):
+    """``fn(chunk, d)`` for each query chunk and its distance block ``d``, a
+    writable (len(chunk), n) matrix, yielded in chunk order."""
+    n = features.n_entities
+    rows = features.rows
+    prep = metrics.prepare(metric, rows)
+    chunks = _query_chunks(n, metrics.block_width(metric, features.dim), workers)
+    return _run_chunks(lambda c: fn(c, metrics.block(metric, rows, c, prep)), chunks, workers)
+
+
+def _assemble(blocks, meta: dict) -> NeighborSet:
+    """A NeighborSet from per-chunk (out-degrees, indices, distances)."""
+    degrees, indices, distances = (np.concatenate(part) for part in zip(*blocks))
+    return NeighborSet(indptr=np.concatenate(([0], np.cumsum(degrees))),
+                       indices=indices, distances=distances, meta=meta)
 
 
 def knn_by_count(features: FeatureMatrix, metric: str, k: int, workers: int = 1) -> NeighborSet:
@@ -146,25 +162,15 @@ def knn_by_count(features: FeatureMatrix, metric: str, k: int, workers: int = 1)
         clamped = True
         k = n - 1
 
-    rows = features.rows
-    prep = metrics.prepare(metric, rows)
-    out_idx: list[np.ndarray | None] = [None] * n
-    out_dist: list[np.ndarray | None] = [None] * n
+    def nearest(chunk, d):
+        d[np.arange(len(chunk)), chunk] = np.inf
+        # stable sort on distance leaves equal distances in index order
+        order = np.argsort(d, axis=1, kind="stable")[:, :k]
+        return np.full(len(chunk), k), order.ravel(), np.take_along_axis(d, order, 1).ravel()
 
-    def work(chunk):
-        d = metrics.block(metric, rows, np.asarray(chunk), prep)
-        for local, v in enumerate(chunk):
-            row = d[local].copy()
-            row[v] = np.inf
-            # stable sort on distance leaves equal distances in index order
-            order = np.argsort(row, kind="stable")[:k]
-            out_idx[v] = order.astype(np.int64)
-            out_dist[v] = row[order]
-
-    _run_chunks(work, _query_chunks(n, workers), workers)
     meta = {"metric": metric, "strategy": "count", "k": k, "clamped": clamped,
             "pairs": "directed"}
-    return _assemble(n, out_idx, out_dist, meta)
+    return _assemble(_blocks(features, metric, workers, nearest), meta)
 
 
 def neighbors_by_distance(features: FeatureMatrix, metric: str, d: float,
@@ -173,65 +179,68 @@ def neighbors_by_distance(features: FeatureMatrix, metric: str, d: float,
     metrics.check_metric(metric, features)
     if not d >= 0:  # also rejects NaN
         raise ValueError("distance threshold must be nonnegative")
-    n = features.n_entities
-    rows = features.rows
-    prep = metrics.prepare(metric, rows)
-    out_idx: list[np.ndarray | None] = [None] * n
-    out_dist: list[np.ndarray | None] = [None] * n
+    if features.n_entities < 1:
+        raise ValueError("neighbor search needs at least 1 entity")
 
-    def work(chunk):
-        dm = metrics.block(metric, rows, np.asarray(chunk), prep)
-        for local, v in enumerate(chunk):
-            row = dm[local]
-            within = row <= d
-            within[v] = False
-            cols = np.flatnonzero(within)
-            order = cols[np.argsort(row[cols], kind="stable")]
-            out_idx[v] = order.astype(np.int64)
-            out_dist[v] = row[order]
+    def within(chunk, dm):
+        near = dm <= d
+        near[np.arange(len(chunk)), chunk] = False
+        row, col = np.nonzero(near)
+        dist = dm[row, col]
+        # lexsort is stable: equal distances keep nonzero's ascending index order
+        order = np.lexsort((dist, row))
+        return np.bincount(row, minlength=len(chunk)), col[order], dist[order]
 
-    _run_chunks(work, _query_chunks(n, workers), workers)
     meta = {"metric": metric, "strategy": "distance", "d": d, "pairs": "directed"}
-    return _assemble(n, out_idx, out_dist, meta)
+    return _assemble(_blocks(features, metric, workers, within), meta)
 
 
-def _directed_pair_pool_exact(features: FeatureMatrix, metric: str, workers: int) -> np.ndarray:
-    n = features.n_entities
-    rows = features.rows
-    prep = metrics.prepare(metric, rows)
+def _smallest(parts, r: int) -> np.ndarray:
+    """The r smallest of the values in ``parts`` (1-D arrays), ascending.
 
-    def work(chunk):
-        c = np.asarray(chunk)
-        d = metrics.block(metric, rows, c, prep)
-        keep = np.ones(d.shape, dtype=bool)
-        keep[np.arange(len(c)), c] = False
-        return d[keep]
+    Parts are merged with ``np.partition`` as they arrive, so at most about
+    2r values are held besides the part being merged, whatever the total.
+    """
+    held: list[np.ndarray] = []
+    size = 0
+    for part in parts:
+        held.append(part)
+        size += len(part)
+        if size > 2 * r:
+            held = [np.partition(np.concatenate(held), r - 1)[:r]]
+            size = r
+    return np.sort(np.concatenate(held))[:r]
 
-    parts = _run_chunks(work, _query_chunks(n, workers), workers)
-    pool = np.concatenate(parts)
-    pool.sort()
-    return pool
+
+def _exact_pair_distances(features: FeatureMatrix, metric: str, workers: int):
+    """Every directed pair distance, one query chunk at a time; self pairs
+    read inf, which sorts after all n(n-1) real pairs."""
+    def flat(chunk, d):
+        d[np.arange(len(chunk)), chunk] = np.inf
+        return d.ravel()
+
+    return _blocks(features, metric, workers, flat)
 
 
-def _directed_pair_pool_sampled(features: FeatureMatrix, metric: str, sample_pairs: int,
-                                seed: int) -> np.ndarray:
+def _sampled_pair_distances(features: FeatureMatrix, metric: str, sample_pairs: int,
+                            seed: int):
+    """Distances of ``sample_pairs`` uniform directed pairs of distinct entities."""
     n = features.n_entities
     rows = features.rows
     prep = metrics.prepare(metric, rows)
     rng = np.random.default_rng([seed, 0x7A1])
-    parts = []
-    chunk = max(1, min(sample_pairs, _BLOCK_ELEMENTS // max(1, features.dim)))
+    dim = max(1, features.dim)
+    batch = max(1, min(sample_pairs, _SAMPLE_BATCH_ELEMENTS // dim))
+    step = max(1, _BLOCK_ELEMENTS // dim)
     remaining = sample_pairs
     while remaining > 0:
-        s = min(chunk, remaining)
+        s = min(batch, remaining)
         i = rng.integers(0, n, size=s)
         # offset in [1, n-1] keeps j uniform over the other entities
         j = (i + rng.integers(1, n, size=s)) % n
-        parts.append(metrics.pair_distances(metric, rows, i, j, prep))
+        for lo in range(0, s, step):
+            yield metrics.pair_distances(metric, rows, i[lo:lo + step], j[lo:lo + step], prep)
         remaining -= s
-    pool = np.concatenate(parts)
-    pool.sort()
-    return pool
 
 
 def calibrate_thresholds(features: FeatureMatrix, metric: str, targets,
@@ -240,10 +249,14 @@ def calibrate_thresholds(features: FeatureMatrix, metric: str, targets,
                          seed: int = 0, workers: int = 1) -> list[float]:
     """Distance thresholds hitting each target average neighbor count.
 
-    For ``n <= exact_limit`` all n(n-1) directed pair distances are sorted and
-    the ceil(target * n)-th smallest returned; above that the same quantile is
-    estimated from ``sample_pairs`` uniformly sampled directed pairs. Sharing
-    one sorted pool across targets makes the results monotone in the target.
+    For ``n <= exact_limit`` the threshold for target t is the ceil(t * n)-th
+    smallest of all n(n-1) directed pair distances; above that the same
+    quantile is estimated from ``sample_pairs`` uniformly sampled directed
+    pairs. Pairs are scanned in blocks and only the r smallest distances are
+    kept, r being the largest rank asked for, so memory is O(r) plus one
+    block per worker and no pool of all pairs is built or sorted. Reading
+    every target from the one kept prefix makes the results monotone in the
+    target.
     """
     metrics.check_metric(metric, features)
     n = features.n_entities
@@ -256,15 +269,18 @@ def calibrate_thresholds(features: FeatureMatrix, metric: str, targets,
         if t >= n - 1:
             raise ValueError(f"target {t} must be below n-1 = {n - 1}")
 
-    exact = n <= exact_limit
-    if exact:
-        pool = _directed_pair_pool_exact(features, metric, workers)
+    if n <= exact_limit:
         ranks = [math.ceil(t * n) for t in targets]
+        pairs = _exact_pair_distances(features, metric, workers)
     else:
-        pool = _directed_pair_pool_sampled(features, metric, sample_pairs, seed)
+        if sample_pairs < 1:
+            raise ValueError("sample_pairs must be at least 1")
         total = n * (n - 1)
-        ranks = [math.ceil(t * n / total * len(pool)) for t in targets]
-    return [float(pool[max(0, r - 1)]) for r in ranks]
+        ranks = [math.ceil(t * n / total * sample_pairs) for t in targets]
+        pairs = _sampled_pair_distances(features, metric, sample_pairs, seed)
+    ranks = [max(1, r) for r in ranks]
+    smallest = _smallest(pairs, max(ranks))
+    return [float(smallest[r - 1]) for r in ranks]
 
 
 def calibrate_threshold(features: FeatureMatrix, metric: str, k_target: float,

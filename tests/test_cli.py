@@ -377,8 +377,16 @@ def _zero_count_size(tmp, out):
             "--strategies", "count", "--sizes", "0,5", "--out-dir", str(tmp / "grid")]
 
 
+def _empty_features(tmp, out):
+    features = tmp / "empty.tsv"
+    features.write_text("0 2 point\n", encoding="utf-8")
+    return ["knn", "--features", str(features), "--metric", "l2", "--radius", "1",
+            "--out", str(tmp / "nb.tsv")]
+
+
 @pytest.mark.parametrize("argv", [_bad_config, _kl_on_points, _universe_mismatch,
-                                  _category_only_ranking, _zero_count_size])
+                                  _category_only_ranking, _zero_count_size,
+                                  _empty_features])
 def test_rejected_input_exits_2_without_traceback(pipeline, capsys, argv):
     tmp, out = pipeline
     capsys.readouterr()

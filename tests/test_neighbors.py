@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from catrank import metrics, neighbors
 from catrank.data_model import FeatureMatrix
 from catrank.errors import DataError
 from catrank.neighbors import (
@@ -15,6 +18,9 @@ from catrank.neighbors import (
 
 from conftest import random_simplex
 from oracles import naive_knn
+
+# 36 integer points, so l1 distances are exact and take only ten values
+GRID = np.array([[x, y] for x in range(6) for y in range(6)], dtype=np.float64)
 
 
 def points(vals):
@@ -219,3 +225,104 @@ def test_neighbor_set_load_rejects_self_neighbor(tmp_path):
     path.write_text("0\t1:0.5\n1\t0:0.5\n2\t0:1.5,2:0.0\n", encoding="utf-8")
     with pytest.raises(DataError, match=r"nb\.tsv:3: neighbor index 2 is the entity itself"):
         NeighborSet.load(str(path))
+
+
+def _features(metric, rng, n, dim):
+    if metric in ("kl", "js"):
+        return FeatureMatrix(kind="distribution", rows=random_simplex(rng, n, dim))
+    return points(rng.standard_normal((n, dim)))
+
+
+def _scan(fm, metric, workers):
+    knn = knn_by_count(fm, metric, 5, workers=workers)
+    ds = calibrate_thresholds(fm, metric, [0.5, 1.5, 4.0], workers=workers)
+    near = neighbors_by_distance(fm, metric, ds[-1], workers=workers)
+    return [knn.indptr, knn.indices, knn.distances, np.array(ds),
+            near.indptr, near.indices, near.distances]
+
+
+@pytest.mark.parametrize("metric", ["l1", "l2", "cosine", "kl", "js"])
+def test_block_budget_bounds_blocks_and_keeps_results_bitwise(monkeypatch, metric):
+    # cosine and kl are GEMMs, as shape-invariant as the BLAS is; OpenBLAS
+    # sums tiny products (output below about 1,200 entries) differently
+    # once dim reaches 32, so dim stays small here
+    n, dim = 70, 6
+    fm = _features(metric, np.random.default_rng(12), n, dim)
+    expected = _scan(fm, metric, workers=1)
+    width = dim if metric in ("l1", "l2", "js") else 1
+    shapes = []
+    block = metrics.block
+
+    def recording(*args):
+        d = block(*args)
+        shapes.append(d.shape)
+        return d
+
+    monkeypatch.setattr(metrics, "block", recording)
+    # the default, blocks of a few rows, two-row GEMM blocks, single rows
+    for budget in (neighbors._BLOCK_ELEMENTS, 1000, 2 * n, 1):
+        monkeypatch.setattr(neighbors, "_BLOCK_ELEMENTS", budget)
+        for workers in (1, 2):
+            shapes.clear()
+            got = _scan(fm, metric, workers)
+            for a, b in zip(got, expected):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (budget, workers)
+            assert shapes and all(cols == n for _, cols in shapes)
+            assert all(rows * n * width <= budget or rows == 1 for rows, _ in shapes)
+            if budget == 1:
+                assert all(rows == 1 for rows, _ in shapes)
+
+
+@pytest.mark.parametrize("budget", [neighbors._BLOCK_ELEMENTS, 1])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_lists_break_distance_ties_by_index(monkeypatch, budget, workers):
+    monkeypatch.setattr(neighbors, "_BLOCK_ELEMENTS", budget)
+    fm = points(GRID)
+    knn = knn_by_count(fm, "l1", 20, workers=workers)
+    near = neighbors_by_distance(fm, "l1", 3.0, workers=workers)
+    expected_knn = naive_knn(GRID, "l1", 20)
+    for v in range(len(GRID)):
+        assert knn.neighbors(v)[0].tolist() == expected_knn[v]
+        within = sorted((np.abs(GRID[v] - GRID[u]).sum(), u) for u in range(len(GRID))
+                        if u != v and np.abs(GRID[v] - GRID[u]).sum() <= 3.0)
+        assert near.neighbors(v)[0].tolist() == [u for _, u in within]
+
+
+def test_calibrate_matches_full_sort_with_ties(monkeypatch):
+    # 1,260 directed l1 distances over only ten values, so every rank below
+    # falls inside a run of ties
+    fm = points(GRID)
+    n = len(GRID)
+    pool = np.sort([np.abs(GRID[i] - GRID[j]).sum()
+                    for i in range(n) for j in range(n) if i != j])
+    # ranks 1, 2, 35, 36 and 37 straddle the end of the first single-row
+    # block (35 pairs), 700 and 1,224 fall mid-pool, and 1,260 is the very
+    # last pair, from a target just below n-1
+    targets = [0.01, 0.05, 35 / 36, 1.0, 37 / 36, 700 / 36, 34.0, 34.99]
+    ranks = [math.ceil(t * n) for t in targets]
+    assert ranks[-1] == n * (n - 1)
+    expected = [float(pool[r - 1]) for r in ranks]
+    for budget in (neighbors._BLOCK_ELEMENTS, 2 * n, 1):
+        monkeypatch.setattr(neighbors, "_BLOCK_ELEMENTS", budget)
+        for workers in (1, 2):
+            assert calibrate_thresholds(fm, "l1", targets, workers=workers) == expected
+            # one target at a time keeps only its own rank's prefix
+            for t, d in zip(targets, expected):
+                assert calibrate_threshold(fm, "l1", t, workers=workers) == d
+
+
+def test_sampled_calibrate_matches_full_sort(monkeypatch):
+    fm = points(GRID)
+    n, sample_pairs = len(GRID), 300
+    pool = np.sort(np.concatenate(list(
+        neighbors._sampled_pair_distances(fm, "l1", sample_pairs, seed=4))))
+    assert len(pool) == sample_pairs
+    targets = [0.1, 1.0, 12.5, 34.99]
+    ranks = [math.ceil(t * n / (n * (n - 1)) * sample_pairs) for t in targets]
+    expected = [float(pool[r - 1]) for r in ranks]
+    # a budget of 7 pairs per slice at dim 2 splits the one draw into 43 parts
+    for budget in (neighbors._BLOCK_ELEMENTS, 14):
+        monkeypatch.setattr(neighbors, "_BLOCK_ELEMENTS", budget)
+        got = calibrate_thresholds(fm, "l1", targets, exact_limit=0,
+                                   sample_pairs=sample_pairs, seed=4)
+        assert got == expected
