@@ -77,10 +77,15 @@ def prepare(metric: str, rows: np.ndarray, eps: float = KL_EPS) -> dict:
     return prep
 
 
+# metrics whose ``block`` is a GEMM; l1, l2 and js broadcast instead
+GEMM_METRICS = ("cosine", "kl")
+
+
 def block_width(metric: str, dim: int) -> int:
     """Elements per (query, row) pair in the largest temporary of ``block``:
-    l1, l2 and js broadcast a (q, n, dim) array, cosine and kl are GEMMs."""
-    return dim if metric in ("l1", "l2", "js") else 1
+    l1, l2 and js broadcast a (q, n, dim) array; for the GEMMs it is the
+    (q, n) output."""
+    return 1 if metric in GEMM_METRICS else dim
 
 
 def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -25,9 +25,13 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_EXACT_LIMIT = 20_000
 DEFAULT_SAMPLE_PAIRS = 10_000_000
-# Elements in the largest float64 temporary of one distance block (4 MB):
-# query rows x n x metrics.block_width. Blocks this small stay in cache.
+# Elements in the largest float64 temporary of one distance block: query
+# rows x n x metrics.block_width. The broadcasting kernels (l1, l2, js) get
+# 4 MB, which stays in cache. A GEMM block (cosine, kl) reads the whole
+# n x dim operand once, so fewer rows per block would mean more passes over
+# it; those keep 32 MB.
 _BLOCK_ELEMENTS = 2**19
+_GEMM_BLOCK_ELEMENTS = 4_000_000
 # Sampled calibration draws its pairs in batches of this many elements // dim.
 # The batch size fixes which pairs a seed draws, so it stays apart from the
 # block budget, which only sets how many of them one kernel call takes.
@@ -109,8 +113,8 @@ class NeighborSet:
         return cls(indptr=indptr, indices=indices, distances=distances, meta=meta)
 
 
-def _query_chunks(n: int, width: int, workers: int):
-    rows = max(1, min(n, _BLOCK_ELEMENTS // (n * width)))
+def _query_chunks(n: int, rows: int, workers: int):
+    rows = max(1, min(n, rows))
     if workers > 1:
         rows = max(1, min(rows, math.ceil(n / (workers * 4))))
     return [np.arange(s, min(s + rows, n)) for s in range(0, n, rows)]
@@ -134,7 +138,8 @@ def _blocks(features: FeatureMatrix, metric: str, workers: int, fn):
     n = features.n_entities
     rows = features.rows
     prep = metrics.prepare(metric, rows)
-    chunks = _query_chunks(n, metrics.block_width(metric, features.dim), workers)
+    budget = _GEMM_BLOCK_ELEMENTS if metric in metrics.GEMM_METRICS else _BLOCK_ELEMENTS
+    chunks = _query_chunks(n, budget // (n * metrics.block_width(metric, features.dim)), workers)
     return _run_chunks(lambda c: fn(c, metrics.block(metric, rows, c, prep)), chunks, workers)
 
 
@@ -195,11 +200,21 @@ def neighbors_by_distance(features: FeatureMatrix, metric: str, d: float,
     return _assemble(_blocks(features, metric, workers, within), meta)
 
 
+def _pooled(held: list[np.ndarray], r: int) -> np.ndarray:
+    """The r smallest values of the arrays in ``held``, unordered. Empties
+    ``held`` before selecting, so its arrays can be freed meanwhile."""
+    merged = np.concatenate(held)
+    held.clear()
+    merged.partition(r - 1)
+    return merged[:r].copy()
+
+
 def _smallest(parts, r: int) -> np.ndarray:
     """The r smallest of the values in ``parts`` (1-D arrays), ascending.
 
-    Parts are merged with ``np.partition`` as they arrive, so at most about
-    2r values are held besides the part being merged, whatever the total.
+    Parts are merged in place with ``np.partition`` whenever more than 2r
+    values are held. So between merges at most 2r values plus one part are
+    held, and a merge, which copies them once, peaks at twice that.
     """
     held: list[np.ndarray] = []
     size = 0
@@ -207,9 +222,9 @@ def _smallest(parts, r: int) -> np.ndarray:
         held.append(part)
         size += len(part)
         if size > 2 * r:
-            held = [np.partition(np.concatenate(held), r - 1)[:r]]
+            held = [_pooled(held, r)]
             size = r
-    return np.sort(np.concatenate(held))[:r]
+    return np.sort(_pooled(held, r))
 
 
 def _exact_pair_distances(features: FeatureMatrix, metric: str, workers: int):
@@ -253,8 +268,10 @@ def calibrate_thresholds(features: FeatureMatrix, metric: str, targets,
     smallest of all n(n-1) directed pair distances; above that the same
     quantile is estimated from ``sample_pairs`` uniformly sampled directed
     pairs. Pairs are scanned in blocks and only the r smallest distances are
-    kept, r being the largest rank asked for, so memory is O(r) plus one
-    block per worker and no pool of all pairs is built or sorted. Reading
+    kept, r being the largest rank asked for, so no pool of all pairs is
+    built or sorted. Memory is O(r) plus the blocks in flight: the kept
+    values stay below 2r plus one block, and below twice that while a merge
+    copies them; the blocks are one wave of ``workers``. Reading
     every target from the one kept prefix makes the results monotone in the
     target.
     """

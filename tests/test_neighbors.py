@@ -241,15 +241,12 @@ def _scan(fm, metric, workers):
             near.indptr, near.indices, near.distances]
 
 
-@pytest.mark.parametrize("metric", ["l1", "l2", "cosine", "kl", "js"])
-def test_block_budget_bounds_blocks_and_keeps_results_bitwise(monkeypatch, metric):
-    # cosine and kl are GEMMs, as shape-invariant as the BLAS is; OpenBLAS
-    # sums tiny products (output below about 1,200 entries) differently
-    # once dim reaches 32, so dim stays small here
-    n, dim = 70, 6
+def _check_block_budget(monkeypatch, metric, n, dim):
     fm = _features(metric, np.random.default_rng(12), n, dim)
     expected = _scan(fm, metric, workers=1)
-    width = dim if metric in ("l1", "l2", "js") else 1
+    width = 1 if metric in metrics.GEMM_METRICS else dim
+    default = (neighbors._GEMM_BLOCK_ELEMENTS if metric in metrics.GEMM_METRICS
+               else neighbors._BLOCK_ELEMENTS)
     shapes = []
     block = metrics.block
 
@@ -260,8 +257,9 @@ def test_block_budget_bounds_blocks_and_keeps_results_bitwise(monkeypatch, metri
 
     monkeypatch.setattr(metrics, "block", recording)
     # the default, blocks of a few rows, two-row GEMM blocks, single rows
-    for budget in (neighbors._BLOCK_ELEMENTS, 1000, 2 * n, 1):
+    for budget in (default, 1000, 2 * n, 1):
         monkeypatch.setattr(neighbors, "_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(neighbors, "_GEMM_BLOCK_ELEMENTS", budget)
         for workers in (1, 2):
             shapes.clear()
             got = _scan(fm, metric, workers)
@@ -271,6 +269,23 @@ def test_block_budget_bounds_blocks_and_keeps_results_bitwise(monkeypatch, metri
             assert all(rows * n * width <= budget or rows == 1 for rows, _ in shapes)
             if budget == 1:
                 assert all(rows == 1 for rows, _ in shapes)
+
+
+@pytest.mark.parametrize("metric", ["l1", "l2", "cosine", "kl", "js"])
+def test_block_budget_bounds_blocks_and_keeps_results_bitwise(monkeypatch, metric):
+    # dim 6: at higher dim cosine and kl are not bitwise block-invariant,
+    # see the xfail test below
+    _check_block_budget(monkeypatch, metric, 70, 6)
+
+
+@pytest.mark.xfail(strict=False, reason=(
+    "known gap, see the FOUND line on metrics.block in CHANGES.md: OpenBLAS "
+    "sums small products (output below about 1,200 entries, dim >= 32) with "
+    "another kernel, so cosine and kl change in the last bit with a block's "
+    "row count"))
+@pytest.mark.parametrize("metric", ["cosine", "kl"])
+def test_gemm_blocks_bitwise_at_high_dim(monkeypatch, metric):
+    _check_block_budget(monkeypatch, metric, 70, 64)
 
 
 @pytest.mark.parametrize("budget", [neighbors._BLOCK_ELEMENTS, 1])
