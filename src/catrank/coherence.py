@@ -15,7 +15,12 @@ Two criteria quantify how descriptive a category is:
                   member is excluded the level is 1.
 
 Tails are computed in log space (log-gamma + log-sum-exp) so that values
-far below double-precision underflow still rank correctly.
+far below double-precision underflow still rank correctly. A scoring pass
+needs one tail per distinct (size, C, G) key, and computes them all at once:
+keys with the same tail length C - G + 1 share a 2-D array of log-pmf rows,
+sliced so that one block holds at most the neighbor search's block budget of
+elements (or one row, when a single tail is longer). Each batched tail equals
+``binomial_tail(C, G, p)`` bit for bit, which stays the reference routine.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .data_model import (
 from .neighbors import (
     DEFAULT_EXACT_LIMIT,
     DEFAULT_SAMPLE_PAIRS,
+    _BLOCK_ELEMENTS,
     NeighborSet,
     calibrate_thresholds,
     filter_by_distance,
@@ -73,6 +79,41 @@ def binomial_tail(c: int, g: int, p: float) -> tuple[float, float]:
     )
     log_tail = min(0.0, float(logsumexp(log_pmf)))
     return math.exp(log_tail), log_tail
+
+
+def binomial_log_tails(c: np.ndarray, g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``binomial_tail(c[i], g[i], p[i])[1]`` for every i, bit for bit.
+
+    The same formula runs on 2-D blocks of keys that share a tail length;
+    scipy's logsumexp reduces each row as it reduces one tail alone.
+    """
+    bad = (g < 0) | (g > c) | ~((p >= 0.0) & (p <= 1.0))
+    if bad.any():
+        at = int(bad.argmax())
+        binomial_tail(int(c[at]), int(g[at]), float(p[at]))  # raises its ValueError
+    out = np.zeros(len(c), dtype=np.float64)
+    out[(g > 0) & (p == 0.0)] = -math.inf
+    live = np.flatnonzero((g > 0) & (p > 0.0) & (p < 1.0))
+    live = live[np.argsort((c - g)[live], kind="stable")]  # grouped by tail length
+    lengths = (c - g + 1)[live]
+    p_values, p_at = np.unique(p[live], return_inverse=True)
+    log_p = np.array([math.log(q) for q in p_values.tolist()])[p_at, None]
+    log_q = np.array([math.log1p(-q) for q in p_values.tolist()])[p_at, None]
+    starts = np.flatnonzero(np.diff(lengths, prepend=0))
+    for lo, hi in zip(starts.tolist(), np.append(starts[1:], len(live)).tolist()):
+        length = int(lengths[lo])
+        step = max(1, _BLOCK_ELEMENTS // length)
+        for rows in (slice(s, min(s + step, hi)) for s in range(lo, hi, step)):
+            keys = live[rows]
+            cs = c[keys, None].astype(np.float64)
+            xs = g[keys, None] + np.arange(length, dtype=np.float64)
+            log_pmf = (
+                gammaln(cs + 1.0) - gammaln(xs + 1.0) - gammaln(cs - xs + 1.0)
+                + xs * log_p[rows] + (cs - xs) * log_q[rows]
+            )
+            tails = logsumexp(log_pmf, axis=1)
+            out[keys] = np.where(tails < 0.0, tails, 0.0)  # min(0.0, tail), as binomial_tail
+    return out
 
 
 def p_cat(cats: CategoryIndex, cat: int, universe_size: int | None = None,
@@ -153,13 +194,19 @@ def _score(nbrs: NeighborSet, cats: CategoryIndex, cat_ids: list[int],
     g_obs = np.concatenate(inside)
 
     observed = c_obs > 0
-    keys = np.stack([np.repeat(sizes, sizes), c_obs, g_obs], axis=1, dtype=np.int32)[observed]
-    distinct, which = np.unique(keys, axis=0, return_inverse=True)
-    p_of_size = {s: p_cat(cats, cat, universe_size, adjusted=adjusted_p)
-                 for cat, s in zip(cat_ids, sizes.tolist())}
-    tails = np.array([binomial_tail(c, g, p_of_size[s])[1]
-                      for s, c, g in distinct.tolist()], dtype=np.float64)
-    logs = tails[which.ravel()]
+    # One int64 per (size, C, G) key, ordered as the triples are: the size's
+    # rank among distinct sizes, then C, then G, each below ``span``.
+    size_values, first_cat, size_rank = np.unique(sizes, return_index=True,
+                                                  return_inverse=True)
+    span = int(c_obs.max()) + 1
+    if len(size_values) * span * span >= 2**63:
+        raise ValueError("too many distinct (size, C, G) keys to pack in int64")
+    keys = (np.repeat(size_rank, sizes) * span + c_obs) * span + g_obs
+    distinct, which = np.unique(keys[observed], return_inverse=True)
+    p_of_size = np.array([p_cat(cats, cat_ids[i], universe_size, adjusted=adjusted_p)
+                          for i in first_cat.tolist()])
+    logs = binomial_log_tails(distinct // span % span, distinct % span,
+                              p_of_size[distinct // (span * span)])[which]
 
     ends = np.cumsum(sizes)
     starts = ends - sizes

@@ -12,6 +12,7 @@ import json
 import logging
 import math
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -36,6 +37,10 @@ _GEMM_BLOCK_ELEMENTS = 4_000_000
 # The batch size fixes which pairs a seed draws, so it stays apart from the
 # block budget, which only sets how many of them one kernel call takes.
 _SAMPLE_BATCH_ELEMENTS = 4_000_000
+# A neighbor list loads in blocks of whole lines of about this many
+# characters, so the text and its parsing temporaries never exist for the
+# whole file at once.
+_TEXT_BLOCK_CHARS = 2**20
 
 
 @dataclass
@@ -72,37 +77,11 @@ class NeighborSet:
         meta = {}
         if os.path.exists(path + ".meta.json"):
             meta = read_json_object(path + ".meta.json")
-        per_row: list[tuple[list[int], list[float]]] = []
-        linenos: list[int] = []
-        with open_text(path) as f:
-            for lineno, raw in enumerate(f, 1):
-                line = raw.rstrip("\n")
-                if not line:
-                    continue
-                ent, _, rest = line.partition("\t")
-                try:
-                    v = int(ent)
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: bad entity index {ent!r}") from None
-                if v != len(per_row):
-                    raise DataError(f"{path}:{lineno}: entities out of order")
-                ids: list[int] = []
-                ds: list[float] = []
-                if rest:
-                    for cell in rest.split(","):
-                        i, _, d = cell.partition(":")
-                        try:
-                            ids.append(int(i))
-                            ds.append(float(d))
-                        except ValueError:
-                            raise DataError(f"{path}:{lineno}: bad cell {cell!r}") from None
-                per_row.append((ids, ds))
-                linenos.append(lineno)
-        n = len(per_row)
-        degrees = np.fromiter((len(ids) for ids, _ in per_row), dtype=np.int64, count=n)
+        degrees, indices, distances, linenos = _parse_fast(path) or _parse_lines(path)
+        n = len(degrees)
+        if "n" in meta and meta["n"] != n:
+            raise DataError(f"{path}: {n} rows, but {path}.meta.json says n = {meta['n']!r}")
         indptr = np.concatenate(([0], np.cumsum(degrees)))
-        indices = np.array([i for ids, _ in per_row for i in ids], dtype=np.int64)
-        distances = np.array([d for _, ds in per_row for d in ds], dtype=np.float64)
         owner = np.repeat(np.arange(n), degrees)
         for bad, why in (((indices < 0) | (indices >= n), f"outside [0, {n})"),
                          (indices == owner, "is the entity itself")):
@@ -111,6 +90,104 @@ class NeighborSet:
                 raise DataError(f"{path}:{linenos[owner[at]]}: neighbor index "
                                 f"{int(indices[at])} {why}")
         return cls(indptr=indptr, indices=indices, distances=distances, meta=meta)
+
+
+def _parse_lines(path: str):
+    """Out-degrees, neighbor ids, distances and the line number of each row
+    of a neighbor list, read cell by cell; the first bad line raises
+    DataError."""
+    per_row: list[tuple[list[int], list[float]]] = []
+    linenos: list[int] = []
+    with open_text(path) as f:
+        for lineno, raw in enumerate(f, 1):
+            line = raw.rstrip("\n")
+            if not line:
+                continue
+            ent, _, rest = line.partition("\t")
+            try:
+                v = int(ent)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: bad entity index {ent!r}") from None
+            if v != len(per_row):
+                raise DataError(f"{path}:{lineno}: entities out of order")
+            ids: list[int] = []
+            ds: list[float] = []
+            if rest:
+                for cell in rest.split(","):
+                    i, _, d = cell.partition(":")
+                    try:
+                        ids.append(int(i))
+                        ds.append(float(d))
+                    except ValueError:
+                        raise DataError(f"{path}:{lineno}: bad cell {cell!r}") from None
+                if not -2**63 <= min(ids) <= max(ids) < 2**63:
+                    raise DataError(f"{path}:{lineno}: neighbor index outside int64")
+            per_row.append((ids, ds))
+            linenos.append(lineno)
+    degrees = np.fromiter((len(ids) for ids, _ in per_row), dtype=np.int64, count=len(per_row))
+    indices = np.array([i for ids, _ in per_row for i in ids], dtype=np.int64)
+    distances = np.array([d for _, ds in per_row for d in ds], dtype=np.float64)
+    return degrees, indices, distances, linenos
+
+
+def _parse_fast(path: str):
+    """What ``_parse_lines`` returns, parsed block by block of about
+    ``_TEXT_BLOCK_CHARS`` characters, all cells of a block in one
+    ``np.fromstring`` call; None unless the file is in the form that both
+    parsers read alike: entity ids written 0, 1, 2, ... and every cell a
+    plain decimal neighbor id below the row count, ':' and a distance over
+    the characters 0-9 . e E + -. Those tokens mean the same to
+    ``np.fromstring`` as to ``int`` and ``float``; anything else (signs or
+    exponents in an id, spaces, underscores, nan) goes to ``_parse_lines``."""
+    degrees = [np.zeros(0, dtype=np.int64)]
+    values = [np.zeros(0)]
+    linenos: list[int] = []
+    lineno = 0
+    with open_text(path) as f:
+        while lines := f.readlines(_TEXT_BLOCK_CHARS):
+            rests = []
+            for raw in lines:
+                lineno += 1
+                line = raw.rstrip("\n")
+                if not line:
+                    continue
+                ent, _, rest = line.partition("\t")
+                if ent != str(len(linenos)):
+                    return None
+                rests.append(rest)
+                linenos.append(lineno)
+            degrees.append(np.array([rest.count(":") for rest in rests], dtype=np.int64))
+            block = _parse_cells(",".join(filter(None, rests)).encode(), int(degrees[-1].sum()))
+            if block is None:
+                return None
+            values.append(block)
+    values = np.concatenate(values)
+    if (values[0::2] >= len(linenos)).any():
+        return None
+    return np.concatenate(degrees), values[0::2].astype(np.int64), values[1::2].copy(), linenos
+
+
+def _parse_cells(cells: bytes, n_cells: int) -> np.ndarray | None:
+    """id, distance, id, distance, ... of ``n_cells`` comma-separated
+    ``id:distance`` cells, or None unless each id is digits only and each
+    distance a whole float token over 0-9 . e E + -."""
+    if cells.translate(None, b"0123456789.eE+-,:"):
+        return None
+    # With the digits gone, the separators must alternate ':' ',' (one ':'
+    # per cell, no cell list that is only ','), and every ':' must follow a
+    # ',' or the start, so that each id is digits only.
+    skeleton = cells.translate(None, b"0123456789")
+    if (skeleton.translate(None, b".eE+-") != (b":," * n_cells)[:-1]
+            or skeleton.count(b",:") + skeleton.startswith(b":") != n_cells):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # numpy warns, and stops, where a token is not a whole number
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.fromstring(cells.replace(b":", b","), sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+    return values if len(values) == 2 * n_cells else None
 
 
 def _query_chunks(n: int, rows: int, workers: int):

@@ -4,8 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from catrank import coherence
 from catrank.coherence import (
     GridMenu,
+    binomial_log_tails,
     binomial_tail,
     conductance,
     p_cat,
@@ -78,6 +80,52 @@ def test_tail_sweep_vs_exact_oracle():
                 assert linear == pytest.approx(float(want), rel=1e-9)
                 if want > 0:
                     assert log == pytest.approx(log_of_fraction(want), rel=1e-9, abs=1e-12)
+
+
+def _tail_keys():
+    """Random (C, G, p) keys as one scoring pass meets them, plus the edges:
+    G = 0, p = 1 (a category covering the universe), adjusted p, and C up
+    to 420 with 1,500 keys sharing the tail length 400."""
+    rng = np.random.default_rng(21)
+    n = 1000
+    sizes = rng.integers(2, n, 40)
+    ps = np.concatenate([sizes / n, (sizes - 1) / (n - 1), [1.0, 0.5, 1e-300]])
+    c = rng.integers(0, 401, 3000)
+    g = (rng.random(3000) * (c + 1)).astype(np.int64)
+    g[:200] = 0
+    c_long = rng.integers(400, 421, 1500)
+    return (np.concatenate([c, c_long]), np.concatenate([g, c_long - 399]),
+            np.concatenate([rng.choice(ps, 3000), rng.choice(ps[:80], 1500)]))
+
+
+@pytest.mark.parametrize("budget", [coherence._BLOCK_ELEMENTS, 1000, 1])
+def test_batched_tails_equal_binomial_tail_bitwise(monkeypatch, budget):
+    c, g, p = _tail_keys()
+    want = np.array([binomial_tail(int(a), int(b), float(q))[1] for a, b, q in zip(c, g, p)])
+    monkeypatch.setattr(coherence, "_BLOCK_ELEMENTS", budget)
+    shapes = []
+    logsumexp = coherence.logsumexp
+
+    def recording(a, axis):
+        shapes.append(a.shape)
+        return logsumexp(a, axis=axis)
+
+    monkeypatch.setattr(coherence, "logsumexp", recording)
+    got = binomial_log_tails(c, g, p)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    assert all(rows * length <= budget or rows == 1 for rows, length in shapes)
+    # the 1,500 keys of tail length 400 span several blocks at every budget
+    assert sum(rows for rows, length in shapes if length == 400) >= 1500
+    assert sum(1 for _, length in shapes if length == 400) > 1
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
+def test_batched_tails_reject_p_outside_unit_interval(p):
+    with pytest.raises(ValueError) as want:
+        binomial_tail(5, 2, p)
+    with pytest.raises(ValueError) as got:
+        binomial_log_tails(np.array([5, 5]), np.array([1, 2]), np.array([0.5, p]))
+    assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catrank import neighbors
 from catrank.cli import main
 from catrank.data_model import (
     CategoryIndex,
@@ -26,6 +27,7 @@ from catrank.neighbors import NeighborSet
 from catrank.report import read_ranking_csv
 
 from test_cli import make_dataset, write_clique_neighbors, write_points
+from test_neighbors import check_parsers_agree
 
 
 @pytest.fixture(scope="module")
@@ -84,12 +86,12 @@ CASES = [
 
 
 @st.composite
-def spliced(draw, original: bytes) -> bytes:
+def spliced(draw, original: bytes, pieces=st.binary(max_size=6)) -> bytes:
     data = bytearray(original)
     for _ in range(draw(st.integers(1, 4))):
         i = draw(st.integers(0, len(data)))
         j = draw(st.integers(i, min(len(data), i + 6)))
-        data[i:j] = draw(st.binary(max_size=6))
+        data[i:j] = draw(pieces)
     return bytes(data)
 
 
@@ -111,3 +113,33 @@ def test_malformed_artifacts_raise_data_error_and_exit_2(base, case, data):
     finally:
         target.write_bytes(original)
     assert rc == 2 if rejected else rc in (0, 2)
+
+
+# a neighbor list in the saved form, with distances in plain and exponent
+# notation, for the comparison of its two parsers below
+_NEIGHBORS = "".join(
+    f"{v}\t" + ",".join(f"{(v + j) % 9}:{d!r}" for j, d in
+                         enumerate((0.1 * v, 1e-05 * v, 123.456, 2.0 ** -40), 1)) + "\n"
+    for v in range(9)).encode()
+# splices drawn from the characters the one-pass parser is sensitive to, so
+# that many spliced files still reach it
+_PIECES = st.lists(st.sampled_from(b"0123456789.eE+-,:\t\n\r _xna"), max_size=4).map(bytes)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=spliced(_NEIGHBORS, _PIECES))
+def test_neighbor_parsers_agree_on_spliced_files(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("nb") / "nb.tsv"
+    path.write_bytes(data)
+    default = neighbors._TEXT_BLOCK_CHARS
+    try:
+        for block_chars in (default, 50):  # one block; a few lines a block
+            neighbors._TEXT_BLOCK_CHARS = block_chars
+            check_parsers_agree(path)
+    finally:
+        neighbors._TEXT_BLOCK_CHARS = default
+
+
+def test_one_pass_parser_takes_the_unspliced_file(tmp_path):
+    (tmp_path / "nb.tsv").write_bytes(_NEIGHBORS)
+    assert check_parsers_agree(tmp_path / "nb.tsv")

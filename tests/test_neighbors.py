@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from catrank import metrics, neighbors
-from catrank.data_model import FeatureMatrix
+from catrank.data_model import FeatureMatrix, open_text
 from catrank.errors import DataError
 from catrank.neighbors import (
     NeighborSet,
@@ -220,11 +220,106 @@ def test_neighbor_set_load_rejects_index_out_of_range(tmp_path, cell):
         NeighborSet.load(str(path))
 
 
+def test_neighbor_set_load_rejects_index_beyond_int64(tmp_path):
+    path = tmp_path / "nb.tsv"
+    path.write_text(f"0\t1:0.5\n1\t{2**63}:0.5\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"nb\.tsv:2: neighbor index outside int64"):
+        NeighborSet.load(str(path))
+
+
 def test_neighbor_set_load_rejects_self_neighbor(tmp_path):
     path = tmp_path / "nb.tsv"
     path.write_text("0\t1:0.5\n1\t0:0.5\n2\t0:1.5,2:0.0\n", encoding="utf-8")
     with pytest.raises(DataError, match=r"nb\.tsv:3: neighbor index 2 is the entity itself"):
         NeighborSet.load(str(path))
+
+
+def test_neighbor_set_load_checks_sidecar_row_count(tmp_path):
+    fm = points(np.arange(20.0)[:, None])
+    path = str(tmp_path / "nb.tsv")
+    knn_by_count(fm, "l1", 3).save(path)
+    # cut the last two rows: row 17 still names entity 18 and is fine as
+    # written, so the sidecar's count is what must catch the cut
+    lines = (tmp_path / "nb.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    (tmp_path / "nb.tsv").write_text("".join(lines[:18]), encoding="utf-8")
+    with pytest.raises(DataError, match=r"nb\.tsv: 18 rows, but .*nb\.tsv\.meta\.json "
+                                        r"says n = 20$"):
+        NeighborSet.load(path)
+
+
+def check_parsers_agree(path) -> bool:
+    """The one-pass parser either declines a neighbor file or reads it as
+    the per-line parser does, bit for bit; the per-line parser may then not
+    reject it. Returns whether the one-pass parser took the file."""
+    def outcome(parse):
+        try:
+            return parse(str(path))
+        except DataError as e:  # undecodable text, which both report alike
+            return str(e)
+
+    fast, slow = outcome(neighbors._parse_fast), outcome(neighbors._parse_lines)
+    if fast is None:
+        return False
+    if isinstance(fast, str):
+        assert fast == slow
+        return False
+    assert not isinstance(slow, str), slow
+    for a, b in zip(fast[:3], slow[:3]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert fast[3] == slow[3]
+    return True
+
+
+_ROWS = ["0\t1:0.5,3:0.25", "1\t0:0.5", "2\t3:0.125,4:1e-05", "3\t2:2.0", "4\t"]
+_TOKENS = ["1.0", "1e3", "+3", " 3", "03", "1_0", "0x1p3", "nan", "inf", "-0.0"]
+_PARSER_CASES = (
+    # (file bytes, whether the one-pass parser takes it)
+    [("\n".join(_ROWS) + "\n", True), ("\n".join(_ROWS), True),
+     ("\r\n".join(_ROWS) + "\r\n", True), ("\r".join(_ROWS), True),
+     ("\n\n" + "\n\n".join(_ROWS) + "\n\n", True),
+     ("\n".join(_ROWS[:4] + ["4"]), True),
+     ("\n".join([_ROWS[0] + ","] + _ROWS[1:]), False),
+     ("\n".join([_ROWS[0] + ",,1:0.5"] + _ROWS[1:]), False),
+     ("\n".join(["0\t1:0.5:3"] + _ROWS[1:]), False),
+     ("\n".join(["0\t1:"] + _ROWS[1:]), False),
+     ("\n".join(["0\t:0.5"] + _ROWS[1:]), False),
+     ("\n".join(["0\t1"] + _ROWS[1:]), False),
+     ("\n".join(["0\t1:0.5\t"] + _ROWS[1:]), False),
+     ("\n".join(["0\t7:0.5"] + _ROWS[1:]), False),
+     ("\n".join(["0\t" + "9" * 30 + ":0.5"] + _ROWS[1:]), False),
+     ("\n".join(["0\t\u0663:0.5"] + _ROWS[1:]), False)]
+    + [("\n".join(_ROWS[:2] + [f"{ent}\t3:0.125"] + _ROWS[3:]), False)
+       for ent in ("02", "+2", " 2", "2.0", "2_0")]
+    + [("\n".join(_ROWS[:2] + [f"2\t{tok}:0.125,4:1e-05"] + _ROWS[3:]), tok == "03")
+       for tok in _TOKENS]
+    + [("\n".join(_ROWS[:2] + [f"2\t3:{tok},4:1e-05"] + _ROWS[3:]),
+        tok in ("1.0", "1e3", "+3", "03", "-0.0"))
+       for tok in _TOKENS]
+)
+
+
+@pytest.mark.parametrize("block_chars", [neighbors._TEXT_BLOCK_CHARS, 20, 1])
+@pytest.mark.parametrize("text, taken", _PARSER_CASES)
+def test_one_pass_parser_agrees_with_per_line_parser(monkeypatch, tmp_path, text, taken,
+                                                     block_chars):
+    monkeypatch.setattr(neighbors, "_TEXT_BLOCK_CHARS", block_chars)
+    path = tmp_path / "nb.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    assert check_parsers_agree(path) == taken
+
+
+def test_neighbor_set_load_in_blocks_matches_one_block(monkeypatch, tmp_path):
+    rng = np.random.default_rng(13)
+    nbrs = neighbors_by_distance(points(rng.standard_normal((60, 2))), "l2", 0.8)
+    path = str(tmp_path / "nb.tsv")
+    nbrs.save(path)
+    assert neighbors._parse_fast(path) is not None
+    for block_chars in (1, 100, 1000):
+        monkeypatch.setattr(neighbors, "_TEXT_BLOCK_CHARS", block_chars)
+        back = NeighborSet.load(path)
+        for a, b in ((back.indptr, nbrs.indptr), (back.indices, nbrs.indices),
+                     (back.distances, nbrs.distances)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def _features(metric, rng, n, dim):
