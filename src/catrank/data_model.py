@@ -96,6 +96,18 @@ def _index_lists(raw, count: int, n: int, where: str) -> list[np.ndarray]:
     return arrays
 
 
+def _sorted_unique(lists: list[np.ndarray], name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of ``lists`` concatenated, and the list each came from;
+    DataError naming ``name[i]`` unless every list is strictly increasing."""
+    flat = np.concatenate(lists) if lists else np.zeros(0, np.int64)
+    owner = np.repeat(np.arange(len(lists)), [len(a) for a in lists])
+    bad = (np.diff(flat) <= 0) & (owner[1:] == owner[:-1])
+    if bad.any():
+        raise DataError(f"{name}[{int(owner[bad.argmax()])}]: entity ids are not "
+                        "sorted and unique")
+    return flat, owner
+
+
 # ---------------------------------------------------------------------------
 # entity graph
 
@@ -110,7 +122,8 @@ class GraphLoadReport:
 
 @dataclass
 class EntityGraph:
-    """Directed adjacency over dense integer ids with a string-id dictionary."""
+    """Directed adjacency over dense integer ids with a string-id dictionary;
+    each adjacency list sorted and unique, without the vertex itself."""
 
     ids: list[str]
     adjacency: list[np.ndarray]
@@ -128,20 +141,17 @@ class EntityGraph:
     def n_edges(self) -> int:
         return sum(len(a) for a in self.adjacency)
 
-    def out_degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def validate(self):
         n = self.n_entities
         if len(self.adjacency) != n:
             raise DataError("adjacency length does not match entity count")
         if len(self.index) != n:
             raise DataError("id map is not a bijection")
-        for v, nbrs in enumerate(self.adjacency):
-            if len(nbrs) and (nbrs.min() < 0 or nbrs.max() >= n):
-                raise DataError(f"adjacency index out of range for entity {v}")
-            if np.any(nbrs == v):
-                raise DataError(f"self-loop survived ingestion at entity {v}")
+        flat, owner = _sorted_unique(self.adjacency, "adjacency")
+        for bad, why in (((flat < 0) | (flat >= n), f"index outside [0, {n})"),
+                         (flat == owner, "self-loop")):
+            if bad.any():
+                raise DataError(f"adjacency[{int(owner[bad.argmax()])}]: {why}")
 
     def save(self, path: str):
         payload = {
@@ -159,7 +169,12 @@ class EntityGraph:
             raise DataError(f"{path}: 'ids' must be a list of distinct strings")
         adjacency = _index_lists(payload["adjacency"], len(ids), len(ids),
                                  f"{path}: adjacency")
-        return cls(ids=ids, adjacency=adjacency)
+        graph = cls(ids=ids, adjacency=adjacency)
+        try:
+            graph.validate()
+        except DataError as e:
+            raise DataError(f"{path}: {e}") from None
+        return graph
 
 
 def load_graph(path: str, symmetrize: bool = False):
@@ -254,12 +269,7 @@ class CategoryIndex:
         return len(self.members[c])
 
     def validate(self):
-        flat = np.concatenate(self.members) if self.members else np.zeros(0, np.int64)
-        owner = np.repeat(np.arange(self.n_categories), [len(m) for m in self.members])
-        bad = (np.diff(flat) <= 0) & (owner[1:] == owner[:-1])
-        if bad.any():
-            raise DataError(f"members[{int(owner[bad.argmax()])}]: entity ids are not "
-                            "sorted and unique")
+        _sorted_unique(self.members, "members")
 
     def save(self, path: str):
         payload = {

@@ -116,9 +116,6 @@ class PreferenceGraph:
     weights: np.ndarray
     majority: list[tuple[int, int, int]]
 
-    def local(self, cat: int) -> int:
-        return self.categories.index(cat)
-
 
 def build_preference_graph(votes: VoteDataset) -> PreferenceGraph:
     if not votes.answers:

@@ -77,106 +77,76 @@ class NeighborSet:
         meta = {}
         if os.path.exists(path + ".meta.json"):
             meta = read_json_object(path + ".meta.json")
-        degrees, indices, distances, linenos = _parse_fast(path) or _parse_lines(path)
+        degrees, ids, distances, linenos = _parse(path)
         n = len(degrees)
         if "n" in meta and meta["n"] != n:
             raise DataError(f"{path}: {n} rows, but {path}.meta.json says n = {meta['n']!r}")
-        indptr = np.concatenate(([0], np.cumsum(degrees)))
+        # ids are still float64, so an id too long for int64 reads as out of range
         owner = np.repeat(np.arange(n), degrees)
-        for bad, why in (((indices < 0) | (indices >= n), f"outside [0, {n})"),
-                         (indices == owner, "is the entity itself")):
-            if bad.any():
-                at = int(bad.argmax())
-                raise DataError(f"{path}:{linenos[owner[at]]}: neighbor index "
-                                f"{int(indices[at])} {why}")
-        return cls(indptr=indptr, indices=indices, distances=distances, meta=meta)
+        bad = (ids >= n) | (ids == owner)
+        if bad.any():
+            at = int(bad.argmax())
+            why = f"outside [0, {n})" if ids[at] >= n else "is the entity itself"
+            raise DataError(f"{path}:{linenos[owner[at]]}: neighbor index {ids[at]:.0f} {why}")
+        return cls(indptr=np.concatenate(([0], np.cumsum(degrees))),
+                   indices=ids.astype(np.int64), distances=distances, meta=meta)
 
 
-def _parse_lines(path: str):
-    """Out-degrees, neighbor ids, distances and the line number of each row
-    of a neighbor list, read cell by cell; the first bad line raises
-    DataError."""
-    per_row: list[tuple[list[int], list[float]]] = []
-    linenos: list[int] = []
-    with open_text(path) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            ent, _, rest = line.partition("\t")
-            try:
-                v = int(ent)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad entity index {ent!r}") from None
-            if v != len(per_row):
-                raise DataError(f"{path}:{lineno}: entities out of order")
-            ids: list[int] = []
-            ds: list[float] = []
-            if rest:
-                for cell in rest.split(","):
-                    i, _, d = cell.partition(":")
-                    try:
-                        ids.append(int(i))
-                        ds.append(float(d))
-                    except ValueError:
-                        raise DataError(f"{path}:{lineno}: bad cell {cell!r}") from None
-                if not -2**63 <= min(ids) <= max(ids) < 2**63:
-                    raise DataError(f"{path}:{lineno}: neighbor index outside int64")
-            per_row.append((ids, ds))
-            linenos.append(lineno)
-    degrees = np.fromiter((len(ids) for ids, _ in per_row), dtype=np.int64, count=len(per_row))
-    indices = np.array([i for ids, _ in per_row for i in ids], dtype=np.int64)
-    distances = np.array([d for _, ds in per_row for d in ds], dtype=np.float64)
-    return degrees, indices, distances, linenos
-
-
-def _parse_fast(path: str):
-    """What ``_parse_lines`` returns, parsed block by block of about
-    ``_TEXT_BLOCK_CHARS`` characters, all cells of a block in one
-    ``np.fromstring`` call; None unless the file is in the form that both
-    parsers read alike: entity ids written 0, 1, 2, ... and every cell a
-    plain decimal neighbor id below the row count, ':' and a distance over
-    the characters 0-9 . e E + -. Those tokens mean the same to
-    ``np.fromstring`` as to ``int`` and ``float``; anything else (signs or
-    exponents in an id, spaces, underscores, nan) goes to ``_parse_lines``."""
+def _parse(path: str):
+    """Out-degrees, neighbor ids (as float64), distances and the line number
+    of each row of a neighbor list, in the format ``_parse_rows`` takes;
+    blank lines are skipped. Read in blocks of whole lines of about
+    ``_TEXT_BLOCK_CHARS`` characters, each parsed by one ``_parse_rows``
+    call. A block that fails is parsed again line by line, and its first bad
+    line raises DataError."""
     degrees = [np.zeros(0, dtype=np.int64)]
     values = [np.zeros(0)]
     linenos: list[int] = []
     lineno = 0
     with open_text(path) as f:
         while lines := f.readlines(_TEXT_BLOCK_CHARS):
-            rests = []
+            first = len(linenos)
+            rows = []
             for raw in lines:
                 lineno += 1
-                line = raw.rstrip("\n")
-                if not line:
-                    continue
-                ent, _, rest = line.partition("\t")
-                if ent != str(len(linenos)):
-                    return None
-                rests.append(rest)
-                linenos.append(lineno)
-            degrees.append(np.array([rest.count(":") for rest in rests], dtype=np.int64))
-            block = _parse_cells(",".join(filter(None, rests)).encode(), int(degrees[-1].sum()))
+                if line := raw.rstrip("\n"):
+                    rows.append(line)
+                    linenos.append(lineno)
+            block = _parse_rows(rows, first)
             if block is None:
-                return None
-            values.append(block)
+                for v, row in enumerate(rows, first):
+                    if _parse_rows([row], v) is None:
+                        raise DataError(f"{path}:{linenos[v]}: expected row {v} as "
+                                        f"'{v}<TAB>id:distance,...'")
+            degrees.append(block[0])
+            values.append(block[1])
     values = np.concatenate(values)
-    if (values[0::2] >= len(linenos)).any():
-        return None
-    return np.concatenate(degrees), values[0::2].astype(np.int64), values[1::2].copy(), linenos
+    return np.concatenate(degrees), values[0::2], values[1::2].copy(), linenos
 
 
-def _parse_cells(cells: bytes, n_cells: int) -> np.ndarray | None:
-    """id, distance, id, distance, ... of ``n_cells`` comma-separated
-    ``id:distance`` cells, or None unless each id is digits only and each
-    distance a whole float token over 0-9 . e E + -."""
-    if cells.translate(None, b"0123456789.eE+-,:"):
+def _parse_rows(rows: list[str], first: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Out-degrees and the id, distance, id, distance, ... values of
+    ``rows``, numbered from ``first``; None unless each row is its number, a
+    TAB and comma-separated ``id:distance`` cells, each id digits only and
+    each distance a whole float token over 0-9 . e E + -, or inf."""
+    rests = []
+    for v, row in enumerate(rows, first):
+        ent, tab, rest = row.partition("\t")
+        if not tab or ent != str(v):
+            return None
+        rests.append(rest)
+    degrees = np.array([rest.count(":") for rest in rests], dtype=np.int64)
+    n_cells = int(degrees.sum())
+    cells = ",".join(filter(None, rests)).encode()
+    # inf, right after its ':', is the one token with letters; most blocks
+    # have none, and a memchr for 'i' is cheaper than the search
+    text = cells.replace(b":inf", b":") if b"i" in cells else cells
+    if text.translate(None, b"0123456789.eE+-,:"):
         return None
     # With the digits gone, the separators must alternate ':' ',' (one ':'
     # per cell, no cell list that is only ','), and every ':' must follow a
     # ',' or the start, so that each id is digits only.
-    skeleton = cells.translate(None, b"0123456789")
+    skeleton = text.translate(None, b"0123456789")
     if (skeleton.translate(None, b".eE+-") != (b":," * n_cells)[:-1]
             or skeleton.count(b",:") + skeleton.startswith(b":") != n_cells):
         return None
@@ -187,7 +157,7 @@ def _parse_cells(cells: bytes, n_cells: int) -> np.ndarray | None:
             values = np.fromstring(cells.replace(b":", b","), sep=",")
     except (ValueError, DeprecationWarning):
         return None
-    return values if len(values) == 2 * n_cells else None
+    return (degrees, values) if len(values) == 2 * n_cells else None
 
 
 def _query_chunks(n: int, rows: int, workers: int):
@@ -245,9 +215,13 @@ def knn_by_count(features: FeatureMatrix, metric: str, k: int, workers: int = 1)
         k = n - 1
 
     def nearest(chunk, d):
-        d[np.arange(len(chunk)), chunk] = np.inf
-        # stable sort on distance leaves equal distances in index order
-        order = np.argsort(d, axis=1, kind="stable")[:, :k]
+        # stable sort on distance leaves equal distances in index order; drop
+        # the entity itself from the first k + 1 columns, or the last column
+        # where it sorts later
+        order = np.argsort(d, axis=1, kind="stable")[:, :k + 1]
+        drop = order == chunk[:, None]
+        drop[~drop.any(axis=1), k] = True
+        order = order[~drop].reshape(len(chunk), k)
         return np.full(len(chunk), k), order.ravel(), np.take_along_axis(d, order, 1).ravel()
 
     meta = {"metric": metric, "strategy": "count", "k": k, "clamped": clamped,

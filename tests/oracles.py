@@ -5,6 +5,7 @@ full scans, exhaustive enumeration.
 """
 
 import math
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -53,6 +54,30 @@ def naive_knn(rows: np.ndarray, metric: str, k: int) -> list[list[int]]:
         dists.sort()
         result.append([j for _, j in dists[:k]])
     return result
+
+
+_DISTANCE = r"(?:inf|[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+_CELLS = rf"(?:[0-9]+:{_DISTANCE}(?:,[0-9]+:{_DISTANCE})*)?"
+
+
+def parse_neighbor_list(text: str):
+    """What loading a neighbor list should give: its rows as lists of
+    (id, distance), or the line number of its first bad line, grammar
+    first, then ids out of range or naming the row itself."""
+    rows, linenos = [], []
+    for lineno, line in enumerate(re.split(r"\r\n|\r|\n", text), 1):
+        if not line:
+            continue
+        m = re.fullmatch(rf"{len(rows)}\t({_CELLS})", line)
+        if m is None:
+            return lineno
+        cells = [cell.split(":") for cell in m[1].split(",")] if m[1] else []
+        rows.append([(int(i), float(d)) for i, d in cells])
+        linenos.append(lineno)
+    for v, row in enumerate(rows):
+        if any(i >= len(rows) or i == v for i, _ in row):
+            return linenos[v]
+    return rows
 
 
 def best_ordering_bruteforce(weights: np.ndarray) -> tuple[float, tuple[int, ...]]:

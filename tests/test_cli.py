@@ -1,13 +1,24 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import catrank
 from catrank.cli import main
+from catrank.data_model import FeatureMatrix, read_features, save_features_text
+from catrank.neighbors import (
+    NeighborSet,
+    calibrate_threshold,
+    knn_by_count,
+    neighbors_by_distance,
+)
+
+from conftest import random_simplex
 
 
 def make_dataset(root):
@@ -162,6 +173,35 @@ def test_knn_avg_target_calibrates(pipeline):
     meta = json.loads((tmp / "nb_dist.tsv.meta.json").read_text())
     assert meta["strategy"] == "distance"
     assert meta["target"] == 3.0
+
+
+@pytest.mark.parametrize("metric", ["l1", "l2", "cosine", "kl", "js"])
+def test_knn_output_loads_back_bitwise(tmp_path, metric):
+    rng = np.random.default_rng(14)
+    if metric in ("kl", "js"):
+        fm = FeatureMatrix(kind="distribution", rows=random_simplex(rng, 16, 3))
+    else:
+        # rows at +-1e308 overflow l1 and l2 distances, which save writes as inf
+        fm = FeatureMatrix(kind="point", rows=rng.standard_normal((16, 3)))
+        fm.rows[:2] = [[1e308] * 3, [-1e308] * 3]
+    features = str(tmp_path / "f.tsv")
+    save_features_text(fm, [f"e{v}" for v in range(16)], features)
+    fm, _ = read_features(features)
+    out = str(tmp_path / "nb.tsv")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for flag, value, nbrs in (
+                ("--k", "4", knn_by_count(fm, metric, 4)),
+                ("--avg-target", "2.5", neighbors_by_distance(
+                    fm, metric, calibrate_threshold(fm, metric, 2.5))),
+                ("--radius", "inf", neighbors_by_distance(fm, metric, math.inf))):
+            assert main(["knn", "--features", features, "--metric", metric, flag, value,
+                         "--workers", "1", "--out", out]) == 0
+            back = NeighborSet.load(out)
+            for a, b in ((back.indptr, nbrs.indptr), (back.indices, nbrs.indices),
+                         (back.distances, nbrs.distances)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), flag
+    if metric in ("l1", "l2"):
+        assert np.isinf(back.distances).any()
 
 
 def test_grid_eight_configs(pipeline):

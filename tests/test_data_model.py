@@ -296,6 +296,12 @@ def test_votes_round_trip(tmp_path, vote_cats):
      r"members\[1\]: entity ids are not sorted and unique"),
     ("graph.json", '{"ids": ["A", "B"]}', "missing keys"),
     ("graph.json", '{"ids": ["A", "B"], "adjacency": [[1], [5]]}', r"outside \[0, 2\)"),
+    ("graph.json", '{"ids": ["a", "b"], "adjacency": [[1], [0, 1]]}',
+     r"adjacency\[1\]: self-loop"),
+    ("graph.json", '{"ids": ["a", "b"], "adjacency": [[1, 1], [0]]}',
+     r"adjacency\[0\]: entity ids are not sorted and unique"),
+    ("graph.json", '{"ids": ["a", "b", "c"], "adjacency": [[1], [2, 0], []]}',
+     r"adjacency\[1\]: entity ids are not sorted and unique"),
 ])
 def test_native_json_artifacts_validated(tmp_path, name, text, message):
     path = write(tmp_path / name, text)

@@ -5,6 +5,8 @@ Each example either replaces a valid artifact with random bytes or applies a
 few random splices to it, then runs the loader and the stage on the result.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +29,8 @@ from catrank.neighbors import NeighborSet
 from catrank.report import read_ranking_csv
 
 from test_cli import make_dataset, write_clique_neighbors, write_points
-from test_neighbors import check_parsers_agree
+from oracles import parse_neighbor_list
+from test_neighbors import check_load
 
 
 @pytest.fixture(scope="module")
@@ -116,30 +119,33 @@ def test_malformed_artifacts_raise_data_error_and_exit_2(base, case, data):
 
 
 # a neighbor list in the saved form, with distances in plain and exponent
-# notation, for the comparison of its two parsers below
+# notation and one inf, for the comparison with the oracle below
 _NEIGHBORS = "".join(
     f"{v}\t" + ",".join(f"{(v + j) % 9}:{d!r}" for j, d in
-                         enumerate((0.1 * v, 1e-05 * v, 123.456, 2.0 ** -40), 1)) + "\n"
-    for v in range(9)).encode()
-# splices drawn from the characters the one-pass parser is sensitive to, so
-# that many spliced files still reach it
-_PIECES = st.lists(st.sampled_from(b"0123456789.eE+-,:\t\n\r _xna"), max_size=4).map(bytes)
+                         enumerate((0.1 * v, 1e-05 * v, 123.456, 2.0 ** -40, math.inf), 1))
+    + "\n" for v in range(9)).encode()
+# splices drawn from the characters the parser is sensitive to, so that many
+# spliced files still load
+_PIECES = st.lists(st.sampled_from(b"0123456789.eE+-,:\t\n\r _xnaif"), max_size=4).map(bytes)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(data=spliced(_NEIGHBORS, _PIECES))
-def test_neighbor_parsers_agree_on_spliced_files(tmp_path_factory, data):
+def test_neighbor_set_load_matches_oracle_on_spliced_files(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("nb") / "nb.tsv"
     path.write_bytes(data)
+    expected = parse_neighbor_list(data.decode())
     default = neighbors._TEXT_BLOCK_CHARS
     try:
         for block_chars in (default, 50):  # one block; a few lines a block
             neighbors._TEXT_BLOCK_CHARS = block_chars
-            check_parsers_agree(path)
+            check_load(path, expected)
     finally:
         neighbors._TEXT_BLOCK_CHARS = default
 
 
-def test_one_pass_parser_takes_the_unspliced_file(tmp_path):
+def test_neighbor_set_load_takes_the_unspliced_file(tmp_path):
     (tmp_path / "nb.tsv").write_bytes(_NEIGHBORS)
-    assert check_parsers_agree(tmp_path / "nb.tsv")
+    expected = parse_neighbor_list(_NEIGHBORS.decode())
+    assert isinstance(expected, list)
+    check_load(tmp_path / "nb.tsv", expected)

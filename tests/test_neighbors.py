@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from catrank.neighbors import (
 )
 
 from conftest import random_simplex
-from oracles import naive_knn
+from oracles import naive_knn, parse_neighbor_list
 
 # 36 integer points, so l1 distances are exact and take only ten values
 GRID = np.array([[x, y] for x in range(6) for y in range(6)], dtype=np.float64)
@@ -212,18 +213,22 @@ def test_neighbor_set_round_trip_with_empty_lists(tmp_path):
     assert np.array_equal(back.indices, nbrs.indices)
 
 
-@pytest.mark.parametrize("cell", ["3:0.5", "-1:0.5"])
-def test_neighbor_set_load_rejects_index_out_of_range(tmp_path, cell):
+@pytest.mark.parametrize("cell, message", [
+    ("3:0.5", r"neighbor index 3 outside \[0, 3\)"),
+    ("-1:0.5", r"expected row 1 as '1<TAB>id:distance,\.\.\.'"),
+])
+def test_neighbor_set_load_rejects_index_out_of_range(tmp_path, cell, message):
     path = tmp_path / "nb.tsv"
     path.write_text(f"0\t1:0.5\n1\t0:0.5,{cell}\n2\t\n", encoding="utf-8")
-    with pytest.raises(DataError, match=r"nb\.tsv:2: neighbor index -?\d outside \[0, 3\)"):
+    with pytest.raises(DataError, match=r"nb\.tsv:2: " + message):
         NeighborSet.load(str(path))
 
 
 def test_neighbor_set_load_rejects_index_beyond_int64(tmp_path):
     path = tmp_path / "nb.tsv"
     path.write_text(f"0\t1:0.5\n1\t{2**63}:0.5\n", encoding="utf-8")
-    with pytest.raises(DataError, match=r"nb\.tsv:2: neighbor index outside int64"):
+    with pytest.raises(DataError, match=r"nb\.tsv:2: neighbor index 9223372036854775808 "
+                                        r"outside \[0, 2\)"):
         NeighborSet.load(str(path))
 
 
@@ -247,65 +252,74 @@ def test_neighbor_set_load_checks_sidecar_row_count(tmp_path):
         NeighborSet.load(path)
 
 
-def check_parsers_agree(path) -> bool:
-    """The one-pass parser either declines a neighbor file or reads it as
-    the per-line parser does, bit for bit; the per-line parser may then not
-    reject it. Returns whether the one-pass parser took the file."""
-    def outcome(parse):
-        try:
-            return parse(str(path))
-        except DataError as e:  # undecodable text, which both report alike
-            return str(e)
-
-    fast, slow = outcome(neighbors._parse_fast), outcome(neighbors._parse_lines)
-    if fast is None:
-        return False
-    if isinstance(fast, str):
-        assert fast == slow
-        return False
-    assert not isinstance(slow, str), slow
-    for a, b in zip(fast[:3], slow[:3]):
+def check_load(path, expected):
+    """``NeighborSet.load`` on ``path`` gives ``expected``: the rows as lists
+    of (id, distance), bit for bit, or DataError at the line numbered
+    ``expected``."""
+    if isinstance(expected, int):
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}:{expected}: "):
+            NeighborSet.load(str(path))
+        return
+    nbrs = NeighborSet.load(str(path))
+    indptr = np.cumsum([0] + [len(row) for row in expected])
+    indices = np.array([i for row in expected for i, _ in row], dtype=np.int64)
+    distances = np.array([d for row in expected for _, d in row], dtype=np.float64)
+    for a, b in ((nbrs.indptr, indptr), (nbrs.indices, indices),
+                 (nbrs.distances, distances)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    assert fast[3] == slow[3]
-    return True
 
 
 _ROWS = ["0\t1:0.5,3:0.25", "1\t0:0.5", "2\t3:0.125,4:1e-05", "3\t2:2.0", "4\t"]
-_TOKENS = ["1.0", "1e3", "+3", " 3", "03", "1_0", "0x1p3", "nan", "inf", "-0.0"]
-_PARSER_CASES = (
-    # (file bytes, whether the one-pass parser takes it)
-    [("\n".join(_ROWS) + "\n", True), ("\n".join(_ROWS), True),
-     ("\r\n".join(_ROWS) + "\r\n", True), ("\r".join(_ROWS), True),
-     ("\n\n" + "\n\n".join(_ROWS) + "\n\n", True),
-     ("\n".join(_ROWS[:4] + ["4"]), True),
-     ("\n".join([_ROWS[0] + ","] + _ROWS[1:]), False),
-     ("\n".join([_ROWS[0] + ",,1:0.5"] + _ROWS[1:]), False),
-     ("\n".join(["0\t1:0.5:3"] + _ROWS[1:]), False),
-     ("\n".join(["0\t1:"] + _ROWS[1:]), False),
-     ("\n".join(["0\t:0.5"] + _ROWS[1:]), False),
-     ("\n".join(["0\t1"] + _ROWS[1:]), False),
-     ("\n".join(["0\t1:0.5\t"] + _ROWS[1:]), False),
-     ("\n".join(["0\t7:0.5"] + _ROWS[1:]), False),
-     ("\n".join(["0\t" + "9" * 30 + ":0.5"] + _ROWS[1:]), False),
-     ("\n".join(["0\t\u0663:0.5"] + _ROWS[1:]), False)]
-    + [("\n".join(_ROWS[:2] + [f"{ent}\t3:0.125"] + _ROWS[3:]), False)
-       for ent in ("02", "+2", " 2", "2.0", "2_0")]
-    + [("\n".join(_ROWS[:2] + [f"2\t{tok}:0.125,4:1e-05"] + _ROWS[3:]), tok == "03")
+_LISTS = [[(1, 0.5), (3, 0.25)], [(0, 0.5)], [(3, 0.125), (4, 1e-05)], [(2, 2.0)], []]
+_TOKENS = ["1.0", "1e3", "+3", " 3", "03", "1_0", "0x1p3", "nan", "inf", "-inf", "-0.0"]
+# row 2's first distance for each token that is a distance in the format
+_DISTANCES = {"1.0": 1.0, "1e3": 1000.0, "+3": 3.0, "03": 3.0, "inf": math.inf,
+              "-0.0": -0.0}
+
+
+def _with_row(i, row):
+    return "\n".join(_ROWS[:i] + [row] + _ROWS[i + 1:])
+
+
+_LOAD_CASES = (
+    # (file text, the rows it loads as or the line of its DataError)
+    [("\n".join(_ROWS) + "\n", _LISTS), ("\n".join(_ROWS), _LISTS),
+     ("\r\n".join(_ROWS) + "\r\n", _LISTS), ("\r".join(_ROWS), _LISTS),
+     ("\n\n" + "\n\n".join(_ROWS) + "\n\n", _LISTS),
+     (_with_row(4, "4"), 5),
+     (_with_row(0, _ROWS[0] + ","), 1),
+     (_with_row(0, _ROWS[0] + ",,1:0.5"), 1),
+     (_with_row(0, "0\t1:0.5:3"), 1),
+     (_with_row(0, "0\t1:"), 1),
+     (_with_row(0, "0\t:0.5"), 1),
+     (_with_row(0, "0\t1"), 1),
+     (_with_row(0, "0\t1:0.5\t"), 1),
+     (_with_row(0, "0\t7:0.5"), 1),
+     (_with_row(0, "0\t0:0.5"), 1),
+     (_with_row(0, "0\t" + "9" * 30 + ":0.5"), 1),
+     (_with_row(0, "0\t" + "9" * 400 + ":0.5"), 1),
+     (_with_row(0, "0\t\u0663:0.5"), 1),
+     ("\n".join(_ROWS + ["5\t0:1.0", "6\tx"]), 7),
+     # a bad row is found before an id out of range on an earlier row
+     ("\n".join(["0\t9:0.5"] + _ROWS[1:] + ["5\tx"]), 6)]
+    + [(_with_row(2, f"{ent}\t3:0.125"), 3) for ent in ("02", "+2", " 2", "2.0", "2_0", "\u0662")]
+    + [(_with_row(2, f"2\t{tok}:0.125,4:1e-05"), _LISTS if tok == "03" else 3)
        for tok in _TOKENS]
-    + [("\n".join(_ROWS[:2] + [f"2\t3:{tok},4:1e-05"] + _ROWS[3:]),
-        tok in ("1.0", "1e3", "+3", "03", "-0.0"))
+    + [(_with_row(2, f"2\t3:{tok},4:1e-05"),
+        _LISTS[:2] + [[(3, _DISTANCES[tok]), (4, 1e-05)]] + _LISTS[3:]
+        if tok in _DISTANCES else 3)
        for tok in _TOKENS]
 )
 
 
 @pytest.mark.parametrize("block_chars", [neighbors._TEXT_BLOCK_CHARS, 20, 1])
-@pytest.mark.parametrize("text, taken", _PARSER_CASES)
-def test_one_pass_parser_agrees_with_per_line_parser(monkeypatch, tmp_path, text, taken,
-                                                     block_chars):
+@pytest.mark.parametrize("text, expected", _LOAD_CASES)
+def test_neighbor_set_load_outcomes(monkeypatch, tmp_path, text, expected, block_chars):
     monkeypatch.setattr(neighbors, "_TEXT_BLOCK_CHARS", block_chars)
     path = tmp_path / "nb.tsv"
     path.write_bytes(text.encode("utf-8"))
-    assert check_parsers_agree(path) == taken
+    assert parse_neighbor_list(text) == expected
+    check_load(path, expected)
 
 
 def test_neighbor_set_load_in_blocks_matches_one_block(monkeypatch, tmp_path):
@@ -313,13 +327,26 @@ def test_neighbor_set_load_in_blocks_matches_one_block(monkeypatch, tmp_path):
     nbrs = neighbors_by_distance(points(rng.standard_normal((60, 2))), "l2", 0.8)
     path = str(tmp_path / "nb.tsv")
     nbrs.save(path)
-    assert neighbors._parse_fast(path) is not None
-    for block_chars in (1, 100, 1000):
+    for block_chars in (neighbors._TEXT_BLOCK_CHARS, 1, 100, 1000):
         monkeypatch.setattr(neighbors, "_TEXT_BLOCK_CHARS", block_chars)
         back = NeighborSet.load(path)
         for a, b in ((back.indptr, nbrs.indptr), (back.indices, nbrs.indices),
                      (back.distances, nbrs.distances)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_knn_never_lists_the_entity_itself(tmp_path):
+    # every distance overflows to inf, so all candidates tie at inf
+    with np.errstate(over="ignore"):
+        nbrs = knn_by_count(points([[0.0], [1e200], [-1e200]]), "l2", 2)
+    owner = np.repeat(np.arange(3), nbrs.out_degrees())
+    assert not (nbrs.indices == owner).any()
+    path = str(tmp_path / "nb.tsv")
+    nbrs.save(path)
+    back = NeighborSet.load(path)
+    for a, b in ((back.indptr, nbrs.indptr), (back.indices, nbrs.indices),
+                 (back.distances, nbrs.distances)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def _features(metric, rng, n, dim):
