@@ -58,8 +58,8 @@ def _read_config(path: str) -> dict:
     return values
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+def _float_list(text: str) -> list[float]:
+    return [float(x) for x in text.split(",") if x.strip()]
 
 
 def _str_list(text: str) -> list[str]:
@@ -364,7 +364,7 @@ def _run_grid(args):
     menu = coherence.GridMenu(
         metrics=tuple(_str_list(args.metrics)),
         strategies=tuple(_str_list(args.strategies)),
-        sizes=tuple(_int_list(args.sizes)),
+        sizes=tuple(_float_list(args.sizes)),
         criteria=tuple(_str_list(args.criteria)),
         min_size=args.min_size,
     )
@@ -421,6 +421,9 @@ def _run_report(args):
             if not args.graph:
                 raise DataError("--subset requires --graph to resolve entity ids")
             graph = EntityGraph.load(args.graph)
+            if graph.n_entities != cats.n_entities:
+                raise DataError(f"{args.graph} has {graph.n_entities} entities, but "
+                                f"{args.categories} has n_entities = {cats.n_entities}")
             inputs += [args.graph, args.subset]
             subset = []
             with open_text(args.subset) as f:
@@ -438,7 +441,7 @@ def _run_report(args):
     if args.report_command == "quantiles":
         fm, _ = read_features(args.features)
         rows = report.distance_quantiles(
-            fm, args.metric, _int_list(args.targets), exact_limit=args.exact_limit,
+            fm, args.metric, _float_list(args.targets), exact_limit=args.exact_limit,
             sample_pairs=args.sample_pairs, seed=args.seed, workers=args.workers)
         _write(args.out, report.quantiles_csv(rows))
         params = {"metric": args.metric, "targets": args.targets}

@@ -173,7 +173,7 @@ def _score(nbrs: NeighborSet, cats: CategoryIndex, cat_ids: list[int],
         raise ValueError("neighbor set and category index cover different universes")
     if not cat_ids:
         return []
-    sizes = np.array([cats.size(cat) for cat in cat_ids], dtype=np.int64)
+    sizes = cats.members.lengths()[cat_ids]
     if sizes.min() < 2:
         raise ValueError("scoring needs categories with at least 2 members")
     n = nbrs.n
@@ -262,7 +262,7 @@ def score_categories(nbrs: NeighborSet, cats: CategoryIndex, min_size: int = 2,
     """
     if min_size < 2:
         raise ValueError("min_size must be at least 2")
-    scorable = [cat for cat in range(cats.n_categories) if cats.size(cat) >= min_size]
+    scorable = np.flatnonzero(cats.members.lengths() >= min_size).tolist()
     scores = _score(nbrs, cats, scorable, adjusted_p=adjusted_p)
     return scores, cats.n_categories - len(scorable)
 
@@ -347,8 +347,9 @@ def run_grid(features: dict[str, FeatureMatrix], cats: CategoryIndex, menu: Grid
             any_valid = True
     if not any_valid:
         raise ValueError("no valid feature/metric combination in the menu")
-    if "count" in menu.strategies and min(int(s) for s in menu.sizes) < 1:
-        raise ValueError("count sizes must be at least 1")
+    if "count" in menu.strategies and not all(float(s).is_integer() and s >= 1
+                                              for s in menu.sizes):
+        raise ValueError("count sizes must be integers of at least 1")
 
     for fname, fm in features.items():
         for metric in menu.metrics:

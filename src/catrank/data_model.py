@@ -76,8 +76,8 @@ def _is_name_list(value) -> bool:
             and len(set(value)) == len(value))
 
 
-def _index_lists(raw, count: int, n: int, where: str) -> list[np.ndarray]:
-    """``count`` JSON lists of integers in ``[0, n)``, as int64 arrays."""
+def _index_lists(raw, count: int, where: str) -> "CSR":
+    """``count`` JSON lists of integers as the rows of a CSR."""
     if not isinstance(raw, list) or len(raw) != count:
         raise DataError(f"{where}: expected {count} lists")
     arrays = []
@@ -88,24 +88,92 @@ def _index_lists(raw, count: int, n: int, where: str) -> list[np.ndarray]:
             arr = None
         if arr is None or arr.ndim != 1 or (arr.size and arr.dtype.kind != "i"):
             raise DataError(f"{where}[{i}]: expected a list of integers")
-        arrays.append(arr.astype(np.int64, copy=False))
-    flat = np.concatenate(arrays) if arrays else np.zeros(0, np.int64)
-    bad = (flat < 0) | (flat >= n)
-    if bad.any():
-        raise DataError(f"{where}: index {int(flat[bad.argmax()])} outside [0, {n})")
-    return arrays
+        arrays.append(arr)
+    return CSR.from_lists(arrays)
 
 
-def _sorted_unique(lists: list[np.ndarray], name: str) -> tuple[np.ndarray, np.ndarray]:
-    """The entries of ``lists`` concatenated, and the list each came from;
-    DataError naming ``name[i]`` unless every list is strictly increasing."""
-    flat = np.concatenate(lists) if lists else np.zeros(0, np.int64)
-    owner = np.repeat(np.arange(len(lists)), [len(a) for a in lists])
-    bad = (np.diff(flat) <= 0) & (owner[1:] == owner[:-1])
-    if bad.any():
-        raise DataError(f"{name}[{int(owner[bad.argmax()])}]: entity ids are not "
-                        "sorted and unique")
-    return flat, owner
+def _read_pairs(path: str, form: str) -> tuple[list[str], list[str]]:
+    """The two stripped cells of each ``a<TAB>b`` line of a UTF-8 TSV file;
+    blank lines and ``#`` comments are skipped. ``form`` names the columns
+    in the DataError a malformed line raises."""
+    left: list[str] = []
+    right: list[str] = []
+    with open_text(path) as f:
+        for lineno, raw in enumerate(f, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
+                raise DataError(f"{path}:{lineno}: expected '{form}', got {line!r}")
+            left.append(parts[0].strip())
+            right.append(parts[1].strip())
+    return left, right
+
+
+def _codes(names: list[str], index: dict[str, int]) -> np.ndarray:
+    return np.fromiter(map(index.__getitem__, names), dtype=np.int64, count=len(names))
+
+
+# ---------------------------------------------------------------------------
+# compressed sparse rows
+
+
+@dataclass
+class CSR:
+    """Rows of int64 ids in compressed sparse row layout: row i is
+    ``indices[indptr[i]:indptr[i + 1]]``. The one layout of graph adjacency,
+    category members and neighbor lists."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @classmethod
+    def from_lists(cls, rows) -> "CSR":
+        rows = [np.asarray(r, dtype=np.int64) for r in rows]
+        lengths = np.array([len(r) for r in rows], dtype=np.int64)
+        return cls(indptr=np.concatenate(([0], np.cumsum(lengths))),
+                   indices=np.concatenate(rows) if rows else np.zeros(0, np.int64))
+
+    @classmethod
+    def from_keys(cls, keys: np.ndarray, n_rows: int, n_cols: int) -> "CSR":
+        """Rows from sorted ``row * n_cols + col`` keys."""
+        rows, cols = np.divmod(keys, n_cols)
+        return cls(indptr=np.searchsorted(rows, np.arange(n_rows + 1)), indices=cols)
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self.indices[self.indptr[i]:self.indptr[i + 1]]
+
+    def __iter__(self):
+        bounds = self.indptr.tolist()
+        return (self.indices[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
+
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    def owners(self) -> np.ndarray:
+        """The row of each entry of ``indices``."""
+        return np.repeat(np.arange(len(self)), self.lengths())
+
+    def check(self, n: int, name: str, no_self: bool = False):
+        """DataError unless every id lies in [0, n), every row is strictly
+        increasing and, with ``no_self``, no row i holds i; reported in that
+        order, as ``name: index j outside [0, n)`` or ``name[i]: why``."""
+        flat = self.indices
+        bad = (flat < 0) | (flat >= n)
+        if bad.any():
+            raise DataError(f"{name}: index {int(flat[bad.argmax()])} outside [0, {n})")
+        owner = self.owners()
+        bad = (np.diff(flat) <= 0) & (owner[1:] == owner[:-1])
+        if bad.any():
+            raise DataError(f"{name}[{int(owner[bad.argmax()])}]: entity ids are not "
+                            "sorted and unique")
+        bad = flat == owner
+        if no_self and bad.any():
+            raise DataError(f"{name}[{int(owner[bad.argmax()])}]: self-loop")
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +191,10 @@ class GraphLoadReport:
 @dataclass
 class EntityGraph:
     """Directed adjacency over dense integer ids with a string-id dictionary;
-    each adjacency list sorted and unique, without the vertex itself."""
+    each adjacency row sorted and unique, without the vertex itself."""
 
     ids: list[str]
-    adjacency: list[np.ndarray]
+    adjacency: CSR
     index: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -139,7 +207,7 @@ class EntityGraph:
 
     @property
     def n_edges(self) -> int:
-        return sum(len(a) for a in self.adjacency)
+        return len(self.adjacency.indices)
 
     def validate(self):
         n = self.n_entities
@@ -147,11 +215,7 @@ class EntityGraph:
             raise DataError("adjacency length does not match entity count")
         if len(self.index) != n:
             raise DataError("id map is not a bijection")
-        flat, owner = _sorted_unique(self.adjacency, "adjacency")
-        for bad, why in (((flat < 0) | (flat >= n), f"index outside [0, {n})"),
-                         (flat == owner, "self-loop")):
-            if bad.any():
-                raise DataError(f"adjacency[{int(owner[bad.argmax()])}]: {why}")
+        self.adjacency.check(n, "adjacency", no_self=True)
 
     def save(self, path: str):
         payload = {
@@ -167,8 +231,7 @@ class EntityGraph:
         ids = payload["ids"]
         if not _is_name_list(ids):
             raise DataError(f"{path}: 'ids' must be a list of distinct strings")
-        adjacency = _index_lists(payload["adjacency"], len(ids), len(ids),
-                                 f"{path}: adjacency")
+        adjacency = _index_lists(payload["adjacency"], len(ids), f"{path}: adjacency")
         graph = cls(ids=ids, adjacency=adjacency)
         try:
             graph.validate()
@@ -180,58 +243,30 @@ class EntityGraph:
 def load_graph(path: str, symmetrize: bool = False):
     """Ingest a TSV edge list into an EntityGraph.
 
-    Duplicate edges are deduplicated and self-loops dropped (both counted in
-    the returned report). ``symmetrize`` adds the reverse of every retained
-    edge. Returns ``(graph, GraphLoadReport)``.
+    Ids are numbered in order of first appearance. Duplicate edges are
+    deduplicated and self-loops dropped (both counted in the returned
+    report). ``symmetrize`` adds the reverse of every retained edge. Returns
+    ``(graph, GraphLoadReport)``.
     """
-    ids: list[str] = []
-    index: dict[str, int] = {}
-
-    def intern(s: str) -> int:
-        i = index.get(s)
-        if i is None:
-            i = len(ids)
-            index[s] = i
-            ids.append(s)
-        return i
-
-    raw_edges: list[tuple[int, int]] = []
-    n_self = 0
-    with open_text(path) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-                raise DataError(f"{path}:{lineno}: expected 'src<TAB>dst', got {line!r}")
-            u = intern(parts[0].strip())
-            v = intern(parts[1].strip())
-            if u == v:
-                n_self += 1
-                continue
-            raw_edges.append((u, v))
-
+    src, dst = _read_pairs(path, "src<TAB>dst")
+    ends = [s for edge in zip(src, dst) for s in edge]
+    ids = list(dict.fromkeys(ends))
     if not ids:
         raise DataError(f"{path}: empty graph")
-
-    out: list[set[int]] = [set() for _ in ids]
-    n_dup = 0
-    for u, v in raw_edges:
-        if v in out[u]:
-            n_dup += 1
-        else:
-            out[u].add(v)
+    index = {s: i for i, s in enumerate(ids)}
+    n = len(ids)
+    u, v = _codes(ends, index).reshape(-1, 2).T
+    loop = u == v
+    raw = u[~loop] * n + v[~loop]
+    keys = np.unique(raw)
+    n_dup = len(raw) - len(keys)
     if symmetrize:
-        for u, v in raw_edges:
-            out[v].add(u)
-
-    adjacency = [np.array(sorted(s), dtype=np.int64) for s in out]
-    graph = EntityGraph(ids=ids, adjacency=adjacency, index=index)
+        keys = np.union1d(keys, keys % n * n + keys // n)
+    graph = EntityGraph(ids=ids, adjacency=CSR.from_keys(keys, n, n), index=index)
     report = GraphLoadReport(
         n_entities=graph.n_entities,
         n_edges=graph.n_edges,
-        n_self_loops_dropped=n_self,
+        n_self_loops_dropped=int(loop.sum()),
         n_duplicate_edges_dropped=n_dup,
     )
     return graph, report
@@ -250,10 +285,10 @@ class CategoryLoadReport:
 
 @dataclass
 class CategoryIndex:
-    """Category -> member entities, each member list sorted and unique."""
+    """Category -> member entities, each member row sorted and unique."""
 
     names: list[str]
-    members: list[np.ndarray]
+    members: CSR
     n_entities: int
     index: dict[str, int] = field(default_factory=dict)
 
@@ -269,7 +304,7 @@ class CategoryIndex:
         return len(self.members[c])
 
     def validate(self):
-        _sorted_unique(self.members, "members")
+        self.members.check(self.n_entities, "members")
 
     def save(self, path: str):
         payload = {
@@ -288,7 +323,7 @@ class CategoryIndex:
             raise DataError(f"{path}: 'n_entities' must be a nonnegative integer")
         if not _is_name_list(names):
             raise DataError(f"{path}: 'names' must be a list of distinct strings")
-        members = _index_lists(payload["members"], len(names), n, f"{path}: members")
+        members = _index_lists(payload["members"], len(names), f"{path}: members")
         cats = cls(names=names, members=members, n_entities=n)
         try:
             cats.validate()
@@ -300,56 +335,26 @@ class CategoryIndex:
 def load_categories(path: str, graph: EntityGraph):
     """Ingest ``entity<TAB>category`` assignments against a loaded graph.
 
-    Assignments for entities absent from the graph are skipped and counted.
-    Returns ``(CategoryIndex, CategoryLoadReport)``.
+    Categories are numbered in order of first appearance. Assignments for
+    entities absent from the graph are skipped and counted. Returns
+    ``(CategoryIndex, CategoryLoadReport)``.
     """
-    names: list[str] = []
-    cat_index: dict[str, int] = {}
-    member_sets: list[set[int]] = []
-    n_skipped = 0
-    n_dup = 0
-    n_kept = 0
-    with open_text(path) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-                raise DataError(
-                    f"{path}:{lineno}: expected 'entity<TAB>category', got {line!r}"
-                )
-            ent, cat = parts[0].strip(), parts[1].strip()
-            e = graph.index.get(ent)
-            if e is None:
-                n_skipped += 1
-                continue
-            c = cat_index.get(cat)
-            if c is None:
-                c = len(names)
-                cat_index[cat] = c
-                names.append(cat)
-                member_sets.append(set())
-            if e in member_sets[c]:
-                n_dup += 1
-            else:
-                member_sets[c].add(e)
-                n_kept += 1
-
-    if n_kept == 0:
+    ents, labels = _read_pairs(path, "entity<TAB>category")
+    e = np.fromiter((graph.index.get(s, -1) for s in ents), dtype=np.int64, count=len(ents))
+    known = e >= 0
+    labels = [c for c, k in zip(labels, known.tolist()) if k]
+    names = list(dict.fromkeys(labels))
+    cat_index = {s: i for i, s in enumerate(names)}
+    raw = _codes(labels, cat_index) * graph.n_entities + e[known]
+    keys = np.unique(raw)
+    if len(keys) == 0:
         raise DataError(f"{path}: no category assignment matched a graph entity")
-
-    members = [np.array(sorted(s), dtype=np.int64) for s in member_sets]
-    cats = CategoryIndex(
-        names=names,
-        members=members,
-        n_entities=graph.n_entities,
-        index=cat_index,
-    )
+    cats = CategoryIndex(names=names, members=CSR.from_keys(keys, len(names), graph.n_entities),
+                         n_entities=graph.n_entities, index=cat_index)
     report = CategoryLoadReport(
-        n_assignments=n_kept,
-        n_skipped_unknown_entities=n_skipped,
-        n_duplicate_assignments=n_dup,
+        n_assignments=len(keys),
+        n_skipped_unknown_entities=len(ents) - len(labels),
+        n_duplicate_assignments=len(raw) - len(keys),
     )
     return cats, report
 

@@ -53,14 +53,15 @@ class WalkConfig:
             raise ValueError("walks_per_vertex must be at least 1")
 
 
-def _single_walk(adjacency, start: int, length: int, rng) -> np.ndarray:
+def _single_walk(indptr: list[int], indices: np.ndarray, start: int, length: int,
+                 rng) -> np.ndarray:
     path = [start]
     cur = start
     while len(path) < length:
-        nbrs = adjacency[cur]
-        if len(nbrs) == 0:
+        lo, hi = indptr[cur], indptr[cur + 1]
+        if lo == hi:
             break
-        cur = int(nbrs[rng.integers(len(nbrs))])
+        cur = int(indices[lo + rng.integers(hi - lo)])
         path.append(cur)
     return np.array(path, dtype=np.int64)
 
@@ -81,8 +82,8 @@ def generate_walks(graph: EntityGraph, cfg: WalkConfig, workers: int = 1) -> lis
         for v in order_rng.permutation(n):
             schedule.append((pass_i, int(v)))
 
-    adjacency = graph.adjacency
-    return [_single_walk(adjacency, v, cfg.walk_length,
+    indptr, indices = graph.adjacency.indptr.tolist(), graph.adjacency.indices
+    return [_single_walk(indptr, indices, v, cfg.walk_length,
                          np.random.default_rng([cfg.seed, _WALK_SALT, 1, pass_i, v]))
             for pass_i, v in schedule]
 

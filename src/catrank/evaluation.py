@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -291,17 +291,7 @@ def best_cheating_score(votes: VoteDataset,
 def improved_accuracy(votes: VoteDataset, order: Sequence[int],
                       exact_limit: int = DEFAULT_EXACT_LIMIT) -> float:
     """Total points earned by the ordering divided by the cheating score."""
-    cheat, _ = best_cheating_score(votes, exact_limit)
-    if cheat <= 0:
-        raise ValueError("cheating score is zero; cannot normalize")
-    total, _, _ = _score_votes(votes, order)
-    acc = total / cheat
-    if acc > 1.0 + 1e-12:
-        logger.warning(
-            "improved accuracy %.6f exceeds 1: heuristic cheating score is suboptimal",
-            acc,
-        )
-    return acc
+    return evaluate(votes, order, exact_limit).improved_accuracy
 
 
 # ---------------------------------------------------------------------------
@@ -345,15 +335,7 @@ class EvaluationReport:
     unranked_fallback_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "total_points": self.total_points,
-            "n_answers": self.n_answers,
-            "rough_accuracy": self.rough_accuracy,
-            "cheating_score": self.cheating_score,
-            "improved_accuracy": self.improved_accuracy,
-            "agreement_histogram": self.agreement_histogram,
-            "unranked_fallback_count": self.unranked_fallback_count,
-        }
+        return asdict(self)
 
 
 def evaluate(votes: VoteDataset, order: Sequence[int],

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .data_model import FeatureMatrix, open_text, read_json_object
+from .data_model import CSR, FeatureMatrix, open_text, read_json_object
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -44,24 +44,23 @@ _TEXT_BLOCK_CHARS = 2**20
 
 
 @dataclass
-class NeighborSet:
-    """Directed close-neighbor lists with distances, CSR layout."""
+class NeighborSet(CSR):
+    """Directed close-neighbor lists: rows of neighbor ids, each with the
+    distance at the same position of ``distances``."""
 
-    indptr: np.ndarray
-    indices: np.ndarray
     distances: np.ndarray
     meta: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
-        return len(self.indptr) - 1
+        return len(self)
 
     def neighbors(self, v: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self.indptr[v], self.indptr[v + 1]
         return self.indices[lo:hi], self.distances[lo:hi]
 
     def out_degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
+        return self.lengths()
 
     def save(self, path: str):
         with open(path, "w", encoding="utf-8") as f:
@@ -81,15 +80,15 @@ class NeighborSet:
         n = len(degrees)
         if "n" in meta and meta["n"] != n:
             raise DataError(f"{path}: {n} rows, but {path}.meta.json says n = {meta['n']!r}")
+        indptr = np.concatenate(([0], np.cumsum(degrees)))
         # ids are still float64, so an id too long for int64 reads as out of range
-        owner = np.repeat(np.arange(n), degrees)
+        owner = CSR(indptr=indptr, indices=ids).owners()
         bad = (ids >= n) | (ids == owner)
         if bad.any():
             at = int(bad.argmax())
             why = f"outside [0, {n})" if ids[at] >= n else "is the entity itself"
             raise DataError(f"{path}:{linenos[owner[at]]}: neighbor index {ids[at]:.0f} {why}")
-        return cls(indptr=np.concatenate(([0], np.cumsum(degrees))),
-                   indices=ids.astype(np.int64), distances=distances, meta=meta)
+        return cls(indptr=indptr, indices=ids.astype(np.int64), distances=distances, meta=meta)
 
 
 def _parse(path: str):
@@ -371,7 +370,7 @@ def _keep_entries(nbrs: NeighborSet, keep: np.ndarray, meta: dict) -> NeighborSe
 def slice_knn(nbrs: NeighborSet, k: int) -> NeighborSet:
     """Restrict count-strategy lists to their first k entries (lists are
     sorted by (distance, index), so the prefix is the exact smaller-k result)."""
-    position = np.arange(len(nbrs.indices)) - np.repeat(nbrs.indptr[:-1], nbrs.out_degrees())
+    position = np.arange(len(nbrs.indices)) - nbrs.indptr[nbrs.owners()]
     return _keep_entries(nbrs, position < k, dict(nbrs.meta, k=k))
 
 

@@ -36,8 +36,7 @@ def category_stats(cats: CategoryIndex, subset=None, bucket_width: int = 1) -> C
     """Categories-per-entity histogram and mean, optionally for a subset too."""
     if bucket_width < 1:
         raise ValueError("bucket_width must be at least 1")
-    flat = np.concatenate(cats.members) if cats.members else np.zeros(0, np.int64)
-    counts = np.bincount(flat, minlength=cats.n_entities)
+    counts = np.bincount(cats.members.indices, minlength=cats.n_entities)
     hist = np.bincount(counts // bucket_width)
     stats = CategoryStats(
         histogram=hist.tolist(),

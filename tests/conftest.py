@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from catrank.data_model import CategoryIndex, EntityGraph
+from catrank.data_model import CSR, CategoryIndex, EntityGraph
 from catrank.neighbors import NeighborSet
 
 
@@ -17,12 +17,12 @@ def graph_from_edges(edges, ids=None):
             out[u].add(v)
     return EntityGraph(
         ids=list(ids),
-        adjacency=[np.array(sorted(s), dtype=np.int64) for s in out],
+        adjacency=CSR.from_lists(sorted(s) for s in out),
     )
 
 
 def categories_from_members(members, n_entities, names=None):
-    members = [np.array(sorted(m), dtype=np.int64) for m in members]
+    members = CSR.from_lists(sorted(m) for m in members)
     if names is None:
         names = [f"cat{i}" for i in range(len(members))]
     return CategoryIndex(

@@ -80,6 +80,60 @@ def parse_neighbor_list(text: str):
     return rows
 
 
+def _tsv_pairs(path: str):
+    with open(path, encoding="utf-8") as f:
+        for raw in f:
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                a, b = line.split("\t")
+                yield a.strip(), b.strip()
+
+
+def ingest_graph(path: str, symmetrize: bool = False):
+    """A well-formed edge list read one edge at a time into per-vertex sets:
+    ids in order of first appearance, each vertex's sorted out-neighbors, and
+    the self-loop and duplicate counts."""
+    ids, index, edges, n_self = [], {}, [], 0
+    for a, b in _tsv_pairs(path):
+        for s in (a, b):
+            if s not in index:
+                index[s] = len(ids)
+                ids.append(s)
+        if a == b:
+            n_self += 1
+        else:
+            edges.append((index[a], index[b]))
+    out = [set() for _ in ids]
+    n_dup = 0
+    for u, v in edges:
+        n_dup += v in out[u]
+        out[u].add(v)
+    if symmetrize:
+        for u, v in edges:
+            out[v].add(u)
+    return ids, [sorted(s) for s in out], n_self, n_dup
+
+
+def ingest_categories(path: str, index: dict[str, int]):
+    """A well-formed assignment file read one line at a time into
+    per-category sets: names in order of first appearance among lines naming
+    a known entity, sorted members, and the kept, skipped and duplicate
+    counts."""
+    names, members, cat_index, n_skipped, n_dup = [], [], {}, 0, 0
+    for ent, cat in _tsv_pairs(path):
+        if ent not in index:
+            n_skipped += 1
+            continue
+        if cat not in cat_index:
+            cat_index[cat] = len(names)
+            names.append(cat)
+            members.append(set())
+        n_dup += index[ent] in members[cat_index[cat]]
+        members[cat_index[cat]].add(index[ent])
+    n_kept = sum(len(m) for m in members)
+    return names, [sorted(m) for m in members], n_kept, n_skipped, n_dup
+
+
 def best_ordering_bruteforce(weights: np.ndarray) -> tuple[float, tuple[int, ...]]:
     """Scan every permutation for the maximum pairwise-consistent weight."""
     k = weights.shape[0]

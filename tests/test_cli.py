@@ -417,6 +417,15 @@ def _zero_count_size(tmp, out):
             "--strategies", "count", "--sizes", "0,5", "--out-dir", str(tmp / "grid")]
 
 
+def _stats_universe_mismatch(tmp, out):
+    cats = tmp / "two.json"
+    cats.write_text('{"n_entities": 2, "names": ["c"], "members": [[0, 1]]}', encoding="utf-8")
+    subset = tmp / "subset.txt"
+    subset.write_text("n11\n", encoding="utf-8")
+    return ["report", "stats", "--categories", str(cats), "--graph", str(out / "graph.json"),
+            "--subset", str(subset), "--out", str(tmp / "stats.txt")]
+
+
 def _empty_features(tmp, out):
     features = tmp / "empty.tsv"
     features.write_text("0 2 point\n", encoding="utf-8")
@@ -426,7 +435,7 @@ def _empty_features(tmp, out):
 
 @pytest.mark.parametrize("argv", [_bad_config, _kl_on_points, _universe_mismatch,
                                   _category_only_ranking, _zero_count_size,
-                                  _empty_features])
+                                  _stats_universe_mismatch, _empty_features])
 def test_rejected_input_exits_2_without_traceback(pipeline, capsys, argv):
     tmp, out = pipeline
     capsys.readouterr()
@@ -450,3 +459,20 @@ def test_grid_summary_quotes_feature_name(pipeline):
     assert len(rows) == 1
     assert None not in rows[0]
     assert (rows[0]["feature"], rows[0]["metric"], rows[0]["size"]) == ('f,"1"', "l2", "3")
+
+
+def test_fractional_distance_sizes_and_quantile_targets(pipeline):
+    tmp, out = pipeline
+    features = str(write_points(tmp / "f.tsv"))
+    grid_dir = tmp / "grid"
+    assert main(["grid", "--features", features, "--categories", str(out / "categories.json"),
+                 "--metrics", "l2", "--strategies", "distance", "--sizes", "1.5,3",
+                 "--criteria", "surprise", "--out-dir", str(grid_dir)]) == 0
+    summary = json.loads((grid_dir / "summary.json").read_text())
+    assert [row["size"] for row in summary["rows"]] == [1.5, 3.0]
+    assert (grid_dir / "rankings" / "features_l2_distance_1.5_surprise.csv").exists()
+    q_out = tmp / "quantiles.csv"
+    assert main(["report", "quantiles", "--features", features, "--metric", "l2",
+                 "--targets", "1.5,3", "--out", str(q_out)]) == 0
+    assert [line.split(",")[0] for line in q_out.read_text().splitlines()] == \
+        ["target_avg_neighbors", "1.5", "3"]

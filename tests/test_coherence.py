@@ -437,3 +437,22 @@ def test_grid_reuses_neighbor_sets_consistently():
     ranking = rank_categories(direct, cats, "surprise")
     key = "f|l1|count|3|surprise"
     assert result.rankings[key].ordered_categories == ranking.ordered_categories
+
+
+@pytest.mark.parametrize("size", [2.5, 0, -1.0, math.inf, math.nan])
+def test_grid_rejects_count_size_that_is_not_a_positive_integer(size):
+    rng = np.random.default_rng(28)
+    fm, cats = grid_fixture(rng, n=30)
+    menu = GridMenu(metrics=("l2",), strategies=("count",), sizes=(3, size),
+                    criteria=("surprise",))
+    with pytest.raises(ValueError, match="count sizes must be integers of at least 1"):
+        run_grid({"f": fm}, cats, menu)
+
+
+def test_grid_takes_integral_float_count_size_as_k():
+    rng = np.random.default_rng(29)
+    fm, cats = grid_fixture(rng, n=30)
+    menu = GridMenu(metrics=("l2",), strategies=("count",), sizes=(3.0,),
+                    criteria=("surprise",))
+    (row,) = run_grid({"f": fm}, cats, menu).rows
+    assert row["size"] == 3 and type(row["size"]) is int

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from catrank.data_model import (
+    CSR,
     CategoryIndex,
     EntityGraph,
     FeatureMatrix,
@@ -16,10 +17,42 @@ from catrank.data_model import (
 )
 from catrank.errors import DataError
 
+from oracles import ingest_categories, ingest_graph
+
 
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+# ---------------------------------------------------------------------------
+# compressed sparse rows
+
+
+def test_csr_rows_round_trip():
+    rows = [[], [0, 2], [], [1], []]
+    csr = CSR.from_lists(rows)
+    assert len(csr) == 5
+    assert [r.tolist() for r in csr] == rows
+    assert [csr[i].tolist() for i in range(5)] == rows
+    assert np.shares_memory(csr[1], csr.indices)
+    assert csr.indices.dtype == np.int64
+    assert csr.lengths().tolist() == [0, 2, 0, 1, 0]
+    assert csr.owners().tolist() == [1, 1, 3]
+    keys = np.array([r * 3 + c for r, row in enumerate(rows) for c in row], dtype=np.int64)
+    by_keys = CSR.from_keys(keys, 5, 3)
+    assert by_keys.indptr.tolist() == csr.indptr.tolist()
+    assert by_keys.indices.tolist() == csr.indices.tolist()
+
+
+def test_csr_with_no_rows():
+    for csr in (CSR.from_lists([]), CSR.from_keys(np.zeros(0, np.int64), 0, 4)):
+        assert len(csr) == 0
+        assert list(csr) == []
+        assert csr.indptr.tolist() == [0]
+        assert csr.lengths().tolist() == []
+        assert csr.owners().tolist() == []
+        csr.check(0, "rows", no_self=True)
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +107,60 @@ def test_graph_round_trip(tmp_path):
     assert back.ids == graph.ids
     assert back.index == graph.index
     assert all(np.array_equal(a, b) for a, b in zip(back.adjacency, graph.adjacency))
+
+
+def _random_tsv(rng, path, left, right, lines):
+    """``lines`` random ``a<TAB>b`` lines over the two name pools, with
+    padded cells, comments, blank lines and CRLF ends mixed in."""
+    out = []
+    for _ in range(lines):
+        r = rng.random()
+        if r < 0.05:
+            out.append("# comment\tline")
+        elif r < 0.1:
+            out.append(" " if r < 0.075 else "")
+        elif r < 0.2 and out:
+            out.append(out[rng.integers(len(out))])  # a repeat, or a comment again
+        else:
+            a, b = left[rng.integers(len(left))], right[rng.integers(len(right))]
+            out.append(f" {a}\t{b} " if rng.random() < 0.1 else f"{a}\t{b}")
+    ends = "\r\n" if rng.random() < 0.3 else "\n"
+    path.write_text(ends.join(out) + ends, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_ingest_matches_set_based_oracle(tmp_path, seed):
+    rng = np.random.default_rng([seed, 0x1D])
+    pool = [f"v{i}" for i in range(int(rng.integers(1, 30)))]
+    edges = _random_tsv(rng, tmp_path / "g.tsv", pool, pool, int(rng.integers(1, 120)))
+    unknown = [f"u{i}" for i in range(3)]
+    labels = [f"c{i}" for i in range(int(rng.integers(1, 8)))]
+    assignments = _random_tsv(rng, tmp_path / "c.tsv", pool + unknown, labels,
+                              int(rng.integers(1, 150)))
+    for symmetrize in (False, True):
+        graph, rep = load_graph(edges, symmetrize=symmetrize)
+        ids, adjacency, n_self, n_dup = ingest_graph(edges, symmetrize)
+        assert graph.ids == ids
+        assert graph.index == {s: i for i, s in enumerate(ids)}
+        assert isinstance(graph.adjacency, CSR)
+        assert graph.adjacency.indices.dtype == np.int64
+        assert [a.tolist() for a in graph.adjacency] == adjacency
+        assert (rep.n_entities, rep.n_edges, rep.n_self_loops_dropped,
+                rep.n_duplicate_edges_dropped) == \
+            (len(ids), sum(map(len, adjacency)), n_self, n_dup)
+        graph.validate()
+
+        names, members, n_kept, n_skipped, n_dup = ingest_categories(assignments, graph.index)
+        cats, crep = load_categories(assignments, graph)
+        assert cats.names == names
+        assert cats.index == {s: i for i, s in enumerate(names)}
+        assert cats.n_entities == len(ids)
+        assert isinstance(cats.members, CSR)
+        assert [m.tolist() for m in cats.members] == members
+        assert (crep.n_assignments, crep.n_skipped_unknown_entities,
+                crep.n_duplicate_assignments) == (n_kept, n_skipped, n_dup)
+        cats.validate()
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from catrank import metrics, neighbors
-from catrank.data_model import FeatureMatrix, open_text
+from catrank.data_model import CSR, FeatureMatrix, open_text
 from catrank.errors import DataError
 from catrank.neighbors import (
     NeighborSet,
@@ -19,6 +19,15 @@ from catrank.neighbors import (
 
 from conftest import random_simplex
 from oracles import naive_knn, parse_neighbor_list
+
+def test_neighbor_set_is_csr():
+    nbrs = NeighborSet(indptr=np.array([0, 1, 1]), indices=np.array([1]),
+                       distances=np.array([0.5]))
+    assert isinstance(nbrs, CSR)
+    assert nbrs.n == len(nbrs) == 2
+    assert [r.tolist() for r in nbrs] == [[1], []]
+    assert nbrs.out_degrees().tolist() == [1, 0]
+
 
 # 36 integer points, so l1 distances are exact and take only ten values
 GRID = np.array([[x, y] for x in range(6) for y in range(6)], dtype=np.float64)
