@@ -170,7 +170,8 @@ def build_parser() -> _Parser:
     rsub = p.add_subparsers(dest="report_command", required=True)
     rp = rsub.add_parser("stats")
     rp.add_argument("--categories", required=True)
-    rp.add_argument("--graph", help="needed to resolve --subset entity ids")
+    rp.add_argument("--graph", help="checked against --categories; needed to resolve "
+                    "--subset entity ids")
     rp.add_argument("--subset", help="file of entity ids, one per line")
     rp.add_argument("--bucket-width", type=int, default=1)
     rp.add_argument("--out", required=True)
@@ -417,14 +418,16 @@ def _run_report(args):
         cats = CategoryIndex.load(args.categories)
         inputs = [args.categories]
         subset = None
-        if args.subset:
-            if not args.graph:
-                raise DataError("--subset requires --graph to resolve entity ids")
+        if args.subset and not args.graph:
+            raise DataError("--subset requires --graph to resolve entity ids")
+        if args.graph:
             graph = EntityGraph.load(args.graph)
             if graph.n_entities != cats.n_entities:
                 raise DataError(f"{args.graph} has {graph.n_entities} entities, but "
                                 f"{args.categories} has n_entities = {cats.n_entities}")
-            inputs += [args.graph, args.subset]
+            inputs.append(args.graph)
+        if args.subset:
+            inputs.append(args.subset)
             subset = []
             with open_text(args.subset) as f:
                 for lineno, raw in enumerate(f, 1):

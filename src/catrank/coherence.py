@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.special import gammaln, logsumexp
 
 from . import evaluation
@@ -160,6 +159,28 @@ class CoherenceRanking:
         return len(self.scores)
 
 
+def _inside_counts(nbrs: NeighborSet, cats: CategoryIndex, cat_ids: list[int]) -> np.ndarray:
+    """G of every membership: how many of the member's neighbors belong to
+    the category, for the listed categories' members in order. One category
+    at a time, gathering its members' neighbor entries, so no temporary
+    spans all memberships' neighbors at once."""
+    degrees = nbrs.out_degrees()
+    mask = np.zeros(nbrs.n, dtype=bool)
+    inside = []
+    for cat in cat_ids:
+        members = cats.members[cat]
+        mask[members] = True
+        c = degrees[members]
+        ends = np.cumsum(c)
+        # positions in nbrs.indices of each member's neighbors, member by member
+        at = np.repeat(nbrs.indptr[members] - (ends - c), c) + np.arange(ends[-1])
+        hit = mask[nbrs.indices[at]]
+        inside.append(np.bincount(np.repeat(np.arange(len(members)), c)[hit],
+                                  minlength=len(members)))
+        mask[members] = False
+    return np.concatenate(inside)
+
+
 def _score(nbrs: NeighborSet, cats: CategoryIndex, cat_ids: list[int],
            universe_size: int | None = None,
            adjusted_p: bool = False) -> list[CategoryScore]:
@@ -176,22 +197,8 @@ def _score(nbrs: NeighborSet, cats: CategoryIndex, cat_ids: list[int],
     sizes = cats.members.lengths()[cat_ids]
     if sizes.min() < 2:
         raise ValueError("scoring needs categories with at least 2 members")
-    n = nbrs.n
-    # One category at a time: a single product over all memberships would
-    # hold every (member, neighbor) entry at once. int32 counts (no entity
-    # has 2**31 neighbors) halve the temporaries.
-    near = sparse.csr_matrix(
-        (np.ones(len(nbrs.indices), dtype=np.int32), nbrs.indices, nbrs.indptr),
-        shape=(n, n))
-    mask = np.zeros(n, dtype=np.int32)
-    inside = []
-    for cat in cat_ids:
-        members = cats.members[cat]
-        mask[members] = 1
-        inside.append(near[members] @ mask)
-        mask[members] = 0
     c_obs = nbrs.out_degrees()[np.concatenate([cats.members[cat] for cat in cat_ids])]
-    g_obs = np.concatenate(inside)
+    g_obs = _inside_counts(nbrs, cats, cat_ids)
 
     observed = c_obs > 0
     # One int64 per (size, C, G) key, ordered as the triples are: the size's

@@ -97,24 +97,32 @@ def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b.T
 
 
-def block(metric: str, rows: np.ndarray, q: slice | np.ndarray, prep: dict) -> np.ndarray:
-    """Distances from ``rows[q]`` to every row, as a (len(q), n) matrix."""
-    Q = rows[q]
+def block(metric: str, rows: np.ndarray, q: slice | np.ndarray, prep: dict,
+          start: int = 0) -> np.ndarray:
+    """Distances from ``rows[q]`` to ``rows[start:]``, as a (len(q), n - start)
+    matrix.
+
+    l1, l2 and js are symmetric bit for bit: each (i, j) value is computed
+    with the same operations in the same order as (j, i), so a block over the
+    columns from ``start`` on holds the same bytes as the transposed block
+    from the other side. Cosine (GEMM sums, see ``_gemm``) and kl
+    (asymmetric) are not, and their callers take full rows."""
+    Q, R = rows[q], rows[start:]
     if metric == "l1":
-        return np.abs(Q[:, None, :] - rows[None, :, :]).sum(axis=-1)
+        return np.abs(Q[:, None, :] - R[None, :, :]).sum(axis=-1)
     if metric == "l2":
-        d = Q[:, None, :] - rows[None, :, :]
+        d = Q[:, None, :] - R[None, :, :]
         return np.sqrt((d * d).sum(axis=-1))
     if metric == "cosine":
         unit = prep["unit"]
-        return np.clip(1.0 - _gemm(unit[q], unit), 0.0, 2.0)
+        return np.clip(1.0 - _gemm(unit[q], unit[start:]), 0.0, 2.0)
     if metric == "kl":
-        return prep["neg_entropy"][q][:, None] - _gemm(Q, prep["log_floor"])
+        return prep["neg_entropy"][q][:, None] - _gemm(Q, prep["log_floor"][start:])
     # js
     h = prep["neg_entropy"]
-    m = 0.5 * (Q[:, None, :] + rows[None, :, :])
+    m = 0.5 * (Q[:, None, :] + R[None, :, :])
     s = xlogy(m, m).sum(axis=-1)
-    return np.clip(0.5 * h[q][:, None] + 0.5 * h[None, :] - s, 0.0, LN2)
+    return np.clip(0.5 * h[q][:, None] + 0.5 * h[None, start:] - s, 0.0, LN2)
 
 
 def pair_distances(metric: str, rows: np.ndarray, i: np.ndarray, j: np.ndarray,

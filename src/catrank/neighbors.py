@@ -178,15 +178,24 @@ def _run_chunks(fn, chunks, workers: int):
             yield from pool.map(fn, chunks[s:s + workers])
 
 
-def _blocks(features: FeatureMatrix, metric: str, workers: int, fn):
+def _blocks(features: FeatureMatrix, metric: str, workers: int, fn, strips: bool = False):
     """``fn(chunk, d)`` for each query chunk and its distance block ``d``, a
-    writable (len(chunk), n) matrix, yielded in chunk order."""
+    writable matrix of distances from the chunk to every row, or with
+    ``strips`` to the rows from ``chunk[0]`` on, yielded in chunk order."""
     n = features.n_entities
     rows = features.rows
     prep = metrics.prepare(metric, rows)
     budget = _GEMM_BLOCK_ELEMENTS if metric in metrics.GEMM_METRICS else _BLOCK_ELEMENTS
     chunks = _query_chunks(n, budget // (n * metrics.block_width(metric, features.dim)), workers)
-    return _run_chunks(lambda c: fn(c, metrics.block(metric, rows, c, prep)), chunks, workers)
+    return _run_chunks(
+        lambda c: fn(c, metrics.block(metric, rows, c, prep, int(c[0]) if strips else 0)),
+        chunks, workers)
+
+
+def _upper(d: np.ndarray) -> np.ndarray:
+    """Where a strip from ``_blocks`` holds a pair i < j: the chunk's rows
+    start at the strip's first column, so that is above its main diagonal."""
+    return np.arange(d.shape[1]) > np.arange(len(d))[:, None]
 
 
 def _assemble(blocks, meta: dict) -> NeighborSet:
@@ -230,24 +239,39 @@ def knn_by_count(features: FeatureMatrix, metric: str, k: int, workers: int = 1)
 
 def neighbors_by_distance(features: FeatureMatrix, metric: str, d: float,
                           workers: int = 1) -> NeighborSet:
-    """All other entities within distance <= d; symmetric by construction."""
+    """All other entities within distance <= d; symmetric by construction.
+
+    For the symmetric metrics (l1, l2, js) each unordered pair is computed
+    once, from the lower index, and listed from both sides."""
     metrics.check_metric(metric, features)
     if not d >= 0:  # also rejects NaN
         raise ValueError("distance threshold must be nonnegative")
-    if features.n_entities < 1:
+    n = features.n_entities
+    if n < 1:
         raise ValueError("neighbor search needs at least 1 entity")
-
-    def within(chunk, dm):
-        near = dm <= d
-        near[np.arange(len(chunk)), chunk] = False
-        row, col = np.nonzero(near)
-        dist = dm[row, col]
-        # lexsort is stable: equal distances keep nonzero's ascending index order
-        order = np.lexsort((dist, row))
-        return np.bincount(row, minlength=len(chunk)), col[order], dist[order]
-
     meta = {"metric": metric, "strategy": "distance", "d": d, "pairs": "directed"}
-    return _assemble(_blocks(features, metric, workers, within), meta)
+
+    if metric in metrics.GEMM_METRICS:
+        def within(chunk, dm):
+            near = dm <= d
+            near[np.arange(len(chunk)), chunk] = False
+            row, col = np.nonzero(near)
+            dist = dm[row, col]
+            # lexsort is stable: equal distances keep nonzero's ascending index order
+            order = np.lexsort((dist, row))
+            return np.bincount(row, minlength=len(chunk)), col[order], dist[order]
+
+        return _assemble(_blocks(features, metric, workers, within), meta)
+
+    def upper_within(chunk, dm):
+        row, col = np.nonzero((dm <= d) & _upper(dm))
+        return row + chunk[0], col + chunk[0], dm[row, col]
+
+    lo, hi, dist = (np.concatenate(part) for part in
+                    zip(*_blocks(features, metric, workers, upper_within, strips=True)))
+    row, col, dist = np.concatenate((lo, hi)), np.concatenate((hi, lo)), np.tile(dist, 2)
+    order = np.lexsort((col, dist, row))
+    return _assemble([(np.bincount(row, minlength=n), col[order], dist[order])], meta)
 
 
 def _pooled(held: list[np.ndarray], r: int) -> np.ndarray:
@@ -287,6 +311,11 @@ def _exact_pair_distances(features: FeatureMatrix, metric: str, workers: int):
     return _blocks(features, metric, workers, flat)
 
 
+def _upper_pair_distances(features: FeatureMatrix, metric: str, workers: int):
+    """The n(n-1)/2 distances of the pairs i < j, one strip at a time."""
+    return _blocks(features, metric, workers, lambda chunk, d: d[_upper(d)], strips=True)
+
+
 def _sampled_pair_distances(features: FeatureMatrix, metric: str, sample_pairs: int,
                             seed: int):
     """Distances of ``sample_pairs`` uniform directed pairs of distinct entities."""
@@ -324,6 +353,11 @@ def calibrate_thresholds(features: FeatureMatrix, metric: str, targets,
     copies them; the blocks are one wave of ``workers``. Reading
     every target from the one kept prefix makes the results monotone in the
     target.
+
+    The exact scan of l1, l2 and js, whose distances are symmetric bit for
+    bit, computes each unordered pair once: every one of those values is
+    two directed pairs, so it keeps the ceil(r/2) smallest and reads rank r
+    at position ceil(r/2). Cosine and kl scan full rows.
     """
     metrics.check_metric(metric, features)
     n = features.n_entities
@@ -336,15 +370,20 @@ def calibrate_thresholds(features: FeatureMatrix, metric: str, targets,
         if t >= n - 1:
             raise ValueError(f"target {t} must be below n-1 = {n - 1}")
 
-    if n <= exact_limit:
-        ranks = [math.ceil(t * n) for t in targets]
-        pairs = _exact_pair_distances(features, metric, workers)
-    else:
+    if n > exact_limit:
         if sample_pairs < 1:
             raise ValueError("sample_pairs must be at least 1")
         total = n * (n - 1)
         ranks = [math.ceil(t * n / total * sample_pairs) for t in targets]
         pairs = _sampled_pair_distances(features, metric, sample_pairs, seed)
+    elif metric in metrics.GEMM_METRICS:
+        ranks = [math.ceil(t * n) for t in targets]
+        pairs = _exact_pair_distances(features, metric, workers)
+    else:
+        # each pair i < j stands for the two directed pairs of one distance,
+        # so the r-th smallest directed distance is the ceil(r/2)-th of them
+        ranks = [(math.ceil(t * n) + 1) // 2 for t in targets]
+        pairs = _upper_pair_distances(features, metric, workers)
     ranks = [max(1, r) for r in ranks]
     smallest = _smallest(pairs, max(ranks))
     return [float(smallest[r - 1]) for r in ranks]

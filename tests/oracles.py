@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
+from scipy import sparse
 
 from catrank import metrics
 
@@ -54,6 +55,22 @@ def naive_knn(rows: np.ndarray, metric: str, k: int) -> list[list[int]]:
         dists.sort()
         result.append([j for _, j in dists[:k]])
     return result
+
+
+def inside_counts_by_product(nbrs, cats, cat_ids) -> np.ndarray:
+    """G of every membership of the listed categories, member by member, as
+    one sparse product per category: the neighbor rows of the members times
+    the category's 0/1 indicator."""
+    n = nbrs.n
+    near = sparse.csr_matrix(
+        (np.ones(len(nbrs.indices), dtype=np.int64), nbrs.indices, nbrs.indptr), shape=(n, n))
+    counts = []
+    for cat in cat_ids:
+        members = cats.members[cat]
+        indicator = np.zeros(n, dtype=np.int64)
+        indicator[members] = 1
+        counts.append(near[members] @ indicator)
+    return np.concatenate(counts)
 
 
 _DISTANCE = r"(?:inf|[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"

@@ -231,6 +231,12 @@ def test_report_stats_quantiles_top(pipeline):
         "--out", str(stats_out),
     ]) == 0
     assert "mean categories per entity" in stats_out.read_text()
+    assert main([
+        "report", "stats", "--categories", str(out / "categories.json"),
+        "--graph", str(out / "graph.json"), "--out", str(stats_out),
+    ]) == 0
+    manifest = json.loads((tmp / "stats.txt.manifest.json").read_text())
+    assert list(manifest["inputs"]) == [str(out / "categories.json"), str(out / "graph.json")]
 
     subset = tmp / "subset.txt"
     subset.write_text("n0\nn1\n", encoding="utf-8")
@@ -426,6 +432,13 @@ def _stats_universe_mismatch(tmp, out):
             "--subset", str(subset), "--out", str(tmp / "stats.txt")]
 
 
+def _stats_graph_mismatch(tmp, out):
+    cats = tmp / "two.json"
+    cats.write_text('{"n_entities": 2, "names": ["c"], "members": [[0, 1]]}', encoding="utf-8")
+    return ["report", "stats", "--categories", str(cats), "--graph", str(out / "graph.json"),
+            "--out", str(tmp / "stats.txt")]
+
+
 def _empty_features(tmp, out):
     features = tmp / "empty.tsv"
     features.write_text("0 2 point\n", encoding="utf-8")
@@ -435,7 +448,8 @@ def _empty_features(tmp, out):
 
 @pytest.mark.parametrize("argv", [_bad_config, _kl_on_points, _universe_mismatch,
                                   _category_only_ranking, _zero_count_size,
-                                  _stats_universe_mismatch, _empty_features])
+                                  _stats_universe_mismatch, _stats_graph_mismatch,
+                                  _empty_features])
 def test_rejected_input_exits_2_without_traceback(pipeline, capsys, argv):
     tmp, out = pipeline
     capsys.readouterr()

@@ -20,7 +20,12 @@ from catrank.data_model import FeatureMatrix
 from catrank.neighbors import knn_by_count
 
 from conftest import categories_from_members, neighbor_set_from_lists, random_simplex
-from oracles import exact_binomial_tail, exact_binomial_tails_all_g, log_of_fraction
+from oracles import (
+    exact_binomial_tail,
+    exact_binomial_tails_all_g,
+    inside_counts_by_product,
+    log_of_fraction,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +282,26 @@ def test_surprise_random_instances_vs_exact_oracle():
             total = sum(len(lists[m]) for m in members)
             assert s.conductance == (float(Fraction(inside, total)) if total else None)
             assert conductance(s.category, nbrs, cats) == s.conductance
+
+
+def test_inside_counts_match_sparse_product():
+    # overlapping categories of every size, in an order that is not by id,
+    # over neighbor lists with empty rows and degrees up to n - 1
+    rng = np.random.default_rng(23)
+    for trial in range(20):
+        n = int(rng.integers(2, 40))
+        lists = []
+        for v in range(n):
+            others = [x for x in range(n) if x != v]
+            deg = int(rng.integers(0, n)) if rng.random() > 0.2 else 0
+            lists.append(sorted(rng.choice(others, size=deg, replace=False).tolist()))
+        member_lists = [sorted(rng.choice(n, size=int(rng.integers(2, n + 1)),
+                                          replace=False).tolist()) for _ in range(6)]
+        nbrs = neighbor_set_from_lists(lists)
+        cats = categories_from_members(member_lists, n)
+        cat_ids = rng.permutation(6).tolist()
+        got = coherence._inside_counts(nbrs, cats, cat_ids)
+        assert got.tolist() == inside_counts_by_product(nbrs, cats, cat_ids).tolist()
 
 
 def test_surprise_monotone_in_inside_count():

@@ -117,3 +117,30 @@ def test_pair_distances_matches_scalar():
         for t in range(0, 100, 9):
             assert got[t] == pytest.approx(
                 distance(metric, rows[i[t]], rows[j[t]]), rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [6, 64])
+@pytest.mark.parametrize("metric", ["l1", "l2", "js"])
+def test_symmetric_blocks_are_bitwise_transposes(metric, dim):
+    # zero rows, and for l1 and l2 rows of +-1e308 whose distances overflow
+    # to inf: each (i, j) must still carry the bytes of (j, i)
+    rng = np.random.default_rng(17)
+    n = 30
+    if metric == "js":
+        rows = random_simplex(rng, n, dim)
+        rows[:4, : dim // 2] = 0.0
+        rows[:4] /= rows[:4].sum(axis=1, keepdims=True)
+    else:
+        rows = rng.standard_normal((n, dim))
+        rows[0] = 0.0
+        rows[1, ::2] = 1e308
+        rows[2, 1::3] = -1e308
+        rows[3] = 1e308
+    prep = metrics.prepare(metric, rows)
+    with np.errstate(over="ignore"):
+        full = metrics.block(metric, rows, np.arange(n), prep)
+        for i in range(n):
+            from_i = metrics.block(metric, rows, np.array([i]), prep)[0]
+            to_i = metrics.block(metric, rows, np.arange(n), prep, start=i)[:, 0]
+            assert from_i.tobytes() == to_i.tobytes(), i
+    assert np.isinf(full).any() == (metric != "js")

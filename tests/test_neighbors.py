@@ -381,9 +381,10 @@ def _check_block_budget(monkeypatch, metric, n, dim):
     shapes = []
     block = metrics.block
 
-    def recording(*args):
-        d = block(*args)
-        shapes.append(d.shape)
+    def recording(metric, rows, q, prep, start=0):
+        d = block(metric, rows, q, prep, start)
+        assert start in (0, q[0])
+        shapes.append((*d.shape, start))
         return d
 
     monkeypatch.setattr(metrics, "block", recording)
@@ -396,10 +397,14 @@ def _check_block_budget(monkeypatch, metric, n, dim):
             got = _scan(fm, metric, workers)
             for a, b in zip(got, expected):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (budget, workers)
-            assert shapes and all(cols == n for _, cols in shapes)
-            assert all(rows * n * width <= budget or rows == 1 for rows, _ in shapes)
+            # kNN blocks span all n columns; calibration and distance-list
+            # strips of l1, l2 and js start at their first query row
+            assert shapes and all(cols == n - start for _, cols, start in shapes)
+            if workers == 2:  # always several chunks, so some start past 0
+                assert any(start for *_, start in shapes) == (metric not in metrics.GEMM_METRICS)
+            assert all(rows * n * width <= budget or rows == 1 for rows, *_ in shapes)
             if budget == 1:
-                assert all(rows == 1 for rows, _ in shapes)
+                assert all(rows == 1 for rows, *_ in shapes)
 
 
 @pytest.mark.parametrize("metric", ["l1", "l2", "cosine", "kl", "js"])
@@ -416,6 +421,11 @@ def test_block_budget_bounds_blocks_and_keeps_results_bitwise(monkeypatch, metri
     "row count"))
 @pytest.mark.parametrize("metric", ["cosine", "kl"])
 def test_gemm_blocks_bitwise_at_high_dim(monkeypatch, metric):
+    _check_block_budget(monkeypatch, metric, 70, 64)
+
+
+@pytest.mark.parametrize("metric", ["l1", "l2", "js"])
+def test_strip_blocks_bitwise_at_high_dim(monkeypatch, metric):
     _check_block_budget(monkeypatch, metric, 70, 64)
 
 
@@ -472,3 +482,78 @@ def test_sampled_calibrate_matches_full_sort(monkeypatch):
         got = calibrate_thresholds(fm, "l1", targets, exact_limit=0,
                                    sample_pairs=sample_pairs, seed=4)
         assert got == expected
+
+
+def _tied_features(metric):
+    """Nine rows with many equal distances, two of them duplicates."""
+    if metric == "js":
+        rows = np.array([[a, b, 4 - a - b] for a in range(3) for b in range(3)], float) / 4
+    else:
+        rows = np.array([[a, b] for a in range(3) for b in range(3)], float)
+    rows[8] = rows[0]
+    return FeatureMatrix(kind="distribution" if metric == "js" else "point", rows=rows)
+
+
+def _directed_matrix(fm, metric):
+    """Distances between all ordered pairs, the diagonal excluded as NaN."""
+    d = metrics.block(metric, fm.rows, np.arange(fm.n_entities),
+                      metrics.prepare(metric, fm.rows))
+    d[np.diag_indices_from(d)] = np.nan
+    return d
+
+
+@pytest.mark.parametrize("metric", ["l1", "l2", "js"])
+def test_calibrate_reads_every_rank_of_the_directed_pool(monkeypatch, metric):
+    # every rank from 1 to n(n-1), odd and even, most of them inside runs of
+    # ties, the last one the largest directed distance
+    fm = _tied_features(metric)
+    n = fm.n_entities
+    pool = np.sort(_directed_matrix(fm, metric).ravel())[:n * (n - 1)]
+    targets = [(r - 0.5) / n for r in range(1, n * (n - 1) + 1)]
+    assert [math.ceil(t * n) for t in targets] == list(range(1, n * (n - 1) + 1))
+    for budget in (neighbors._BLOCK_ELEMENTS, 2 * n * fm.dim, 1):
+        monkeypatch.setattr(neighbors, "_BLOCK_ELEMENTS", budget)
+        for workers in (1, 2):
+            got = calibrate_thresholds(fm, metric, targets, workers=workers)
+            assert np.array(got).tobytes() == pool.tobytes(), (budget, workers)
+
+
+@pytest.mark.parametrize("metric", ["l1", "l2", "js"])
+def test_calibrate_two_entities(metric):
+    rows = [[0.25, 0.75], [1.0, 0.0]] if metric == "js" else [[0.0, 0.0], [3.0, 4.0]]
+    fm = FeatureMatrix(kind="distribution" if metric == "js" else "point",
+                       rows=np.array(rows))
+    d = float(_directed_matrix(fm, metric)[0, 1])
+    # ranks 1 and 2 both read the one pair
+    assert calibrate_thresholds(fm, metric, [0.2, 0.5, 0.99]) == [d, d, d]
+
+
+# np.errstate does not reach the worker threads
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("metric", ["l1", "l2", "js"])
+@pytest.mark.parametrize("radius", [0.0, float("inf")])
+def test_distance_lists_match_full_scan(monkeypatch, metric, radius):
+    # d = 0 keeps exactly the duplicate rows; d = inf keeps everything,
+    # including the l1 and l2 distances that overflow to inf
+    fm = _tied_features(metric)
+    if metric != "js":
+        fm.rows[3] = [1e308, -1e308]
+        fm.rows[5] = fm.rows[3]
+    n = fm.n_entities
+    full = _directed_matrix(fm, metric)
+    expected_indices, expected_distances = [], []
+    for v in range(n):
+        within = sorted((full[v, u], u) for u in range(n) if u != v and full[v, u] <= radius)
+        expected_indices += [u for _, u in within]
+        expected_distances += [dist for dist, _ in within]
+    for budget in (neighbors._BLOCK_ELEMENTS, 1):
+        monkeypatch.setattr(neighbors, "_BLOCK_ELEMENTS", budget)
+        for workers in (1, 2):
+            near = neighbors_by_distance(fm, metric, radius, workers=workers)
+            assert near.indices.tolist() == expected_indices
+            assert np.array(expected_distances).tobytes() == near.distances.tobytes()
+    if radius == 0.0:
+        assert [near.neighbors(v)[0].tolist() for v in (0, 8)] == [[8], [0]]
+    else:
+        assert near.out_degrees().tolist() == [n - 1] * n
+        assert np.isinf(near.distances).any() == (metric != "js")
