@@ -241,36 +241,31 @@ def neighbors_by_distance(features: FeatureMatrix, metric: str, d: float,
                           workers: int = 1) -> NeighborSet:
     """All other entities within distance <= d; symmetric by construction.
 
-    For the symmetric metrics (l1, l2, js) each unordered pair is computed
-    once, from the lower index, and listed from both sides."""
+    Under l1, l2 and js, whose distances are the same bytes from either
+    side, each unordered pair is computed once and listed from both sides."""
     metrics.check_metric(metric, features)
     if not d >= 0:  # also rejects NaN
         raise ValueError("distance threshold must be nonnegative")
     n = features.n_entities
     if n < 1:
         raise ValueError("neighbor search needs at least 1 entity")
-    meta = {"metric": metric, "strategy": "distance", "d": d, "pairs": "directed"}
+    symmetric = metric not in metrics.GEMM_METRICS
 
-    if metric in metrics.GEMM_METRICS:
-        def within(chunk, dm):
-            near = dm <= d
+    def within(chunk, dm):
+        near = dm <= d
+        if symmetric:
+            near &= _upper(dm)
+        else:
             near[np.arange(len(chunk)), chunk] = False
-            row, col = np.nonzero(near)
-            dist = dm[row, col]
-            # lexsort is stable: equal distances keep nonzero's ascending index order
-            order = np.lexsort((dist, row))
-            return np.bincount(row, minlength=len(chunk)), col[order], dist[order]
+        row, col = np.nonzero(near)
+        return row + chunk[0], col + (chunk[0] if symmetric else 0), dm[row, col]
 
-        return _assemble(_blocks(features, metric, workers, within), meta)
-
-    def upper_within(chunk, dm):
-        row, col = np.nonzero((dm <= d) & _upper(dm))
-        return row + chunk[0], col + chunk[0], dm[row, col]
-
-    lo, hi, dist = (np.concatenate(part) for part in
-                    zip(*_blocks(features, metric, workers, upper_within, strips=True)))
-    row, col, dist = np.concatenate((lo, hi)), np.concatenate((hi, lo)), np.tile(dist, 2)
-    order = np.lexsort((col, dist, row))
+    row, col, dist = (np.concatenate(part) for part in
+                      zip(*_blocks(features, metric, workers, within, strips=symmetric)))
+    if symmetric:
+        row, col, dist = np.concatenate((row, col)), np.concatenate((col, row)), np.tile(dist, 2)
+    order = np.lexsort((col, dist, row))  # by entity, then (distance, index)
+    meta = {"metric": metric, "strategy": "distance", "d": d, "pairs": "directed"}
     return _assemble([(np.bincount(row, minlength=n), col[order], dist[order])], meta)
 
 
