@@ -66,9 +66,17 @@ def _str_list(text: str) -> list[str]:
     return [x.strip() for x in text.split(",") if x.strip()]
 
 
-def _default_workers() -> int:
-    env = os.environ.get("CATRANK_WORKERS")
-    return int(env) if env else 1
+def _workers(text: str) -> int:
+    """A worker count from ``--workers`` or ``CATRANK_WORKERS``, which argparse
+    converts when the flag is absent: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at least 1 (the flag or CATRANK_WORKERS), got {text!r}")
+    return value
 
 
 _WORKERS_HELP = ("threads for neighbor search and threshold calibration (knn, grid, "
@@ -82,7 +90,8 @@ def build_parser() -> _Parser:
 
     def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--workers", type=int, default=_default_workers(), help=_WORKERS_HELP)
+        p.add_argument("--workers", type=_workers,
+                       default=os.environ.get("CATRANK_WORKERS") or "1", help=_WORKERS_HELP)
         return p
 
     p = add("ingest", "load external files into native artifacts")
@@ -183,7 +192,7 @@ def build_parser() -> _Parser:
     rp.add_argument("--sample-pairs", type=int, default=neighbors.DEFAULT_SAMPLE_PAIRS)
     rp.add_argument("--seed", type=int, default=0)
     # SUPPRESS keeps a parent-level --workers value from being clobbered
-    rp.add_argument("--workers", type=int, default=argparse.SUPPRESS, help=_WORKERS_HELP)
+    rp.add_argument("--workers", type=_workers, default=argparse.SUPPRESS, help=_WORKERS_HELP)
     rp.add_argument("--out", required=True)
     rp = rsub.add_parser("top")
     rp.add_argument("--ranking", required=True)
@@ -502,7 +511,10 @@ def _apply_config(parser, config):
             if action.dest in config:
                 raw = config[action.dest]
                 if action.type is not None:
-                    raw = action.type(raw)
+                    try:
+                        raw = action.type(raw)
+                    except argparse.ArgumentTypeError as e:
+                        raise ValueError(f"config {action.dest}: {e}") from None
                 elif isinstance(action.const, bool) or isinstance(action.default, bool):
                     raw = raw.lower() in ("1", "true", "yes", "on")
                 defaults[action.dest] = raw

@@ -4,6 +4,11 @@ Both strategies produce a directed NeighborSet in CSR layout. Lists are
 sorted by (distance, index); ties at equal distance resolve to the lower
 entity index so reruns are reproducible. Pair distances are counted
 directed throughout, matching the asymmetry of the count strategy.
+
+Distances come in blocks of query rows. Under l1, l2 and js, whose
+distances are the same bytes from either side, a block is a strip from the
+chunk's first row on, so kNN, exact calibration and distance lists each
+compute every unordered pair once; cosine and kl blocks span full rows.
 """
 
 from __future__ import annotations
@@ -205,10 +210,52 @@ def _assemble(blocks, meta: dict) -> NeighborSet:
                        indices=indices, distances=distances, meta=meta)
 
 
+def _keep_first(dist: np.ndarray, ids: np.ndarray, m: int):
+    """The first m entries by (distance, id) of each row of candidates
+    ``dist`` with ids ``ids`` (broadcast against ``dist``), whose ids rise
+    along each row: the entries ``np.argsort(dist, axis=1, kind="stable")``
+    puts first, left in id order.
+
+    One ``np.partition`` finds each row's m-th smallest distance, the cut.
+    Every distance below the cut is kept, and the first entries equal to it
+    fill the row up to m. Comparisons take -0.0 and 0.0, and inf and inf, as
+    equal, as the stable sort does; distances are never NaN (feature rows
+    are finite)."""
+    ids = np.broadcast_to(ids, dist.shape)
+    if dist.shape[1] <= m:
+        return dist, ids
+    cut = np.partition(dist, m - 1, axis=1)[:, m - 1:m]
+    keep = dist < cut
+    tied = dist == cut
+    need = m - keep.sum(axis=1)
+    over = tied.sum(axis=1) > need
+    if over.any():
+        tied[over] &= np.cumsum(tied[over], axis=1) <= need[over, None]
+    keep |= tied
+    return dist[keep].reshape(-1, m), ids[keep].reshape(-1, m)
+
+
+def _rows(parts, lo: int, hi: int):
+    """Rows lo to hi of candidate parts ``(first row, distances, ids)``, each
+    holding the rows from its first row on, side by side."""
+    return (np.concatenate([p[1][lo - p[0]:hi - p[0]] for p in parts], axis=1),
+            np.concatenate([p[2][lo - p[0]:hi - p[0]] for p in parts], axis=1))
+
+
 def knn_by_count(features: FeatureMatrix, metric: str, k: int, workers: int = 1) -> NeighborSet:
     """Exact k nearest neighbors per entity under the metric.
 
     ``k >= n`` clamps every list to the n-1 other entities, with a warning.
+
+    Each row keeps the first k + 1 of its candidates by (distance, index),
+    found by ``_keep_first`` and then sorted, without the entity itself, or
+    without the last where that sorts later. Cosine and kl take full rows.
+    l1, l2 and js compute each unordered pair once: a chunk's strip gives
+    its own rows their candidates from the chunk on, and its columns past
+    the chunk give each later row its candidates among the chunk. Those are
+    held per row and cut back to the first k + 1 once more than 2(k + 1)
+    are held, so beyond the blocks in flight memory is O(n k) whatever
+    ``dim`` is; a row's list is final when its own chunk arrives.
     """
     metrics.check_metric(metric, features)
     n = features.n_entities
@@ -221,20 +268,37 @@ def knn_by_count(features: FeatureMatrix, metric: str, k: int, workers: int = 1)
         logger.warning("k=%d >= n=%d, clamping lists to %d neighbors", k, n, n - 1)
         clamped = True
         k = n - 1
+    m = k + 1
 
-    def nearest(chunk, d):
-        # stable sort on distance leaves equal distances in index order; drop
-        # the entity itself from the first k + 1 columns, or the last column
-        # where it sorts later
-        order = np.argsort(d, axis=1, kind="stable")[:, :k + 1]
-        drop = order == chunk[:, None]
-        drop[~drop.any(axis=1), k] = True
-        order = order[~drop].reshape(len(chunk), k)
-        return np.full(len(chunk), k), order.ravel(), np.take_along_axis(d, order, 1).ravel()
+    def nearest(chunk, dist, ids):
+        # sort the first k + 1 by (distance, index), stably so ties keep
+        # index order; drop the entity itself, or the last where it sorts later
+        dist, ids = _keep_first(dist, ids, m)
+        order = np.argsort(dist, axis=1, kind="stable")
+        dist, ids = np.take_along_axis(dist, order, 1), np.take_along_axis(ids, order, 1)
+        keep = ids != chunk[:, None]
+        keep[keep.all(axis=1), k] = False
+        return np.full(len(chunk), k), ids[keep], dist[keep]
 
     meta = {"metric": metric, "strategy": "count", "k": k, "clamped": clamped,
             "pairs": "directed"}
-    return _assemble(_blocks(features, metric, workers, nearest), meta)
+    if metric in metrics.GEMM_METRICS:
+        return _assemble(_blocks(features, metric, workers,
+                                 lambda chunk, d: nearest(chunk, d, np.arange(n))), meta)
+
+    def strip(chunk, d):
+        own = _keep_first(d, np.arange(chunk[0], n), m)
+        return chunk, own, _keep_first(d[:, len(chunk):].T, chunk, m)
+
+    lists = []
+    held = []  # (first row, distances, ids) from earlier strips
+    for chunk, own, later in _blocks(features, metric, workers, strip, strips=True):
+        lo, hi = int(chunk[0]), int(chunk[-1]) + 1
+        lists.append(nearest(chunk, *_rows(held + [(lo, *own)], lo, hi)))
+        held.append((hi, *later))
+        if sum(p[1].shape[1] for p in held) > 2 * m:
+            held = [(hi, *_keep_first(*_rows(held, hi, n), m))]
+    return _assemble(lists, meta)
 
 
 def neighbors_by_distance(features: FeatureMatrix, metric: str, d: float,

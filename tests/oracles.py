@@ -57,6 +57,24 @@ def naive_knn(rows: np.ndarray, metric: str, k: int) -> list[list[int]]:
     return result
 
 
+def knn_by_stable_sort(features, metric: str, k: int):
+    """Count-strategy lists (indptr, indices, distances) from one block of
+    every full row, as ``knn_by_count`` selected before it partitioned: a
+    stable argsort of each row, its first k + 1 columns, and without the
+    entity itself, or without the last column where that sorts later. ``k``
+    is clamped to n - 1."""
+    rows = features.rows
+    n = len(rows)
+    k = min(k, n - 1)
+    d = metrics.block(metric, rows, np.arange(n), metrics.prepare(metric, rows))
+    order = np.argsort(d, axis=1, kind="stable")[:, :k + 1]
+    drop = order == np.arange(n)[:, None]
+    drop[~drop.any(axis=1), k] = True
+    order = order[~drop].reshape(n, k)
+    return (np.concatenate(([0], np.cumsum(np.full(n, k)))), order.ravel(),
+            np.take_along_axis(d, order, 1).ravel())
+
+
 def inside_counts_by_product(nbrs, cats, cat_ids) -> np.ndarray:
     """G of every membership of the listed categories, member by member, as
     one sparse product per category: the neighbor rows of the members times

@@ -344,6 +344,29 @@ def test_workers_env_default(tmp_path, monkeypatch):
     assert args.workers == 3
 
 
+@pytest.mark.parametrize("value", ["two", "0", "-3", "1.5", " "])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_bad_worker_count_is_a_usage_error(monkeypatch, capsys, source, value):
+    argv = ["knn", "--features", "f", "--metric", "l1", "--k", "3", "--out", "o"]
+    if source == "flag":
+        argv[1:1] = [f"--workers={value}"]
+    else:
+        monkeypatch.setenv("CATRANK_WORKERS", value)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "argument --workers: expected an integer of at least 1" in err
+    assert err.rstrip().endswith(f"got {value!r}") and "Traceback" not in err
+
+
+def test_bad_worker_count_in_config_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "catrank.conf"
+    cfg.write_text("workers = 0\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "walk", "--graph", "g", "--out", "w"]) == 2
+    assert "config workers: expected an integer of at least 1" in capsys.readouterr().err
+
+
 def test_module_entry_point(tmp_path):
     graph, cats, votes = make_dataset(tmp_path)
     out = tmp_path / "work"

@@ -18,7 +18,7 @@ from catrank.neighbors import (
 )
 
 from conftest import random_simplex
-from oracles import naive_knn, parse_neighbor_list
+from oracles import knn_by_stable_sort, naive_knn, parse_neighbor_list
 
 def test_neighbor_set_is_csr():
     nbrs = NeighborSet(indptr=np.array([0, 1, 1]), indices=np.array([1]),
@@ -397,8 +397,8 @@ def _check_block_budget(monkeypatch, metric, n, dim):
             got = _scan(fm, metric, workers)
             for a, b in zip(got, expected):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (budget, workers)
-            # kNN blocks span all n columns; calibration and distance-list
-            # strips of l1, l2 and js start at their first query row
+            # the kNN, calibration and distance-list strips of l1, l2 and js
+            # start at their first query row; cosine and kl blocks span all n
             assert shapes and all(cols == n - start for _, cols, start in shapes)
             if workers == 2:  # always several chunks, so some start past 0
                 assert any(start for *_, start in shapes) == (metric not in metrics.GEMM_METRICS)
@@ -442,6 +442,51 @@ def test_lists_break_distance_ties_by_index(monkeypatch, budget, workers):
         within = sorted((np.abs(GRID[v] - GRID[u]).sum(), u) for u in range(len(GRID))
                         if u != v and np.abs(GRID[v] - GRID[u]).sum() <= 3.0)
         assert near.neighbors(v)[0].tolist() == [u for _, u in within]
+
+
+def _tied_inputs(metric, rng, n):
+    """Inputs full of equal distances: an integer grid, duplicated simplex
+    rows (zero distances, also to the entity itself) and, under l1 and l2,
+    rows of 0 and +-1e200 or +-1e308 whose distances overflow to inf."""
+    counts = rng.integers(0, 3, (n, 2)).astype(np.float64)
+    simplex = random_simplex(rng, n // 2 + 1, 3)[rng.integers(0, n // 2 + 1, n)]
+    if metric in ("kl", "js"):
+        yield FeatureMatrix(kind="distribution", rows=(counts + 1) / (counts + 1).sum(1)[:, None])
+        yield FeatureMatrix(kind="distribution", rows=simplex)
+        return
+    yield points(counts + 1 if metric == "cosine" else counts)
+    yield points(simplex)
+    if metric in ("l1", "l2"):
+        yield points(rng.choice([-1e308, -1e200, 0.0, 1e200, 1e308], (n, 2)))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("budget", [neighbors._BLOCK_ELEMENTS, 1])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("metric", ["l1", "l2", "cosine", "kl", "js"])
+def test_knn_matches_full_stable_sort(monkeypatch, metric, workers, budget):
+    # budget 1 makes every block a single row, so candidates of later rows
+    # are held and cut back many times before their own strip arrives
+    monkeypatch.setattr(neighbors, "_BLOCK_ELEMENTS", budget)
+    monkeypatch.setattr(neighbors, "_GEMM_BLOCK_ELEMENTS", budget)
+    rng = np.random.default_rng(21)
+    for n in (2, 3, 7, 20, 61):
+        for fm in _tied_inputs(metric, rng, n):
+            for k in sorted({1, 3, n - 1, n, n + 4}):
+                got = knn_by_count(fm, metric, k, workers=workers)
+                expected = knn_by_stable_sort(fm, metric, k)
+                for a, b in zip((got.indptr, got.indices, got.distances), expected):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (n, k, fm.rows)
+
+
+def test_selection_orders_signed_zeros_and_inf_like_a_stable_sort():
+    rng = np.random.default_rng(22)
+    d = rng.choice([-0.0, 0.0, 1.0, np.inf], (50, 12))
+    for m in range(1, 13):
+        dist, ids = neighbors._keep_first(d, np.arange(12), m)
+        expected = np.sort(np.argsort(d, axis=1, kind="stable")[:, :m], axis=1)
+        assert ids.tolist() == expected.tolist()
+        assert dist.tobytes() == np.take_along_axis(d, expected, 1).tobytes()
 
 
 def test_calibrate_matches_full_sort_with_ties(monkeypatch):
