@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from . import evaluation
+from . import evaluation, metrics
 from .data_model import (
     CRITERIA,
     DISTRIBUTION_ONLY_METRICS,
@@ -115,14 +115,13 @@ def binomial_log_tails(c: np.ndarray, g: np.ndarray, p: np.ndarray) -> np.ndarra
     return out
 
 
-def p_cat(cats: CategoryIndex, cat: int, universe_size: int | None = None,
-          adjusted: bool = False) -> float:
+def p_cat(cats: CategoryIndex, cat: int, adjusted: bool = False) -> float:
     """Probability that a random entity belongs to the category.
 
     ``adjusted`` switches to (size-1)/(N-1), the without-replacement view of
     an observer who is itself a member; default matches size/N.
     """
-    n = cats.n_entities if universe_size is None else universe_size
+    n = cats.n_entities
     if n < 1:
         raise ValueError("universe size must be at least 1")
     size = cats.size(cat)
@@ -182,7 +181,6 @@ def _inside_counts(nbrs: NeighborSet, cats: CategoryIndex, cat_ids: list[int]) -
 
 
 def _score(nbrs: NeighborSet, cats: CategoryIndex, cat_ids: list[int],
-           universe_size: int | None = None,
            adjusted_p: bool = False) -> list[CategoryScore]:
     """Conductance and surprise level of each listed category, in one pass.
 
@@ -210,7 +208,7 @@ def _score(nbrs: NeighborSet, cats: CategoryIndex, cat_ids: list[int],
         raise ValueError("too many distinct (size, C, G) keys to pack in int64")
     keys = (np.repeat(size_rank, sizes) * span + c_obs) * span + g_obs
     distinct, which = np.unique(keys[observed], return_inverse=True)
-    p_of_size = np.array([p_cat(cats, cat_ids[i], universe_size, adjusted=adjusted_p)
+    p_of_size = np.array([p_cat(cats, cat_ids[i], adjusted=adjusted_p)
                           for i in first_cat.tolist()])
     logs = binomial_log_tails(distinct // span % span, distinct % span,
                               p_of_size[distinct // (span * span)])[which]
@@ -251,13 +249,12 @@ def conductance(cat: int, nbrs: NeighborSet, cats: CategoryIndex) -> float | Non
 
 
 def surprise_level(cat: int, nbrs: NeighborSet, cats: CategoryIndex,
-                   universe_size: int | None = None,
                    adjusted_p: bool = False) -> tuple[float, float, int]:
     """Mean binomial-tail probability over the category's observers.
 
     Returns ``(linear, log, n_observers_used)``.
     """
-    s = _score(nbrs, cats, [cat], universe_size, adjusted_p)[0]
+    s = _score(nbrs, cats, [cat], adjusted_p)[0]
     return s.surprise, s.log_surprise, s.n_observers_used
 
 
@@ -326,8 +323,7 @@ def _config_key(feature, metric, strategy, size, criterion) -> str:
 
 def run_grid(features: dict[str, FeatureMatrix], cats: CategoryIndex, menu: GridMenu,
              votes: VoteDataset | None = None, workers: int = 1, seed: int = 0,
-             exact_limit: int | None = None, sample_pairs: int | None = None,
-             cheat_exact_limit: int = 9) -> GridResult:
+             exact_limit: int | None = None, sample_pairs: int | None = None) -> GridResult:
     """Run every valid menu combination, reusing work where possible.
 
     Neighbor sets are shared between the two criteria; count-strategy lists
@@ -337,13 +333,20 @@ def run_grid(features: dict[str, FeatureMatrix], cats: CategoryIndex, menu: Grid
     exact_limit = DEFAULT_EXACT_LIMIT if exact_limit is None else exact_limit
     sample_pairs = DEFAULT_SAMPLE_PAIRS if sample_pairs is None else sample_pairs
 
+    # the whole menu is checked before any neighbor search or cheating score
+    for metric in menu.metrics:
+        metrics.check_metric(metric)
+    for strategy in menu.strategies:
+        if strategy not in ("count", "distance"):
+            raise ValueError(f"unknown closeness strategy {strategy!r}")
+    for criterion in menu.criteria:
+        if criterion not in CRITERIA:
+            raise ValueError(f"unknown criterion {criterion!r}, expected one of {CRITERIA}")
+    if menu.min_size < 2:
+        raise ValueError("min_size must be at least 2")
     rows: list[dict] = []
     rankings: dict[str, CoherenceRanking] = {}
     skipped: list[dict] = []
-    cheat = None
-    if votes is not None:
-        cheat, _ = evaluation.best_cheating_score(votes, cheat_exact_limit)
-
     any_valid = False
     for fname, fm in features.items():
         for metric in menu.metrics:
@@ -357,6 +360,9 @@ def run_grid(features: dict[str, FeatureMatrix], cats: CategoryIndex, menu: Grid
     if "count" in menu.strategies and not all(float(s).is_integer() and s >= 1
                                               for s in menu.sizes):
         raise ValueError("count sizes must be integers of at least 1")
+    cheat = None
+    if votes is not None:
+        cheat, _ = evaluation.best_cheating_score(votes)
 
     for fname, fm in features.items():
         for metric in menu.metrics:
@@ -392,11 +398,8 @@ def run_grid(features: dict[str, FeatureMatrix], cats: CategoryIndex, menu: Grid
                         if strategy == "distance":
                             row["threshold"] = nbrs.meta.get("d")
                         if votes is not None:
-                            rep = evaluation.evaluate(
-                                votes, ranking.ordered_categories,
-                                exact_limit=cheat_exact_limit,
-                                cheating_score=cheat,
-                            )
+                            rep = evaluation.evaluate(votes, ranking.ordered_categories,
+                                                      cheating_score=cheat)
                             row.update({
                                 "total_points": rep.total_points,
                                 "rough_accuracy": rep.rough_accuracy,
@@ -414,10 +417,8 @@ def _neighbor_sets(fm, metric, strategy, sizes, workers, seed, exact_limit, samp
         ks = sorted({int(s) for s in sizes})
         full = knn_by_count(fm, metric, max(ks), workers=workers)
         return [(k, slice_knn(full, k)) for k in ks]
-    if strategy == "distance":
-        targets = sorted({float(s) for s in sizes})
-        ds = calibrate_thresholds(fm, metric, targets, exact_limit=exact_limit,
-                                  sample_pairs=sample_pairs, seed=seed, workers=workers)
-        widest = neighbors_by_distance(fm, metric, max(ds), workers=workers)
-        return [(t, filter_by_distance(widest, d)) for t, d in zip(targets, ds)]
-    raise ValueError(f"unknown closeness strategy {strategy!r}")
+    targets = sorted({float(s) for s in sizes})
+    ds = calibrate_thresholds(fm, metric, targets, exact_limit=exact_limit,
+                              sample_pairs=sample_pairs, seed=seed, workers=workers)
+    widest = neighbors_by_distance(fm, metric, max(ds), workers=workers)
+    return [(t, filter_by_distance(widest, d)) for t, d in zip(targets, ds)]

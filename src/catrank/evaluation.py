@@ -10,6 +10,11 @@ achieve when answers conflict.
 Categories missing from a ranking fall back to positions after every
 ranked category, mutually ordered by category index; evaluation therefore
 never fails on a filtered ranking, it just scores it pessimistically.
+
+Every answer is scored, and every preference counted, in one array pass
+over one layout of the votes (``_layout``): the (questions, max m) choice
+matrix padded with -1, each question's m, and each answer's question and
+voted position. ``score_answer`` stays the per-answer reference.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .data_model import CategoryIndex, VoteDataset
+from .data_model import CSR, CategoryIndex, VoteDataset
 
 logger = logging.getLogger(__name__)
 
@@ -61,28 +66,41 @@ def score_answer(voted: int, choices: Sequence[int], positions: Mapping[int, int
     return (m - i) / (m - 1)
 
 
+def _layout(votes: VoteDataset):
+    """The (choices, m, question, voted) arrays the module docstring describes."""
+    if not votes.answers:
+        raise ValueError("vote dataset has no answers")
+    m = np.array([q.m for q in votes.questions], dtype=np.int64)
+    choices = np.full((len(m), m.max()), -1, dtype=np.int64)
+    choices[np.arange(m.max()) < m[:, None]] = [c for q in votes.questions for c in q.choices]
+    answers = np.array(votes.answers, dtype=np.int64)
+    return choices, m, answers[:, 0], answers[:, 1]
+
+
 def _score_votes(votes: VoteDataset, order: Sequence[int]):
-    positions = ranking_positions(order)
-    n_ranked = len(order)
-    total = 0.0
-    max_m = max(q.m for q in votes.questions)
-    rank_counts = np.zeros(max_m, dtype=np.int64)
-    fallback_answers = 0
-    for qi, pos in votes.answers:
-        q = votes.questions[qi]
-        voted = q.choices[pos]
-        i = relative_rank(voted, q.choices, positions, n_ranked)
-        rank_counts[i - 1] += 1
-        total += (q.m - i) / (q.m - 1)
-        if any(c not in positions for c in q.choices):
-            fallback_answers += 1
-    return total, rank_counts, fallback_answers
+    """Total points, answers per relative rank and answers with an unranked
+    choice, for every answer at once."""
+    choices, m, question, voted = _layout(votes)
+    n_ids = int(choices.max()) + 1
+    ids = np.asarray(order, dtype=np.int64)
+    at = np.flatnonzero((ids >= 0) & (ids < n_ids))
+    ranked_at = np.full(n_ids, -1, dtype=np.int64)
+    np.maximum.at(ranked_at, ids[at], at)  # a repeated id keeps its last place
+    position = np.where(ranked_at >= 0, ranked_at, len(ids) + np.arange(n_ids))
+    real = choices >= 0
+    # padding sorts after every choice, so it never places ahead of one
+    pos = np.where(real, position[choices], np.iinfo(np.int64).max)
+    rank = 1 + (pos[:, None, :] < pos[:, :, None]).sum(axis=2)
+    i, m = rank[question, voted], m[question]
+    # a running sum, as a loop of += adds; np.sum's pairwise sum would differ
+    total = float(np.add.accumulate(np.append(0.0, (m - i) / (m - 1)))[-1])
+    rank_counts = np.bincount(i - 1, minlength=choices.shape[1])
+    unranked = (real & (ranked_at[choices] < 0)).any(axis=1)
+    return total, rank_counts, int(unranked[question].sum())
 
 
 def rough_accuracy(votes: VoteDataset, order: Sequence[int]) -> float:
     """Mean per-answer points against the given category ordering."""
-    if not votes.answers:
-        raise ValueError("vote dataset has no answers")
     total, _, _ = _score_votes(votes, order)
     return total / votes.n_answers
 
@@ -90,8 +108,6 @@ def rough_accuracy(votes: VoteDataset, order: Sequence[int]) -> float:
 def agreement_histogram(votes: VoteDataset, order: Sequence[int]) -> np.ndarray:
     """Fraction of answers whose voted category placed 1st, 2nd, ... among
     its question's choices."""
-    if not votes.answers:
-        raise ValueError("vote dataset has no answers")
     _, rank_counts, _ = _score_votes(votes, order)
     return rank_counts / votes.n_answers
 
@@ -106,43 +122,30 @@ class PreferenceGraph:
 
     ``counts[a][b]`` is how many answers voted a in a question also listing
     b. ``weights`` carries the same comparisons scaled by 1/(m-1), the
-    per-comparison point value, which is what the cheating score maximizes.
-    ``majority`` holds one (winner, loser, margin) per unordered pair with a
-    strict count majority; exact ties get no edge.
+    per-comparison point value, which is what the cheating score maximizes;
+    each cell adds its values in answer order. Rows and columns follow
+    ``categories``, the sorted vote categories.
     """
 
     categories: list[int]
     counts: np.ndarray
     weights: np.ndarray
-    majority: list[tuple[int, int, int]]
 
 
 def build_preference_graph(votes: VoteDataset) -> PreferenceGraph:
-    if not votes.answers:
-        raise ValueError("vote dataset has no answers")
-    cats = sorted({c for q in votes.questions for c in q.choices})
-    local = {c: i for i, c in enumerate(cats)}
+    choices, m, question, voted = _layout(votes)
+    cats = np.unique(choices[choices >= 0])
     k = len(cats)
-    counts = np.zeros((k, k), dtype=np.int64)
-    weights = np.zeros((k, k), dtype=np.float64)
-    for qi, pos in votes.answers:
-        q = votes.questions[qi]
-        a = local[q.choices[pos]]
-        w = 1.0 / (q.m - 1)
-        for c in q.choices:
-            b = local[c]
-            if b != a:
-                counts[a, b] += 1
-                weights[a, b] += w
-    majority = []
-    for a in range(k):
-        for b in range(a + 1, k):
-            if counts[a, b] > counts[b, a]:
-                majority.append((cats[a], cats[b], int(counts[a, b] - counts[b, a])))
-            elif counts[b, a] > counts[a, b]:
-                majority.append((cats[b], cats[a], int(counts[b, a] - counts[a, b])))
-    return PreferenceGraph(categories=cats, counts=counts, weights=weights,
-                           majority=majority)
+    local = np.searchsorted(cats, choices)[question]
+    winner = local[np.arange(len(question)), voted]
+    # every (voted, other choice) cell, answer by answer
+    other = (choices[question] >= 0) & (np.arange(choices.shape[1]) != voted[:, None])
+    cells = (winner[:, None] * k + local)[other]
+    weights = np.zeros(k * k)
+    np.add.at(weights, cells, np.repeat(1.0 / (m[question] - 1), m[question] - 1))
+    return PreferenceGraph(categories=cats.tolist(),
+                           counts=np.bincount(cells, minlength=k * k).reshape(k, k),
+                           weights=weights.reshape(k, k))
 
 
 def _ordering_score(weights: np.ndarray, order: Sequence[int]) -> float:
@@ -155,35 +158,34 @@ def _exact_best_ordering(weights: np.ndarray) -> tuple[float, list[int]]:
 
     Exhaustive over all orderings (the pairwise score only depends on which
     elements precede which), so the result equals a full permutation scan.
+    dp[t], the best score of subset t placed first, is the best over x in t of
+    dp[t - x] plus what t - x wins over x; ties go to the smallest t - x.
     """
     k = weights.shape[0]
     size = 1 << k
-    dp = np.full(size, -np.inf)
-    dp[0] = 0.0
-    last = np.full(size, -1, dtype=np.int64)
-    members = [[x for x in range(k) if s >> x & 1] for s in range(size)]
-    for s in range(size):
-        base = dp[s]
-        if base == -np.inf:
-            continue
-        inside = members[s]
-        for x in range(k):
-            if s >> x & 1:
-                continue
-            # x goes last in the prefix: collect wins of everything in s over x
-            gain = base + sum(weights[a, x] for a in inside)
-            t = s | (1 << x)
-            if gain > dp[t]:
-                dp[t] = gain
-                last[t] = x
-    order_rev = []
+    # won[s, x]: W[a, x] over the a in s, added in ascending a
+    won = np.zeros((size, k))
+    n_in = np.zeros(size, dtype=np.int8)
+    for b in range(k):
+        won[1 << b:2 << b] = won[:1 << b] + weights[b]
+        n_in[1 << b:2 << b] = n_in[:1 << b] + 1
+    dp = np.zeros(size)  # every t is set before a larger subset reads it
+    last = np.zeros(size, dtype=np.int64)
+    xs = np.arange(k - 1, -1, -1)  # descending x is ascending t - x
+    for n in range(1, k + 1):
+        t = np.flatnonzero(n_in == n)[:, None]
+        s = t ^ (1 << xs)
+        gain = won[s, xs]
+        gain += dp[s]
+        gain[s > t] = -np.inf  # x is not in t
+        dp[t[:, 0]] = gain.max(axis=1)
+        last[t[:, 0]] = xs[gain.argmax(axis=1)]
+    order = []
     s = size - 1
     while s:
-        x = int(last[s])
-        order_rev.append(x)
-        s ^= 1 << x
-    order = order_rev[::-1]
-    return float(dp[size - 1]), order
+        order.append(int(last[s]))
+        s ^= 1 << order[-1]
+    return float(dp[-1]), order[::-1]
 
 
 def _heuristic_best_ordering(weights: np.ndarray, counts: np.ndarray) -> tuple[float, list[int]]:
@@ -193,34 +195,29 @@ def _heuristic_best_ordering(weights: np.ndarray, counts: np.ndarray) -> tuple[f
     adj = (counts > counts.T).astype(np.int8)
     n_comp, labels = connected_components(csr_matrix(adj), directed=True,
                                           connection="strong")
-    comp_members: list[list[int]] = [[] for _ in range(n_comp)]
-    for x in range(k):
-        comp_members[labels[x]].append(x)
+    labels = labels.astype(np.int64)
+    comp_members = CSR.from_keys(np.sort(labels * k + np.arange(k)), n_comp, k)
 
     # Kahn's algorithm on the condensation, ties to the lowest member index.
-    comp_edges: list[set[int]] = [set() for _ in range(n_comp)]
-    indeg = np.zeros(n_comp, dtype=np.int64)
-    for a in range(k):
-        for b in np.flatnonzero(adj[a]):
-            ca, cb = labels[a], labels[b]
-            if ca != cb and cb not in comp_edges[ca]:
-                comp_edges[ca].add(cb)
-                indeg[cb] += 1
-    heap = [(min(comp_members[c]), c) for c in range(n_comp) if indeg[c] == 0]
+    a, b = (labels[x] for x in np.nonzero(adj))
+    cross = a != b
+    comp_edges = CSR.from_keys(np.unique(a[cross] * n_comp + b[cross]), n_comp, n_comp)
+    indeg = np.bincount(comp_edges.indices, minlength=n_comp)
+    heap = [(comp_members[c][0], c) for c in range(n_comp) if indeg[c] == 0]
     heapq.heapify(heap)
     comp_order = []
     while heap:
         _, c = heapq.heappop(heap)
         comp_order.append(c)
-        for d in comp_edges[c]:
+        for d in comp_edges[c].tolist():
             indeg[d] -= 1
             if indeg[d] == 0:
-                heapq.heappush(heap, (min(comp_members[d]), d))
+                heapq.heappush(heap, (comp_members[d][0], d))
 
     margin = weights.sum(axis=1) - weights.sum(axis=0)
     order: list[int] = []
     for c in comp_order:
-        order.extend(sorted(comp_members[c], key=lambda x: (-margin[x], x)))
+        order.extend(sorted(comp_members[c].tolist(), key=lambda x: (-margin[x], x)))
 
     # climb from several deterministic starts and keep the best; the extra
     # starts rescue the rare cases where the condensation start is in a
@@ -346,8 +343,6 @@ def evaluate(votes: VoteDataset, order: Sequence[int],
     ``cheating_score`` accepts a precomputed value so callers evaluating
     many rankings against the same votes pay for it once.
     """
-    if not votes.answers:
-        raise ValueError("vote dataset has no answers")
     total, rank_counts, fallback = _score_votes(votes, order)
     cheat = cheating_score
     if cheat is None:

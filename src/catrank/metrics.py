@@ -35,7 +35,7 @@ def check_metric(metric: str, features: FeatureMatrix | None = None):
         raise ValueError(f"metric {metric!r} requires distribution features")
 
 
-def distance(metric: str, x, y, eps: float = KL_EPS) -> float:
+def distance(metric: str, x, y) -> float:
     """Distance between two vectors under the named metric."""
     check_metric(metric)
     x = np.asarray(x, dtype=np.float64)
@@ -53,14 +53,14 @@ def distance(metric: str, x, y, eps: float = KL_EPS) -> float:
             raise ValueError("cosine distance is undefined for a zero vector")
         return float(np.clip(1.0 - (x @ y) / (nx * ny), 0.0, 2.0))
     if metric == "kl":
-        return float(xlogy(x, x).sum() - (x * np.log(np.maximum(y, eps))).sum())
+        return float(xlogy(x, x).sum() - (x * np.log(np.maximum(y, KL_EPS))).sum())
     # js
     m = 0.5 * (x + y)
     v = 0.5 * xlogy(x, x).sum() + 0.5 * xlogy(y, y).sum() - xlogy(m, m).sum()
     return float(np.clip(v, 0.0, LN2))
 
 
-def prepare(metric: str, rows: np.ndarray, eps: float = KL_EPS) -> dict:
+def prepare(metric: str, rows: np.ndarray) -> dict:
     """Precompute per-row data shared by the blocked kernels below."""
     prep: dict = {}
     if metric == "cosine":
@@ -70,7 +70,7 @@ def prepare(metric: str, rows: np.ndarray, eps: float = KL_EPS) -> dict:
             raise ValueError(f"cosine distance is undefined for zero vector at row {bad}")
         prep["unit"] = rows / norms[:, None]
     elif metric == "kl":
-        prep["log_floor"] = np.log(np.maximum(rows, eps))
+        prep["log_floor"] = np.log(np.maximum(rows, KL_EPS))
         prep["neg_entropy"] = xlogy(rows, rows).sum(axis=1)
     elif metric == "js":
         prep["neg_entropy"] = xlogy(rows, rows).sum(axis=1)
@@ -126,7 +126,7 @@ def block(metric: str, rows: np.ndarray, q: slice | np.ndarray, prep: dict,
 
 
 def pair_distances(metric: str, rows: np.ndarray, i: np.ndarray, j: np.ndarray,
-                   prep: dict, eps: float = KL_EPS) -> np.ndarray:
+                   prep: dict) -> np.ndarray:
     """Elementwise distances between ``rows[i[t]]`` and ``rows[j[t]]``."""
     if metric == "l1":
         return np.abs(rows[i] - rows[j]).sum(axis=1)

@@ -12,7 +12,7 @@ from itertools import permutations
 import numpy as np
 from scipy import sparse
 
-from catrank import metrics
+from catrank import evaluation, metrics
 
 
 def exact_binomial_tail(c: int, g: int, p: Fraction) -> Fraction:
@@ -182,6 +182,78 @@ def best_ordering_bruteforce(weights: np.ndarray) -> tuple[float, tuple[int, ...
             best = score
             best_order = perm
     return best, best_order
+
+
+def score_votes_by_loop(votes, order):
+    """``evaluation._score_votes`` one answer at a time through the
+    per-answer reference ``relative_rank``."""
+    positions = evaluation.ranking_positions(order)
+    n_ranked = len(order)
+    total = 0.0
+    max_m = max(q.m for q in votes.questions)
+    rank_counts = np.zeros(max_m, dtype=np.int64)
+    fallback_answers = 0
+    for qi, pos in votes.answers:
+        q = votes.questions[qi]
+        voted = q.choices[pos]
+        i = evaluation.relative_rank(voted, q.choices, positions, n_ranked)
+        rank_counts[i - 1] += 1
+        total += (q.m - i) / (q.m - 1)
+        if any(c not in positions for c in q.choices):
+            fallback_answers += 1
+    return total, rank_counts, fallback_answers
+
+
+def preference_graph_by_loop(votes):
+    """(categories, counts, weights) of ``evaluation.build_preference_graph``,
+    one answer and one choice at a time."""
+    cats = sorted({c for q in votes.questions for c in q.choices})
+    local = {c: i for i, c in enumerate(cats)}
+    k = len(cats)
+    counts = np.zeros((k, k), dtype=np.int64)
+    weights = np.zeros((k, k), dtype=np.float64)
+    for qi, pos in votes.answers:
+        q = votes.questions[qi]
+        a = local[q.choices[pos]]
+        w = 1.0 / (q.m - 1)
+        for c in q.choices:
+            b = local[c]
+            if b != a:
+                counts[a, b] += 1
+                weights[a, b] += w
+    return cats, counts, weights
+
+
+def exact_best_ordering_by_loop(weights: np.ndarray) -> tuple[float, list[int]]:
+    """``evaluation._exact_best_ordering`` with one Python list per subset:
+    subsets in ascending order extend by each absent x in ascending order,
+    and a later candidate replaces the best only when strictly greater."""
+    k = weights.shape[0]
+    size = 1 << k
+    dp = np.full(size, -np.inf)
+    dp[0] = 0.0
+    last = np.full(size, -1, dtype=np.int64)
+    members = [[x for x in range(k) if s >> x & 1] for s in range(size)]
+    for s in range(size):
+        base = dp[s]
+        if base == -np.inf:
+            continue
+        inside = members[s]
+        for x in range(k):
+            if s >> x & 1:
+                continue
+            gain = base + sum(weights[a, x] for a in inside)
+            t = s | (1 << x)
+            if gain > dp[t]:
+                dp[t] = gain
+                last[t] = x
+    order_rev = []
+    s = size - 1
+    while s:
+        x = int(last[s])
+        order_rev.append(x)
+        s ^= 1 << x
+    return float(dp[size - 1]), order_rev[::-1]
 
 
 def optimal_expected_code_length(freqs) -> int:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from catrank import coherence
+from catrank import coherence, evaluation
 from catrank.coherence import (
     GridMenu,
     binomial_log_tails,
@@ -16,7 +16,7 @@ from catrank.coherence import (
     score_categories,
     surprise_level,
 )
-from catrank.data_model import FeatureMatrix
+from catrank.data_model import FeatureMatrix, Question, VoteDataset
 from catrank.neighbors import knn_by_count
 
 from conftest import categories_from_members, neighbor_set_from_lists, random_simplex
@@ -481,3 +481,25 @@ def test_grid_takes_integral_float_count_size_as_k():
                     criteria=("surprise",))
     (row,) = run_grid({"f": fm}, cats, menu).rows
     assert row["size"] == 3 and type(row["size"]) is int
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"criteria": ("conductance", "bogus")}, "unknown criterion 'bogus'"),
+    ({"strategies": ("count", "bogus")}, "unknown closeness strategy 'bogus'"),
+    ({"metrics": ("l1", "l3")}, "unknown metric 'l3'"),
+    ({"min_size": 1}, "min_size must be at least 2"),
+])
+def test_grid_rejects_bad_menu_before_any_work(monkeypatch, bad, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the menu was checked")
+
+    for name in ("knn_by_count", "calibrate_thresholds", "neighbors_by_distance"):
+        monkeypatch.setattr(coherence, name, no_work)
+    monkeypatch.setattr(evaluation, "best_cheating_score", no_work)
+    rng = np.random.default_rng(30)
+    fm, cats = grid_fixture(rng, n=30)
+    votes = VoteDataset(questions=[Question(qid="q", choices=[0, 1, 2])], answers=[(0, 0)])
+    menu = GridMenu(**{"metrics": ("l1", "l2"), "strategies": ("count", "distance"),
+                       "sizes": (3,), **bad})
+    with pytest.raises(ValueError, match=message):
+        run_grid({"f": fm}, cats, menu, votes=votes)

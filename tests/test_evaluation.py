@@ -21,7 +21,12 @@ from catrank.evaluation import (
 )
 
 from conftest import categories_from_members
-from oracles import best_ordering_bruteforce
+from oracles import (
+    best_ordering_bruteforce,
+    exact_best_ordering_by_loop,
+    preference_graph_by_loop,
+    score_votes_by_loop,
+)
 
 
 def make_votes(questions, answers):
@@ -101,6 +106,49 @@ def test_agreement_histogram_consistent_votes_all_first():
     assert hist.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
 
 
+def mixed_votes(rng):
+    """Questions of 2 to 6 choices over sparse category ids, some ids unused."""
+    n_ids = int(rng.integers(6, 40))
+    questions = [rng.choice(n_ids, size=int(rng.integers(2, 7)), replace=False).tolist()
+                 for _ in range(int(rng.integers(1, 30)))]
+    answers = [(qi, int(rng.integers(len(q)))) for qi, q in enumerate(questions)
+               for _ in range(int(rng.integers(0, 5)))]
+    return make_votes(questions, answers or [(0, 0)]), n_ids
+
+
+@pytest.mark.parametrize("call", [
+    rough_accuracy, agreement_histogram, evaluate,
+    lambda votes, order: build_preference_graph(votes),
+    lambda votes, order: best_cheating_score(votes),
+])
+def test_votes_without_answers_are_rejected(call):
+    with pytest.raises(ValueError, match="vote dataset has no answers"):
+        call(make_votes([[0, 1]], []), [0, 1])
+
+
+def test_score_votes_matches_answer_loop():
+    rng = np.random.default_rng(40)
+    for _ in range(60):
+        votes, n_ids = mixed_votes(rng)
+        perm = rng.permutation(n_ids).tolist()
+        cut = int(rng.integers(0, n_ids))
+        orders = [
+            perm,
+            perm[:cut],  # partial
+            perm[:cut] + [n_ids + 3, n_ids],  # ids no question lists
+            [-1] + perm[:cut] + [-n_ids, -2],  # negative ids must not wrap around
+            perm[:cut] + perm[:2],  # a repeated id keeps its last place
+            [],
+        ]
+        for order in orders:
+            total, counts, fallback = _score_votes(votes, order)
+            want_total, want_counts, want_fallback = score_votes_by_loop(votes, order)
+            assert type(total) is float and total == want_total
+            assert counts.dtype == want_counts.dtype
+            assert counts.tobytes() == want_counts.tobytes()
+            assert fallback == want_fallback
+
+
 # ---------------------------------------------------------------------------
 # preference graph
 
@@ -113,14 +161,15 @@ def test_preference_graph_unanimous_question():
         b = pref.categories.index(other)
         assert pref.counts[a, b] == 20
         assert pref.counts[b, a] == 0
-    winners = {(w, l) for w, l, _ in pref.majority}
+    winners = {(pref.categories[w], pref.categories[l])
+               for w, l in zip(*np.nonzero(pref.counts > pref.counts.T))}
     assert winners == {(3, 0), (3, 1), (3, 2), (3, 4)}
 
 
 def test_preference_graph_tie_no_majority():
     votes = make_votes([[0, 1]], [(0, 0)] * 10 + [(0, 1)] * 10)
     pref = build_preference_graph(votes)
-    assert pref.majority == []
+    assert (pref.counts == pref.counts.T).all()
 
 
 def test_preference_graph_weights_scale():
@@ -129,6 +178,18 @@ def test_preference_graph_weights_scale():
     a = pref.categories.index(0)
     b = pref.categories.index(1)
     assert pref.weights[a, b] == pytest.approx(4 * 0.5)
+
+
+def test_preference_graph_matches_answer_loop():
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        votes, _ = mixed_votes(rng)
+        pref = build_preference_graph(votes)
+        cats, counts, weights = preference_graph_by_loop(votes)
+        assert pref.categories == cats
+        assert pref.counts.dtype == counts.dtype
+        assert pref.counts.tobytes() == counts.tobytes()
+        assert pref.weights.tobytes() == weights.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +237,16 @@ def test_exact_ordering_matches_bruteforce():
         want_score, _ = best_ordering_bruteforce(w)
         assert got_score == pytest.approx(want_score, rel=1e-12)
         assert _ordering_score(w, got_order) == pytest.approx(got_score, rel=1e-12)
+
+
+def test_exact_ordering_matches_subset_loop():
+    # integer thirds make many tied sums and tied orders
+    rng = np.random.default_rng(42)
+    for k in range(1, 13):
+        for _ in range(2 if k > 9 else 5):
+            for w in (rng.random((k, k)), rng.integers(0, 4, (k, k)) / 3):
+                np.fill_diagonal(w, 0.0)
+                assert _exact_best_ordering(w) == exact_best_ordering_by_loop(w)
 
 
 def test_heuristic_matches_bruteforce_small_instances():
