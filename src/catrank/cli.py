@@ -172,7 +172,8 @@ def build_parser() -> _Parser:
     p.add_argument("--ranking", required=True, help="ranking CSV")
     p.add_argument("--votes", required=True)
     p.add_argument("--categories", required=True)
-    p.add_argument("--exact-limit", type=int, default=evaluation.DEFAULT_EXACT_LIMIT)
+    p.add_argument("--cheat-exact-limit", type=int, default=evaluation.DEFAULT_EXACT_LIMIT,
+                   help="most vote categories for which the cheating score is exact")
     p.add_argument("--out", required=True)
 
     p = add("report", "descriptive statistics and tables")
@@ -247,7 +248,7 @@ def _run_ingest(args):
         vpath = os.path.join(args.out_dir, "votes.csv")
         save_votes(votes, cats, vpath)
         outputs.append(vpath)
-        print(f"votes: {len(votes.questions)} questions, {votes.n_answers} answers")
+        print(f"votes: {len(votes.qids)} questions, {votes.n_answers} answers")
     params = {"symmetrize": args.symmetrize, "feature_kind": args.feature_kind}
     return params, inputs, outputs
 
@@ -409,7 +410,7 @@ def _run_evaluate(args):
     cats = CategoryIndex.load(args.categories)
     votes = load_votes(args.votes, cats)
     order = report.read_ranking_csv(args.ranking, cats).ordered_categories
-    rep = evaluation.evaluate(votes, order, exact_limit=args.exact_limit)
+    rep = evaluation.evaluate(votes, order, exact_limit=args.cheat_exact_limit)
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(rep.to_dict(), f, indent=2, sort_keys=True)
         f.write("\n")
@@ -418,7 +419,7 @@ def _run_evaluate(args):
           f"(cheating score {rep.cheating_score:g} of {rep.n_answers})")
     for i, frac in enumerate(rep.agreement_histogram, 1):
         print(f"agreement {i}: {frac:.4f}")
-    params = {"exact_limit": args.exact_limit}
+    params = {"cheat_exact_limit": args.cheat_exact_limit}
     return params, [args.ranking, args.votes, args.categories], [args.out]
 
 

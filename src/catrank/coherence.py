@@ -271,21 +271,25 @@ def score_categories(nbrs: NeighborSet, cats: CategoryIndex, min_size: int = 2,
     return scores, cats.n_categories - len(scorable)
 
 
+def _check_criterion(criterion: str):
+    if criterion not in CRITERIA:
+        raise ValueError(f"unknown criterion {criterion!r}, expected one of {CRITERIA}")
+
+
 def _order_scores(scores: list[CategoryScore], criterion: str) -> list[CategoryScore]:
     if criterion == "conductance":
         # undefined conductance sorts after everything defined
         key = lambda s: (s.conductance is None, -(s.conductance or 0.0),
                          -s.n_members, s.category)
-    elif criterion == "surprise":
-        key = lambda s: (s.log_surprise, -s.n_members, s.category)
     else:
-        raise ValueError(f"unknown criterion {criterion!r}, expected one of {CRITERIA}")
+        key = lambda s: (s.log_surprise, -s.n_members, s.category)
     return sorted(scores, key=key)
 
 
 def rank_categories(nbrs: NeighborSet, cats: CategoryIndex, criterion: str,
                     min_size: int = 2, adjusted_p: bool = False) -> CoherenceRanking:
     """Score and order all categories with at least ``min_size`` members."""
+    _check_criterion(criterion)
     scores, skipped = score_categories(nbrs, cats, min_size, adjusted_p)
     if not scores:
         raise ValueError("no scorable category (all below min_size)")
@@ -340,8 +344,7 @@ def run_grid(features: dict[str, FeatureMatrix], cats: CategoryIndex, menu: Grid
         if strategy not in ("count", "distance"):
             raise ValueError(f"unknown closeness strategy {strategy!r}")
     for criterion in menu.criteria:
-        if criterion not in CRITERIA:
-            raise ValueError(f"unknown criterion {criterion!r}, expected one of {CRITERIA}")
+        _check_criterion(criterion)
     if menu.min_size < 2:
         raise ValueError("min_size must be at least 2")
     rows: list[dict] = []

@@ -10,8 +10,10 @@ External formats:
   votes       UTF-8 CSV with header, ``question_id,choice_1,...,choice_m,
               voted_index`` (1-based voted index)
 
-Every loaded structure is immutable by convention once built and safe to
-share across parallel workers.
+In memory, id rows (adjacency, category members, neighbor lists) are one
+``CSR`` layout, and a vote set is one ``VoteDataset`` array layout that
+the evaluation kernels read as it is. Every loaded structure is immutable
+by convention once built and safe to share across parallel workers.
 """
 
 from __future__ import annotations
@@ -378,18 +380,6 @@ class FeatureMatrix:
     def dim(self) -> int:
         return self.rows.shape[1]
 
-    def validate(self):
-        if self.kind not in FEATURE_KINDS:
-            raise DataError(f"unknown feature kind {self.kind!r}")
-        if not np.all(np.isfinite(self.rows)):
-            raise DataError("feature rows contain non-finite components")
-        if self.kind == "distribution":
-            if np.any(self.rows < 0):
-                raise DataError("distribution rows contain negative components")
-            sums = self.rows.sum(axis=1)
-            if np.any(np.abs(sums - 1.0) > 1e-6):
-                raise DataError("distribution rows do not sum to 1 within 1e-6")
-
 
 def _normalize_distribution_rows(rows: np.ndarray, context: str):
     if np.any(rows < 0):
@@ -556,44 +546,46 @@ def save_features_binary(fm: FeatureMatrix, ids: list[str], path: str):
 
 
 @dataclass
-class Question:
-    qid: str
-    choices: list[int]
-
-    @property
-    def m(self) -> int:
-        return len(self.choices)
-
-
-@dataclass
 class VoteDataset:
-    """Multiple-choice questions over categories plus individual answers.
+    """Multiple-choice questions over categories plus individual answers,
+    held as arrays.
 
-    Answers are ``(question position, voted position)`` pairs, both 0-based.
+    Question q is ``qids[q]`` with the category ids ``choices[q]``: a
+    (questions, max m) matrix whose rows are padded with -1 past their
+    question's m. Answer a voted the choice at position ``voted[a]`` of
+    question ``question[a]``, both 0-based.
     """
 
-    questions: list[Question]
-    answers: list[tuple[int, int]]
+    qids: list[str]
+    choices: np.ndarray
+    question: np.ndarray
+    voted: np.ndarray
+
+    @classmethod
+    def from_lists(cls, qids: list[str], choice_lists, answers) -> "VoteDataset":
+        """The layout of one choice list per question and ``(question
+        position, voted position)`` answers."""
+        m = np.array([len(c) for c in choice_lists], dtype=np.int64)
+        width = m.max(initial=0)
+        choices = np.full((len(m), width), -1, dtype=np.int64)
+        choices[np.arange(width) < m[:, None]] = [c for row in choice_lists for c in row]
+        answers = np.array(answers, dtype=np.int64).reshape(-1, 2)
+        return cls(qids=list(qids), choices=choices, question=answers[:, 0], voted=answers[:, 1])
+
+    @property
+    def m(self) -> np.ndarray:
+        """Each question's choice count."""
+        return (self.choices >= 0).sum(axis=1)
 
     @property
     def n_answers(self) -> int:
-        return len(self.answers)
-
-    def validate(self):
-        for qi, pos in self.answers:
-            q = self.questions[qi]
-            if not 0 <= pos < q.m:
-                raise DataError(f"answer position {pos} outside question {q.qid}")
-        for q in self.questions:
-            if len(set(q.choices)) != q.m:
-                raise DataError(f"question {q.qid} has duplicate choices")
-            if q.m < 2:
-                raise DataError(f"question {q.qid} has fewer than 2 choices")
+        return len(self.question)
 
 
 def load_votes(path: str, cats: CategoryIndex) -> VoteDataset:
     """Ingest the vote CSV; choice columns carry category names."""
-    questions: list[Question] = []
+    qids: list[str] = []
+    choice_lists: list[list[int]] = []
     by_id: dict[str, int] = {}
     answers: list[tuple[int, int]] = []
     with open_text(path, newline="") as f:
@@ -628,10 +620,11 @@ def load_votes(path: str, cats: CategoryIndex) -> VoteDataset:
                 raise DataError(f"{path}:{rowno}: duplicate categories in choices")
             qi = by_id.get(qid)
             if qi is None:
-                qi = len(questions)
+                qi = len(qids)
                 by_id[qid] = qi
-                questions.append(Question(qid=qid, choices=choices))
-            elif questions[qi].choices != choices:
+                qids.append(qid)
+                choice_lists.append(choices)
+            elif choice_lists[qi] != choices:
                 raise DataError(
                     f"{path}:{rowno}: question {qid!r} repeats with different choices"
                 )
@@ -639,20 +632,19 @@ def load_votes(path: str, cats: CategoryIndex) -> VoteDataset:
 
     if not answers:
         raise DataError(f"{path}: no answers")
-    return VoteDataset(questions=questions, answers=answers)
+    return VoteDataset.from_lists(qids, choice_lists, answers)
 
 
 def save_votes(votes: VoteDataset, cats: CategoryIndex, path: str):
-    ms = {q.m for q in votes.questions}
-    if len(ms) > 1:
+    if (votes.choices < 0).any():
         raise ValueError("CSV vote format requires a uniform choice count per file")
-    m = ms.pop()
+    m = votes.choices.shape[1]
+    names = [[cats.names[c] for c in row] for row in votes.choices.tolist()]
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["question_id"] + [f"choice_{i + 1}" for i in range(m)] + ["voted_index"])
-        for qi, pos in votes.answers:
-            q = votes.questions[qi]
-            writer.writerow([q.qid] + [cats.names[c] for c in q.choices] + [pos + 1])
+        for qi, pos in zip(votes.question.tolist(), votes.voted.tolist()):
+            writer.writerow([votes.qids[qi]] + names[qi] + [pos + 1])
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ ranked category, mutually ordered by category index; evaluation therefore
 never fails on a filtered ranking, it just scores it pessimistically.
 
 Every answer is scored, and every preference counted, in one array pass
-over one layout of the votes (``_layout``): the (questions, max m) choice
-matrix padded with -1, each question's m, and each answer's question and
-voted position. ``score_answer`` stays the per-answer reference.
+over the layout ``VoteDataset`` holds from load on: the (questions, max m)
+choice matrix padded with -1 and each answer's question and voted
+position. ``score_answer`` stays the per-answer reference.
 """
 
 from __future__ import annotations
@@ -66,21 +66,16 @@ def score_answer(voted: int, choices: Sequence[int], positions: Mapping[int, int
     return (m - i) / (m - 1)
 
 
-def _layout(votes: VoteDataset):
-    """The (choices, m, question, voted) arrays the module docstring describes."""
-    if not votes.answers:
+def _require_answers(votes: VoteDataset):
+    if not votes.n_answers:
         raise ValueError("vote dataset has no answers")
-    m = np.array([q.m for q in votes.questions], dtype=np.int64)
-    choices = np.full((len(m), m.max()), -1, dtype=np.int64)
-    choices[np.arange(m.max()) < m[:, None]] = [c for q in votes.questions for c in q.choices]
-    answers = np.array(votes.answers, dtype=np.int64)
-    return choices, m, answers[:, 0], answers[:, 1]
 
 
 def _score_votes(votes: VoteDataset, order: Sequence[int]):
     """Total points, answers per relative rank and answers with an unranked
     choice, for every answer at once."""
-    choices, m, question, voted = _layout(votes)
+    _require_answers(votes)
+    choices, question, voted = votes.choices, votes.question, votes.voted
     n_ids = int(choices.max()) + 1
     ids = np.asarray(order, dtype=np.int64)
     at = np.flatnonzero((ids >= 0) & (ids < n_ids))
@@ -91,7 +86,7 @@ def _score_votes(votes: VoteDataset, order: Sequence[int]):
     # padding sorts after every choice, so it never places ahead of one
     pos = np.where(real, position[choices], np.iinfo(np.int64).max)
     rank = 1 + (pos[:, None, :] < pos[:, :, None]).sum(axis=2)
-    i, m = rank[question, voted], m[question]
+    i, m = rank[question, voted], votes.m[question]
     # a running sum, as a loop of += adds; np.sum's pairwise sum would differ
     total = float(np.add.accumulate(np.append(0.0, (m - i) / (m - 1)))[-1])
     rank_counts = np.bincount(i - 1, minlength=choices.shape[1])
@@ -133,7 +128,9 @@ class PreferenceGraph:
 
 
 def build_preference_graph(votes: VoteDataset) -> PreferenceGraph:
-    choices, m, question, voted = _layout(votes)
+    _require_answers(votes)
+    choices, question, voted = votes.choices, votes.question, votes.voted
+    m = votes.m[question]
     cats = np.unique(choices[choices >= 0])
     k = len(cats)
     local = np.searchsorted(cats, choices)[question]
@@ -142,7 +139,7 @@ def build_preference_graph(votes: VoteDataset) -> PreferenceGraph:
     other = (choices[question] >= 0) & (np.arange(choices.shape[1]) != voted[:, None])
     cells = (winner[:, None] * k + local)[other]
     weights = np.zeros(k * k)
-    np.add.at(weights, cells, np.repeat(1.0 / (m[question] - 1), m[question] - 1))
+    np.add.at(weights, cells, np.repeat(1.0 / (m - 1), m - 1))
     return PreferenceGraph(categories=cats.tolist(),
                            counts=np.bincount(cells, minlength=k * k).reshape(k, k),
                            weights=weights.reshape(k, k))
@@ -306,14 +303,13 @@ def co_prob(a: int, b: int, votes: VoteDataset | None = None,
     if (votes is None) == (cats is None):
         raise ValueError("pass exactly one of votes= or cats=")
     if votes is not None:
-        in_a = {qi for qi, q in enumerate(votes.questions) if a in q.choices}
-        in_b = {qi for qi, q in enumerate(votes.questions) if b in q.choices}
+        real = votes.choices >= 0
+        in_a, in_b = (np.flatnonzero((real & (votes.choices == c)).any(axis=1)) for c in (a, b))
     else:
-        in_a = set(cats.members[a].tolist())
-        in_b = set(cats.members[b].tolist())
-    if not in_a or not in_b:
+        in_a, in_b = cats.members[a], cats.members[b]
+    if not len(in_a) or not len(in_b):
         return None
-    both = len(in_a & in_b)
+    both = len(np.intersect1d(in_a, in_b, assume_unique=True))
     return math.sqrt((both / len(in_b)) * (both / len(in_a)))
 
 

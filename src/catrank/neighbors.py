@@ -424,10 +424,9 @@ def calibrate_thresholds(features: FeatureMatrix, metric: str, targets,
     if not targets:
         raise ValueError("no calibration targets given")
     for t in targets:
-        if t <= 0:
-            raise ValueError("target average neighbor count must be positive")
-        if t >= n - 1:
-            raise ValueError(f"target {t} must be below n-1 = {n - 1}")
+        if not 0 < t < n - 1:  # also rejects NaN
+            raise ValueError(f"target average neighbor count {t} must be positive and "
+                             f"below n-1 = {n - 1}")
 
     if n > exact_limit:
         if sample_pairs < 1:

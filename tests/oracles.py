@@ -184,22 +184,33 @@ def best_ordering_bruteforce(weights: np.ndarray) -> tuple[float, tuple[int, ...
     return best, best_order
 
 
+def question_lists(votes) -> list[list[int]]:
+    """Each question's choices as a list, the -1 padding dropped."""
+    return [[c for c in row if c >= 0] for row in votes.choices.tolist()]
+
+
+def answer_pairs(votes) -> list[tuple[int, int]]:
+    """Each answer as a ``(question position, voted position)`` pair."""
+    return list(zip(votes.question.tolist(), votes.voted.tolist()))
+
+
 def score_votes_by_loop(votes, order):
     """``evaluation._score_votes`` one answer at a time through the
     per-answer reference ``relative_rank``."""
     positions = evaluation.ranking_positions(order)
     n_ranked = len(order)
     total = 0.0
-    max_m = max(q.m for q in votes.questions)
+    questions = question_lists(votes)
+    max_m = max(len(q) for q in questions)
     rank_counts = np.zeros(max_m, dtype=np.int64)
     fallback_answers = 0
-    for qi, pos in votes.answers:
-        q = votes.questions[qi]
-        voted = q.choices[pos]
-        i = evaluation.relative_rank(voted, q.choices, positions, n_ranked)
+    for qi, pos in answer_pairs(votes):
+        q = questions[qi]
+        voted = q[pos]
+        i = evaluation.relative_rank(voted, q, positions, n_ranked)
         rank_counts[i - 1] += 1
-        total += (q.m - i) / (q.m - 1)
-        if any(c not in positions for c in q.choices):
+        total += (len(q) - i) / (len(q) - 1)
+        if any(c not in positions for c in q):
             fallback_answers += 1
     return total, rank_counts, fallback_answers
 
@@ -207,16 +218,17 @@ def score_votes_by_loop(votes, order):
 def preference_graph_by_loop(votes):
     """(categories, counts, weights) of ``evaluation.build_preference_graph``,
     one answer and one choice at a time."""
-    cats = sorted({c for q in votes.questions for c in q.choices})
+    questions = question_lists(votes)
+    cats = sorted({c for q in questions for c in q})
     local = {c: i for i, c in enumerate(cats)}
     k = len(cats)
     counts = np.zeros((k, k), dtype=np.int64)
     weights = np.zeros((k, k), dtype=np.float64)
-    for qi, pos in votes.answers:
-        q = votes.questions[qi]
-        a = local[q.choices[pos]]
-        w = 1.0 / (q.m - 1)
-        for c in q.choices:
+    for qi, pos in answer_pairs(votes):
+        q = questions[qi]
+        a = local[q[pos]]
+        w = 1.0 / (len(q) - 1)
+        for c in q:
             b = local[c]
             if b != a:
                 counts[a, b] += 1

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import catrank
+from catrank import evaluation, neighbors
 from catrank.cli import main
 from catrank.data_model import FeatureMatrix, read_features, save_features_text
 from catrank.neighbors import (
@@ -326,6 +327,47 @@ def test_config_reaches_nested_report_args(tmp_path):
         str(out / "categories.json"), "--out", str(stats_out),
     ]) == 0
     assert "bucket width 2" in stats_out.read_text()
+
+
+@pytest.mark.parametrize("key, dest", [("exact-limit", "exact_limit"),
+                                       ("cheat-exact-limit", "cheat_exact_limit")])
+def test_limit_config_keys_reach_only_their_subcommands(key, dest):
+    from catrank.cli import _apply_config, build_parser
+
+    argvs = {
+        "exact_limit": [["knn", "--features", "f", "--metric", "l2", "--avg-target", "3",
+                         "--out", "o"],
+                        ["grid", "--features", "f", "--categories", "c", "--out-dir", "d"],
+                        ["report", "quantiles", "--features", "f", "--metric", "l2",
+                         "--out", "o"]],
+        "cheat_exact_limit": [["evaluate", "--ranking", "r", "--votes", "v",
+                               "--categories", "c", "--out", "o"]],
+    }
+    defaults = {"exact_limit": neighbors.DEFAULT_EXACT_LIMIT,
+                "cheat_exact_limit": evaluation.DEFAULT_EXACT_LIMIT}
+    parser = build_parser()
+    _apply_config(parser, {dest: "12"})
+    for owner, argv_list in argvs.items():
+        for argv in argv_list:
+            args = vars(parser.parse_args(argv))
+            assert [d for d in defaults if d in args] == [owner]
+            assert args[owner] == (12 if owner == dest else defaults[owner])
+
+
+def test_evaluate_manifest_records_cheat_exact_limit(pipeline):
+    tmp, out = pipeline
+    ranking = tmp / "ranking.csv"
+    assert main(["rank", "--neighbors", str(write_clique_neighbors(tmp / "nb.tsv")),
+                 "--categories", str(out / "categories.json"), "--criterion", "surprise",
+                 "--out", str(ranking)]) == 0
+    report_path = tmp / "report.json"
+    assert main([
+        "evaluate", "--ranking", str(ranking), "--votes", str(out / "votes.csv"),
+        "--categories", str(out / "categories.json"), "--cheat-exact-limit", "0",
+        "--out", str(report_path),
+    ]) == 0
+    manifest = json.loads((tmp / "report.json.manifest.json").read_text())
+    assert manifest["parameters"] == {"cheat_exact_limit": 0}
 
 
 def test_unknown_config_key_rejected(tmp_path):

@@ -16,7 +16,7 @@ from catrank.coherence import (
     score_categories,
     surprise_level,
 )
-from catrank.data_model import FeatureMatrix, Question, VoteDataset
+from catrank.data_model import FeatureMatrix, VoteDataset
 from catrank.neighbors import knn_by_count
 
 from conftest import categories_from_members, neighbor_set_from_lists, random_simplex
@@ -343,6 +343,17 @@ def test_rank_all_singletons_errors():
         rank_categories(nbrs, cats, "surprise")
 
 
+def test_rank_rejects_unknown_criterion_before_scoring(monkeypatch):
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("categories were scored before the criterion was checked")
+
+    monkeypatch.setattr(coherence, "score_categories", no_scoring)
+    nbrs = neighbor_set_from_lists([[1], [0], [1]])
+    cats = categories_from_members([[0, 1], [2]], 3)
+    with pytest.raises(ValueError, match="unknown criterion 'bogus'"):
+        rank_categories(nbrs, cats, "bogus")
+
+
 def test_rank_single_scorable_category():
     nbrs = neighbor_set_from_lists([[1], [0], [1]])
     cats = categories_from_members([[0, 1], [2]], 3)
@@ -498,7 +509,7 @@ def test_grid_rejects_bad_menu_before_any_work(monkeypatch, bad, message):
     monkeypatch.setattr(evaluation, "best_cheating_score", no_work)
     rng = np.random.default_rng(30)
     fm, cats = grid_fixture(rng, n=30)
-    votes = VoteDataset(questions=[Question(qid="q", choices=[0, 1, 2])], answers=[(0, 0)])
+    votes = VoteDataset.from_lists(["q"], [[0, 1, 2]], [(0, 0)])
     menu = GridMenu(**{"metrics": ("l1", "l2"), "strategies": ("count", "distance"),
                        "sizes": (3,), **bad})
     with pytest.raises(ValueError, match=message):

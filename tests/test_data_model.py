@@ -6,6 +6,7 @@ from catrank.data_model import (
     CategoryIndex,
     EntityGraph,
     FeatureMatrix,
+    VoteDataset,
     load_categories,
     load_features,
     load_graph,
@@ -222,7 +223,6 @@ def test_load_features_renormalizes(tmp_path, small_graph):
     p = write(tmp_path / "f.tsv", "2 2 distribution\nA\t0.499999 0.5\nB\t0.25 0.75\n")
     fm = load_features(p, "distribution", small_graph)
     assert abs(fm.rows[0].sum() - 1.0) <= 1e-6
-    fm.validate()
 
 
 def test_load_features_sum_out_of_bounds(tmp_path, small_graph):
@@ -305,10 +305,20 @@ def test_load_votes_basic(tmp_path, vote_cats):
         "q2,c2,c3,c4,c5,c6,5",
     ]))
     votes = load_votes(p, vote_cats)
-    assert len(votes.questions) == 2
+    assert votes.qids == ["q1", "q2"]
+    assert votes.choices.tolist() == [[0, 1, 2, 3, 4], [1, 2, 3, 4, 5]]
     assert votes.n_answers == 3
-    assert votes.answers[1] == (0, 2)
-    votes.validate()
+    assert (votes.question[1], votes.voted[1]) == (0, 2)
+
+
+def test_vote_layout_pads_short_questions(tmp_path, vote_cats):
+    votes = VoteDataset.from_lists(["a", "b"], [[3, 1, 4], [0, 2]], [(1, 1), (0, 2)])
+    assert votes.choices.tolist() == [[3, 1, 4], [0, 2, -1]]
+    assert votes.m.tolist() == [3, 2]
+    assert (votes.question.tolist(), votes.voted.tolist()) == ([1, 0], [1, 2])
+    assert votes.n_answers == 2
+    with pytest.raises(ValueError, match="uniform choice count"):
+        save_votes(votes, vote_cats, str(tmp_path / "v.csv"))
 
 
 def test_load_votes_bulk_counts(tmp_path, vote_cats):
@@ -319,7 +329,7 @@ def test_load_votes_bulk_counts(tmp_path, vote_cats):
     p = write(tmp_path / "v.csv", vote_csv(rows))
     votes = load_votes(p, vote_cats)
     assert votes.n_answers == 10_000
-    assert len(votes.questions) == 500
+    assert len(votes.qids) == 500
 
 
 def test_load_votes_out_of_range_index(tmp_path, vote_cats):
@@ -340,7 +350,7 @@ def test_load_votes_shared_category_across_questions(tmp_path, vote_cats):
         "q2,c1,c2,c3,c4,c6,2",
     ]))
     votes = load_votes(p, vote_cats)
-    assert len(votes.questions) == 2
+    assert len(votes.qids) == 2
 
 
 def test_load_votes_duplicate_choice_rejected(tmp_path, vote_cats):
@@ -359,9 +369,9 @@ def test_votes_round_trip(tmp_path, vote_cats):
     out = tmp_path / "v2.csv"
     save_votes(votes, vote_cats, str(out))
     back = load_votes(str(out), vote_cats)
-    assert back.answers == votes.answers
-    assert [q.qid for q in back.questions] == [q.qid for q in votes.questions]
-    assert [q.choices for q in back.questions] == [q.choices for q in votes.questions]
+    assert back.qids == votes.qids
+    for name in ("choices", "question", "voted"):
+        assert np.array_equal(getattr(back, name), getattr(votes, name))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from catrank.data_model import Question, VoteDataset
+from catrank.data_model import VoteDataset
 from catrank.evaluation import (
     agreement_histogram,
     best_cheating_score,
@@ -31,8 +31,7 @@ from oracles import (
 
 def make_votes(questions, answers):
     """questions: list of choice lists; answers: list of (q_index, voted_pos)."""
-    qs = [Question(qid=f"q{i}", choices=list(c)) for i, c in enumerate(questions)]
-    return VoteDataset(questions=qs, answers=list(answers))
+    return VoteDataset.from_lists([f"q{i}" for i in range(len(questions))], questions, answers)
 
 
 def uniform_votes(rng, questions, per_question):
@@ -344,6 +343,8 @@ def test_co_prob_disjoint_and_none():
     votes = make_votes([[0, 1, 2], [3, 4, 5]], [(0, 0), (1, 0)])
     assert co_prob(0, 3, votes=votes) == 0.0
     assert co_prob(0, 99, votes=votes) is None
+    padded = make_votes([[0, 1, 2], [3, 4]], [(0, 0), (1, 0)])
+    assert co_prob(-1, 3, votes=padded) is None  # the -1 padding is no choice
 
 
 def test_co_prob_symmetric():

@@ -170,6 +170,14 @@ def test_calibrate_target_too_large():
         calibrate_threshold(fm, "l2", 2.0)
 
 
+@pytest.mark.parametrize("target", [float("nan"), 0.0, -1.0, float("inf")])
+def test_calibrate_rejects_target_outside_range(target):
+    fm = points([[0.0], [1.0], [2.0], [4.0]])
+    for exact_limit in (20_000, 0):  # the exact scan and the sampled one
+        with pytest.raises(ValueError, match=rf"count {target} must be positive and below n-1 = 3"):
+            calibrate_threshold(fm, "l2", target, exact_limit=exact_limit)
+
+
 def test_calibrate_sampled_close_to_exact():
     rng = np.random.default_rng(9)
     fm = points(rng.standard_normal((400, 8)))
