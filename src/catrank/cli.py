@@ -5,8 +5,12 @@ rerun from the previous stage's outputs. Every run writes a manifest
 recording resolved parameters and input/output digests. Exit status: 0 on
 success, 1 on usage errors, 2 on data errors.
 
-A ``key = value`` config file supplies defaults for any long flag; explicit
-flags win. ``CATRANK_WORKERS`` sets the default worker count.
+A ``key = value`` config file, given as ``--config PATH`` or
+``--config=PATH`` before the subcommand, supplies defaults for any long
+flag; explicit flags win. ``--workers`` exists only on the stages whose
+library call takes a worker count (walk, embed, knn, grid and report
+quantiles), and ``CATRANK_WORKERS`` sets its default. No output depends on
+it: neighbor search splits its work the same way at any worker count.
 """
 
 from __future__ import annotations
@@ -80,7 +84,13 @@ def _workers(text: str) -> int:
 
 
 _WORKERS_HELP = ("threads for neighbor search and threshold calibration (knn, grid, "
-                "report quantiles); other stages run in one thread")
+                "report quantiles; walk and embed run in one thread); outputs do not "
+                "depend on it")
+
+
+def _add_workers(p):
+    p.add_argument("--workers", type=_workers,
+                   default=os.environ.get("CATRANK_WORKERS") or "1", help=_WORKERS_HELP)
 
 
 def build_parser() -> _Parser:
@@ -88,13 +98,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--config", help="key = value defaults file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--workers", type=_workers,
-                       default=os.environ.get("CATRANK_WORKERS") or "1", help=_WORKERS_HELP)
-        return p
-
-    p = add("ingest", "load external files into native artifacts")
+    p = sub.add_parser("ingest", help="load external files into native artifacts")
     p.add_argument("--graph", required=True, help="TSV edge list")
     p.add_argument("--symmetrize", action="store_true", help="add reverse edges")
     p.add_argument("--categories", help="TSV entity/category assignments")
@@ -103,14 +107,15 @@ def build_parser() -> _Parser:
     p.add_argument("--votes", help="vote CSV")
     p.add_argument("--out-dir", required=True)
 
-    p = add("walk", "generate the random-walk corpus")
+    p = sub.add_parser("walk", help="generate the random-walk corpus")
     p.add_argument("--graph", required=True, help="native graph JSON")
     p.add_argument("--walks-per-vertex", type=int, default=10)
     p.add_argument("--walk-length", type=int, default=40)
     p.add_argument("--seed", type=int, default=0)
+    _add_workers(p)
     p.add_argument("--out", required=True)
 
-    p = add("embed", "train skip-gram embeddings")
+    p = sub.add_parser("embed", help="train skip-gram embeddings")
     p.add_argument("--graph", required=True, help="native graph JSON")
     p.add_argument("--walks", help="reuse a persisted walk corpus")
     p.add_argument("--walks-per-vertex", type=int, default=10)
@@ -123,9 +128,10 @@ def build_parser() -> _Parser:
     p.add_argument("--method", choices=["hs", "negative"], default="hs")
     p.add_argument("--negative", type=int, default=5)
     p.add_argument("--binary", action="store_true", help="write float32 binary features")
+    _add_workers(p)
     p.add_argument("--out", required=True)
 
-    p = add("knn", "build the close-neighbor relation")
+    p = sub.add_parser("knn", help="build the close-neighbor relation")
     p.add_argument("--features", required=True)
     p.add_argument("--metric", choices=METRICS, required=True)
     group = p.add_mutually_exclusive_group(required=True)
@@ -136,16 +142,17 @@ def build_parser() -> _Parser:
     p.add_argument("--exact-limit", type=int, default=neighbors.DEFAULT_EXACT_LIMIT)
     p.add_argument("--sample-pairs", type=int, default=neighbors.DEFAULT_SAMPLE_PAIRS)
     p.add_argument("--seed", type=int, default=0)
+    _add_workers(p)
     p.add_argument("--out", required=True)
 
-    p = add("coherence", "score all categories (both criteria)")
+    p = sub.add_parser("coherence", help="score all categories (both criteria)")
     p.add_argument("--neighbors", required=True)
     p.add_argument("--categories", required=True, help="native categories JSON")
     p.add_argument("--min-size", type=int, default=2)
     p.add_argument("--adjusted-p", action="store_true")
     p.add_argument("--out", required=True)
 
-    p = add("rank", "order categories by a criterion")
+    p = sub.add_parser("rank", help="order categories by a criterion")
     p.add_argument("--neighbors", required=True)
     p.add_argument("--categories", required=True)
     p.add_argument("--criterion", choices=["conductance", "surprise"], required=True)
@@ -153,7 +160,7 @@ def build_parser() -> _Parser:
     p.add_argument("--adjusted-p", action="store_true")
     p.add_argument("--out", required=True)
 
-    p = add("grid", "run the full menu of configurations")
+    p = sub.add_parser("grid", help="run the full menu of configurations")
     p.add_argument("--features", required=True)
     p.add_argument("--features-name", default="features")
     p.add_argument("--categories", required=True)
@@ -166,17 +173,16 @@ def build_parser() -> _Parser:
     p.add_argument("--exact-limit", type=int, default=neighbors.DEFAULT_EXACT_LIMIT)
     p.add_argument("--sample-pairs", type=int, default=neighbors.DEFAULT_SAMPLE_PAIRS)
     p.add_argument("--seed", type=int, default=0)
+    _add_workers(p)
     p.add_argument("--out-dir", required=True)
 
-    p = add("evaluate", "score a ranking against votes")
+    p = sub.add_parser("evaluate", help="score a ranking against votes")
     p.add_argument("--ranking", required=True, help="ranking CSV")
     p.add_argument("--votes", required=True)
     p.add_argument("--categories", required=True)
-    p.add_argument("--cheat-exact-limit", type=int, default=evaluation.DEFAULT_EXACT_LIMIT,
-                   help="most vote categories for which the cheating score is exact")
     p.add_argument("--out", required=True)
 
-    p = add("report", "descriptive statistics and tables")
+    p = sub.add_parser("report", help="descriptive statistics and tables")
     rsub = p.add_subparsers(dest="report_command", required=True)
     rp = rsub.add_parser("stats")
     rp.add_argument("--categories", required=True)
@@ -192,8 +198,7 @@ def build_parser() -> _Parser:
     rp.add_argument("--exact-limit", type=int, default=neighbors.DEFAULT_EXACT_LIMIT)
     rp.add_argument("--sample-pairs", type=int, default=neighbors.DEFAULT_SAMPLE_PAIRS)
     rp.add_argument("--seed", type=int, default=0)
-    # SUPPRESS keeps a parent-level --workers value from being clobbered
-    rp.add_argument("--workers", type=_workers, default=argparse.SUPPRESS, help=_WORKERS_HELP)
+    _add_workers(rp)
     rp.add_argument("--out", required=True)
     rp = rsub.add_parser("top")
     rp.add_argument("--ranking", required=True)
@@ -312,13 +317,13 @@ def _run_embed(args):
 
 def _run_knn(args):
     fm, _ = read_features(args.features)
-    params = {"metric": args.metric, "workers": args.workers}
+    params = {"metric": args.metric}
     if args.k is not None:
         nbrs = neighbors.knn_by_count(fm, args.metric, args.k, workers=args.workers)
         params["k"] = args.k
     elif args.avg_target is not None:
-        d = neighbors.calibrate_threshold(
-            fm, args.metric, args.avg_target, exact_limit=args.exact_limit,
+        d, = neighbors.calibrate_thresholds(
+            fm, args.metric, [args.avg_target], exact_limit=args.exact_limit,
             sample_pairs=args.sample_pairs, seed=args.seed, workers=args.workers)
         nbrs = neighbors.neighbors_by_distance(fm, args.metric, d, workers=args.workers)
         nbrs.meta["target"] = args.avg_target
@@ -402,7 +407,7 @@ def _run_grid(args):
           f"{len(result.skipped_configs)} skipped")
     params = {"metrics": args.metrics, "strategies": args.strategies,
               "sizes": args.sizes, "criteria": args.criteria,
-              "min_size": args.min_size, "workers": args.workers}
+              "min_size": args.min_size}
     return params, inputs, outputs
 
 
@@ -410,7 +415,7 @@ def _run_evaluate(args):
     cats = CategoryIndex.load(args.categories)
     votes = load_votes(args.votes, cats)
     order = report.read_ranking_csv(args.ranking, cats).ordered_categories
-    rep = evaluation.evaluate(votes, order, exact_limit=args.cheat_exact_limit)
+    rep = evaluation.evaluate(votes, order)
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(rep.to_dict(), f, indent=2, sort_keys=True)
         f.write("\n")
@@ -419,8 +424,7 @@ def _run_evaluate(args):
           f"(cheating score {rep.cheating_score:g} of {rep.n_answers})")
     for i, frac in enumerate(rep.agreement_histogram, 1):
         print(f"agreement {i}: {frac:.4f}")
-    params = {"cheat_exact_limit": args.cheat_exact_limit}
-    return params, [args.ranking, args.votes, args.categories], [args.out]
+    return {}, [args.ranking, args.votes, args.categories], [args.out]
 
 
 def _run_report(args):
@@ -453,10 +457,11 @@ def _run_report(args):
         return {"bucket_width": args.bucket_width}, inputs, [args.out]
     if args.report_command == "quantiles":
         fm, _ = read_features(args.features)
-        rows = report.distance_quantiles(
-            fm, args.metric, _float_list(args.targets), exact_limit=args.exact_limit,
+        targets = _float_list(args.targets)
+        ds = neighbors.calibrate_thresholds(
+            fm, args.metric, targets, exact_limit=args.exact_limit,
             sample_pairs=args.sample_pairs, seed=args.seed, workers=args.workers)
-        _write(args.out, report.quantiles_csv(rows))
+        _write(args.out, report.quantiles_csv(list(zip(targets, ds))))
         params = {"metric": args.metric, "targets": args.targets}
         return params, [args.features], [args.out]
     # top
@@ -528,13 +533,14 @@ def _apply_config(parser, config):
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
+    # every spelling argparse accepts: --config PATH, --config=PATH, --conf PATH
+    pre = _Parser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config")
     try:
-        if "--config" in argv:
-            at = argv.index("--config")
-            if at + 1 == len(argv):
-                parser.error("--config needs a path")
+        config_path = pre.parse_known_args(argv)[0].config
+        if config_path is not None:
             try:
-                config = _read_config(argv[at + 1])
+                config = _read_config(config_path)
             except OSError as e:
                 print(f"catrank: cannot read config: {e}", file=sys.stderr)
                 return 1

@@ -19,6 +19,7 @@ by convention once built and safe to share across parallel workers.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 from contextlib import contextmanager
@@ -51,6 +52,17 @@ def open_text(path: str, newline: str | None = None):
             yield f
     except (UnicodeDecodeError, csv.Error) as e:
         raise DataError(f"{path}: unreadable text: {e}") from None
+
+
+def csv_text(header: list[str], rows) -> str:
+    """CSV text with minimal quoting and ``\\n`` line ends; None is an
+    empty cell and Python floats keep their shortest round-trip form. Every
+    CSV the package writes is made here."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def read_json_object(path: str, keys: tuple[str, ...] = ()) -> dict:
@@ -640,11 +652,12 @@ def save_votes(votes: VoteDataset, cats: CategoryIndex, path: str):
         raise ValueError("CSV vote format requires a uniform choice count per file")
     m = votes.choices.shape[1]
     names = [[cats.names[c] for c in row] for row in votes.choices.tolist()]
+    text = csv_text(
+        ["question_id"] + [f"choice_{i + 1}" for i in range(m)] + ["voted_index"],
+        ([votes.qids[qi]] + names[qi] + [pos + 1]
+         for qi, pos in zip(votes.question.tolist(), votes.voted.tolist())))
     with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["question_id"] + [f"choice_{i + 1}" for i in range(m)] + ["voted_index"])
-        for qi, pos in zip(votes.question.tolist(), votes.voted.tolist()):
-            writer.writerow([votes.qids[qi]] + names[qi] + [pos + 1])
+        f.write(text)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ earns (m - i) / (m - 1) points, so first place earns 1 and last earns 0.
 Rough accuracy divides total points by the answer count. Improved accuracy
 divides by the best "cheating" score: the most points any single total
 ordering of the vote categories could earn, which caps what a ranking can
-achieve when answers conflict.
+achieve when answers conflict. The vote set alone decides how it is found:
+exactly, by a subset DP, for up to 18 vote categories, and by a heuristic
+above that.
 
 Categories missing from a ranking fall back to positions after every
 ranked category, mutually ordered by category index; evaluation therefore
@@ -33,9 +35,11 @@ from .data_model import CSR, CategoryIndex, VoteDataset
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_EXACT_LIMIT = 9
-# Subset DP memory grows as 2^k; past this the heuristic path is forced.
+# The subset DP's time and memory grow as 2^k: at 18 categories it takes
+# about 0.3 s and 60 MB, so past that the heuristic runs.
 _EXACT_HARD_CAP = 18
+# the name the benchmark's trace counters read
+DEFAULT_EXACT_LIMIT = _EXACT_HARD_CAP
 
 
 def ranking_positions(order: Sequence[int]) -> dict[int, int]:
@@ -266,26 +270,24 @@ def _climb_reinsertions(weights: np.ndarray, order: list[int]) -> list[int]:
     return order
 
 
-def best_cheating_score(votes: VoteDataset,
-                        exact_limit: int = DEFAULT_EXACT_LIMIT) -> tuple[float, list[int]]:
+def best_cheating_score(votes: VoteDataset) -> tuple[float, list[int]]:
     """Maximum points any total ordering of the vote categories can earn.
 
-    Exact below ``exact_limit`` distinct categories, heuristic above (finding
-    the true optimum is a linear ordering problem, NP-hard in general).
+    Exact up to ``_EXACT_HARD_CAP`` distinct categories, heuristic above
+    (finding the true optimum is a linear ordering problem, NP-hard in
+    general).
     """
     pref = build_preference_graph(votes)
-    k = len(pref.categories)
-    if k <= min(exact_limit, _EXACT_HARD_CAP):
+    if len(pref.categories) <= _EXACT_HARD_CAP:
         score, local_order = _exact_best_ordering(pref.weights)
     else:
         score, local_order = _heuristic_best_ordering(pref.weights, pref.counts)
     return score, [pref.categories[x] for x in local_order]
 
 
-def improved_accuracy(votes: VoteDataset, order: Sequence[int],
-                      exact_limit: int = DEFAULT_EXACT_LIMIT) -> float:
+def improved_accuracy(votes: VoteDataset, order: Sequence[int]) -> float:
     """Total points earned by the ordering divided by the cheating score."""
-    return evaluate(votes, order, exact_limit).improved_accuracy
+    return evaluate(votes, order).improved_accuracy
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +334,6 @@ class EvaluationReport:
 
 
 def evaluate(votes: VoteDataset, order: Sequence[int],
-             exact_limit: int = DEFAULT_EXACT_LIMIT,
              cheating_score: float | None = None) -> EvaluationReport:
     """Score an ordered category list against a vote dataset.
 
@@ -342,7 +343,7 @@ def evaluate(votes: VoteDataset, order: Sequence[int],
     total, rank_counts, fallback = _score_votes(votes, order)
     cheat = cheating_score
     if cheat is None:
-        cheat, _ = best_cheating_score(votes, exact_limit)
+        cheat, _ = best_cheating_score(votes)
     if cheat <= 0:
         raise ValueError("cheating score is zero; cannot normalize")
     acc = total / cheat

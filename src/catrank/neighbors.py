@@ -164,10 +164,12 @@ def _parse_rows(rows: list[str], first: int) -> tuple[np.ndarray, np.ndarray] | 
     return (degrees, values) if len(values) == 2 * n_cells else None
 
 
-def _query_chunks(n: int, rows: int, workers: int):
-    rows = max(1, min(n, rows))
-    if workers > 1:
-        rows = max(1, min(rows, math.ceil(n / (workers * 4))))
+def _query_chunks(n: int, rows: int):
+    """Chunks of at most ``rows`` and at most ceil(n/8) query rows. The cap
+    gives threads several chunks each; it does not depend on the worker
+    count, so block shapes, and with them the last bit of cosine and kl
+    distances, depend only on n, dim and the metric."""
+    rows = max(1, min(rows, math.ceil(n / 8)))
     return [np.arange(s, min(s + rows, n)) for s in range(0, n, rows)]
 
 
@@ -191,7 +193,7 @@ def _blocks(features: FeatureMatrix, metric: str, workers: int, fn, strips: bool
     rows = features.rows
     prep = metrics.prepare(metric, rows)
     budget = _GEMM_BLOCK_ELEMENTS if metric in metrics.GEMM_METRICS else _BLOCK_ELEMENTS
-    chunks = _query_chunks(n, budget // (n * metrics.block_width(metric, features.dim)), workers)
+    chunks = _query_chunks(n, budget // (n * metrics.block_width(metric, features.dim)))
     return _run_chunks(
         lambda c: fn(c, metrics.block(metric, rows, c, prep, int(c[0]) if strips else 0)),
         chunks, workers)
@@ -445,16 +447,6 @@ def calibrate_thresholds(features: FeatureMatrix, metric: str, targets,
     ranks = [max(1, r) for r in ranks]
     smallest = _smallest(pairs, max(ranks))
     return [float(smallest[r - 1]) for r in ranks]
-
-
-def calibrate_threshold(features: FeatureMatrix, metric: str, k_target: float,
-                        exact_limit: int = DEFAULT_EXACT_LIMIT,
-                        sample_pairs: int = DEFAULT_SAMPLE_PAIRS,
-                        seed: int = 0, workers: int = 1) -> float:
-    return calibrate_thresholds(
-        features, metric, [k_target],
-        exact_limit=exact_limit, sample_pairs=sample_pairs, seed=seed, workers=workers,
-    )[0]
 
 
 def _keep_entries(nbrs: NeighborSet, keep: np.ndarray, meta: dict) -> NeighborSet:

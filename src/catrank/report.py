@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import CategoryScore, CoherenceRanking
-from .data_model import CategoryIndex, FeatureMatrix, open_text
+from .data_model import CategoryIndex, csv_text, open_text
 from .errors import DataError
-from .neighbors import DEFAULT_EXACT_LIMIT, DEFAULT_SAMPLE_PAIRS, calibrate_thresholds
 
 
 @dataclass
@@ -74,40 +73,14 @@ def stats_text(stats: CategoryStats) -> str:
     return out.getvalue()
 
 
-def distance_quantiles(features: FeatureMatrix, metric: str, targets,
-                       exact_limit: int = DEFAULT_EXACT_LIMIT,
-                       sample_pairs: int = DEFAULT_SAMPLE_PAIRS,
-                       seed: int = 0, workers: int = 1) -> list[tuple[float, float]]:
-    """(target average neighbor count, calibrated distance threshold) rows.
-
-    One shared distance pool keeps the thresholds monotone across targets.
-    """
-    targets = list(targets)
-    if not targets:
-        raise ValueError("no targets given")
-    ds = calibrate_thresholds(features, metric, targets, exact_limit=exact_limit,
-                              sample_pairs=sample_pairs, seed=seed, workers=workers)
-    return list(zip([float(t) for t in targets], ds))
-
-
-def _csv(header: list[str], rows) -> str:
-    """CSV text with minimal quoting and ``\\n`` line ends; None is an
-    empty cell and Python floats keep their shortest round-trip form."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
-
-
 def quantiles_csv(rows: list[tuple[float, float]]) -> str:
-    return _csv(["target_avg_neighbors", "distance_threshold"],
+    return csv_text(["target_avg_neighbors", "distance_threshold"],
                 ([f"{t:g}", d] for t, d in rows))
 
 
 def scores_csv(scores: list[CategoryScore], cats: CategoryIndex) -> str:
     """Per-category coherence scores in category-index order."""
-    return _csv(
+    return csv_text(
         ["category", "n_members", "conductance", "surprise", "log_surprise",
          "n_observers_used"],
         ([cats.names[s.category], s.n_members, s.conductance, s.surprise,
@@ -118,7 +91,7 @@ def scores_csv(scores: list[CategoryScore], cats: CategoryIndex) -> str:
 def summary_csv(rows: list[dict]) -> str:
     """Grid summary rows; columns in first-seen order, absent cells empty."""
     columns = list(dict.fromkeys(col for row in rows for col in row))
-    return _csv(columns, ([row.get(col, "") for col in columns] for row in rows))
+    return csv_text(columns, ([row.get(col, "") for col in columns] for row in rows))
 
 
 RANKING_COLUMNS = ["rank", "category", "criterion_value", "conductance",
@@ -159,7 +132,7 @@ def top_table(ranking: CoherenceRanking, n: int, cats: CategoryIndex) -> TopTabl
 
 
 def _rows_csv(rows: list[dict]) -> str:
-    return _csv(RANKING_COLUMNS, ([r[c] for c in RANKING_COLUMNS] for r in rows))
+    return csv_text(RANKING_COLUMNS, ([r[c] for c in RANKING_COLUMNS] for r in rows))
 
 
 def ranking_csv(ranking: CoherenceRanking, cats: CategoryIndex) -> str:

@@ -9,12 +9,11 @@ import numpy as np
 import pytest
 
 import catrank
-from catrank import evaluation, neighbors
 from catrank.cli import main
 from catrank.data_model import FeatureMatrix, read_features, save_features_text
 from catrank.neighbors import (
     NeighborSet,
-    calibrate_threshold,
+    calibrate_thresholds,
     knn_by_count,
     neighbors_by_distance,
 )
@@ -193,7 +192,7 @@ def test_knn_output_loads_back_bitwise(tmp_path, metric):
         for flag, value, nbrs in (
                 ("--k", "4", knn_by_count(fm, metric, 4)),
                 ("--avg-target", "2.5", neighbors_by_distance(
-                    fm, metric, calibrate_threshold(fm, metric, 2.5))),
+                    fm, metric, calibrate_thresholds(fm, metric, [2.5])[0])),
                 ("--radius", "inf", neighbors_by_distance(fm, metric, math.inf))):
             assert main(["knn", "--features", features, "--metric", metric, flag, value,
                          "--workers", "1", "--out", out]) == 0
@@ -329,45 +328,63 @@ def test_config_reaches_nested_report_args(tmp_path):
     assert "bucket width 2" in stats_out.read_text()
 
 
-@pytest.mark.parametrize("key, dest", [("exact-limit", "exact_limit"),
-                                       ("cheat-exact-limit", "cheat_exact_limit")])
-def test_limit_config_keys_reach_only_their_subcommands(key, dest):
+@pytest.mark.parametrize("flag", ["--config=", "--conf"])
+def test_config_path_in_any_argparse_spelling(tmp_path, flag):
+    graph, cats, votes = make_dataset(tmp_path)
+    out = tmp_path / "work"
+    out.mkdir()
+    assert main(["ingest", "--graph", str(graph), "--categories", str(cats),
+                 "--out-dir", str(out)]) == 0
+    cfg = tmp_path / "c.conf"
+    given = [flag + str(cfg)] if flag.endswith("=") else [flag, str(cfg)]
+    cfg.write_text("bucket-width = 2\n", encoding="utf-8")
+    stats_out = tmp_path / "stats.txt"
+    assert main([*given, "report", "stats", "--categories", str(out / "categories.json"),
+                 "--out", str(stats_out)]) == 0
+    assert "bucket width 2" in stats_out.read_text()
+    cfg.write_text("no-such-option = 1\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main([*given, "walk", "--graph", "g", "--out", "w"])
+    assert exc.value.code == 1
+
+
+def test_limit_config_keys_reach_only_their_subcommands():
     from catrank.cli import _apply_config, build_parser
 
-    argvs = {
-        "exact_limit": [["knn", "--features", "f", "--metric", "l2", "--avg-target", "3",
-                         "--out", "o"],
-                        ["grid", "--features", "f", "--categories", "c", "--out-dir", "d"],
-                        ["report", "quantiles", "--features", "f", "--metric", "l2",
-                         "--out", "o"]],
-        "cheat_exact_limit": [["evaluate", "--ranking", "r", "--votes", "v",
-                               "--categories", "c", "--out", "o"]],
-    }
-    defaults = {"exact_limit": neighbors.DEFAULT_EXACT_LIMIT,
-                "cheat_exact_limit": evaluation.DEFAULT_EXACT_LIMIT}
     parser = build_parser()
-    _apply_config(parser, {dest: "12"})
-    for owner, argv_list in argvs.items():
-        for argv in argv_list:
-            args = vars(parser.parse_args(argv))
-            assert [d for d in defaults if d in args] == [owner]
-            assert args[owner] == (12 if owner == dest else defaults[owner])
+    _apply_config(parser, {"exact_limit": "12"})
+    for argv in (["knn", "--features", "f", "--metric", "l2", "--avg-target", "3",
+                  "--out", "o"],
+                 ["grid", "--features", "f", "--categories", "c", "--out-dir", "d"],
+                 ["report", "quantiles", "--features", "f", "--metric", "l2", "--out", "o"]):
+        assert parser.parse_args(argv).exact_limit == 12
+    args = vars(parser.parse_args(["evaluate", "--ranking", "r", "--votes", "v",
+                                   "--categories", "c", "--out", "o"]))
+    assert not [dest for dest in args if "exact_limit" in dest]
 
 
-def test_evaluate_manifest_records_cheat_exact_limit(pipeline):
+def test_workers_flag_only_on_stages_that_take_it():
+    from catrank.cli import _iter_parsers, build_parser
+
+    takers = sorted(p.prog.removeprefix("catrank ") for p in _iter_parsers(build_parser())
+                    if any(a.dest == "workers" for a in p._actions))  # noqa: SLF001
+    assert takers == ["embed", "grid", "knn", "report quantiles", "walk"]
+
+
+def test_evaluate_manifest_records_no_parameters(pipeline):
     tmp, out = pipeline
     ranking = tmp / "ranking.csv"
     assert main(["rank", "--neighbors", str(write_clique_neighbors(tmp / "nb.tsv")),
                  "--categories", str(out / "categories.json"), "--criterion", "surprise",
                  "--out", str(ranking)]) == 0
-    report_path = tmp / "report.json"
-    assert main([
-        "evaluate", "--ranking", str(ranking), "--votes", str(out / "votes.csv"),
-        "--categories", str(out / "categories.json"), "--cheat-exact-limit", "0",
-        "--out", str(report_path),
-    ]) == 0
+    argv = ["evaluate", "--ranking", str(ranking), "--votes", str(out / "votes.csv"),
+            "--categories", str(out / "categories.json"), "--out", str(tmp / "report.json")]
+    assert main(argv) == 0
     manifest = json.loads((tmp / "report.json.manifest.json").read_text())
-    assert manifest["parameters"] == {"cheat_exact_limit": 0}
+    assert manifest["parameters"] == {}
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--cheat-exact-limit", "0"])
+    assert exc.value.code == 1
 
 
 def test_unknown_config_key_rejected(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from catrank import evaluation
 from catrank.data_model import VoteDataset
 from catrank.evaluation import (
     agreement_histogram,
@@ -215,8 +216,26 @@ def test_cheating_score_three_cycle():
     assert score == pytest.approx(2.0)
     brute, _ = best_ordering_bruteforce(build_preference_graph(votes).weights)
     assert score == pytest.approx(brute)
-    h_score, _ = best_cheating_score(votes, exact_limit=0)
+    pref = build_preference_graph(votes)
+    h_score, _ = _heuristic_best_ordering(pref.weights, pref.counts)
     assert h_score == pytest.approx(brute)
+
+
+@pytest.mark.parametrize("k, exact", [(10, True), (18, True), (19, False)])
+def test_cheating_score_is_exact_up_to_the_hard_cap(monkeypatch, k, exact):
+    calls = []
+
+    def spy(weights):
+        calls.append(len(weights))
+        return real(weights)
+
+    real = evaluation._exact_best_ordering
+    monkeypatch.setattr(evaluation, "_exact_best_ordering", spy)
+    rng = np.random.default_rng(k)
+    votes = uniform_votes(rng, [[i, (i + 1) % k, (i + 3) % k] for i in range(k)], 3)
+    _, order = best_cheating_score(votes)
+    assert calls == ([k] if exact else [])
+    assert sorted(order) == list(range(k))
 
 
 def random_votes(rng, n_cats, n_questions, m, per_question):

@@ -9,7 +9,6 @@ from catrank.data_model import CSR, FeatureMatrix, open_text
 from catrank.errors import DataError
 from catrank.neighbors import (
     NeighborSet,
-    calibrate_threshold,
     calibrate_thresholds,
     filter_by_distance,
     knn_by_count,
@@ -150,7 +149,7 @@ def test_calibrate_exact_line_example():
     # ceil(1.5*4) = 6th smallest directed distance is 1, and D=1 keeps six
     # directed pairs for an average of exactly 1.5
     fm = points([[0.0], [1.0], [2.0], [3.0]])
-    d = calibrate_threshold(fm, "l2", 1.5)
+    d, = calibrate_thresholds(fm, "l2", [1.5])
     assert d == 1.0
     nbrs = neighbors_by_distance(fm, "l2", d)
     assert nbrs.out_degrees().mean() == 1.5
@@ -158,7 +157,7 @@ def test_calibrate_exact_line_example():
 
 def test_calibrate_identical_points():
     fm = points([[1.0]] * 6)
-    d = calibrate_threshold(fm, "l2", 4.9)
+    d, = calibrate_thresholds(fm, "l2", [4.9])
     assert d == 0.0
     nbrs = neighbors_by_distance(fm, "l2", d)
     assert all(deg == 5 for deg in nbrs.out_degrees())
@@ -167,7 +166,7 @@ def test_calibrate_identical_points():
 def test_calibrate_target_too_large():
     fm = points([[0.0], [1.0], [2.0]])
     with pytest.raises(ValueError, match="below n-1"):
-        calibrate_threshold(fm, "l2", 2.0)
+        calibrate_thresholds(fm, "l2", [2.0])
 
 
 @pytest.mark.parametrize("target", [float("nan"), 0.0, -1.0, float("inf")])
@@ -175,7 +174,7 @@ def test_calibrate_rejects_target_outside_range(target):
     fm = points([[0.0], [1.0], [2.0], [4.0]])
     for exact_limit in (20_000, 0):  # the exact scan and the sampled one
         with pytest.raises(ValueError, match=rf"count {target} must be positive and below n-1 = 3"):
-            calibrate_threshold(fm, "l2", target, exact_limit=exact_limit)
+            calibrate_thresholds(fm, "l2", [target], exact_limit=exact_limit)
 
 
 def test_calibrate_sampled_close_to_exact():
@@ -408,8 +407,8 @@ def _check_block_budget(monkeypatch, metric, n, dim):
             # the kNN, calibration and distance-list strips of l1, l2 and js
             # start at their first query row; cosine and kl blocks span all n
             assert shapes and all(cols == n - start for _, cols, start in shapes)
-            if workers == 2:  # always several chunks, so some start past 0
-                assert any(start for *_, start in shapes) == (metric not in metrics.GEMM_METRICS)
+            # always several chunks, so some start past 0
+            assert any(start for *_, start in shapes) == (metric not in metrics.GEMM_METRICS)
             assert all(rows * n * width <= budget or rows == 1 for rows, *_ in shapes)
             if budget == 1:
                 assert all(rows == 1 for rows, *_ in shapes)
@@ -435,6 +434,18 @@ def test_gemm_blocks_bitwise_at_high_dim(monkeypatch, metric):
 @pytest.mark.parametrize("metric", ["l1", "l2", "js"])
 def test_strip_blocks_bitwise_at_high_dim(monkeypatch, metric):
     _check_block_budget(monkeypatch, metric, 70, 64)
+
+
+@pytest.mark.parametrize("n", [9, 40, 120])
+@pytest.mark.parametrize("metric", ["l1", "l2", "cosine", "kl", "js"])
+def test_results_do_not_depend_on_worker_count(metric, n):
+    # dim 64, where cosine and kl change in the last bit with a block's row
+    # count: the worker count must not change the blocks
+    fm = _features(metric, np.random.default_rng(n), n, 64)
+    expected = _scan(fm, metric, workers=1)
+    for workers in (2, 3):
+        for a, b in zip(_scan(fm, metric, workers), expected):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), workers
 
 
 @pytest.mark.parametrize("budget", [neighbors._BLOCK_ELEMENTS, 1])
@@ -517,7 +528,7 @@ def test_calibrate_matches_full_sort_with_ties(monkeypatch):
             assert calibrate_thresholds(fm, "l1", targets, workers=workers) == expected
             # one target at a time keeps only its own rank's prefix
             for t, d in zip(targets, expected):
-                assert calibrate_threshold(fm, "l1", t, workers=workers) == d
+                assert calibrate_thresholds(fm, "l1", [t], workers=workers) == [d]
 
 
 def test_sampled_calibrate_matches_full_sort(monkeypatch):

@@ -6,9 +6,9 @@ import pytest
 from catrank.coherence import rank_categories
 from catrank.data_model import FeatureMatrix
 from catrank.errors import DataError
+from catrank.neighbors import calibrate_thresholds
 from catrank.report import (
     category_stats,
-    distance_quantiles,
     quantiles_csv,
     ranking_csv,
     read_ranking_csv,
@@ -61,31 +61,28 @@ def test_stats_bucket_width():
 def test_quantiles_monotone_five_targets():
     rng = np.random.default_rng(41)
     fm = FeatureMatrix(kind="point", rows=rng.standard_normal((150, 8)))
-    rows = distance_quantiles(fm, "l2", [5, 10, 25, 50, 100])
-    ds = [d for _, d in rows]
-    assert len(rows) == 5
+    ds = calibrate_thresholds(fm, "l2", [5, 10, 25, 50, 100])
+    assert len(ds) == 5
     assert all(a <= b for a, b in zip(ds, ds[1:]))
 
 
 def test_quantiles_strictly_increasing_on_random_points():
     rng = np.random.default_rng(42)
     fm = FeatureMatrix(kind="point", rows=rng.random((80, 128)))
-    rows = distance_quantiles(fm, "l2", [5, 10, 25, 50])
-    ds = [d for _, d in rows]
+    ds = calibrate_thresholds(fm, "l2", [5, 10, 25, 50])
     assert all(a < b for a, b in zip(ds, ds[1:]))
 
 
 def test_quantiles_identical_points_all_zero():
     fm = FeatureMatrix(kind="point", rows=np.ones((30, 4)))
-    rows = distance_quantiles(fm, "l2", [5, 10, 25])
-    assert all(d == 0.0 for _, d in rows)
+    assert calibrate_thresholds(fm, "l2", [5, 10, 25]) == [0.0] * 3
 
 
 def test_quantiles_csv_deterministic():
     rng = np.random.default_rng(43)
     fm = FeatureMatrix(kind="point", rows=rng.standard_normal((60, 4)))
-    a = quantiles_csv(distance_quantiles(fm, "l1", [3, 9]))
-    b = quantiles_csv(distance_quantiles(fm, "l1", [3, 9]))
+    a = quantiles_csv(list(zip([3, 9], calibrate_thresholds(fm, "l1", [3, 9]))))
+    b = quantiles_csv(list(zip([3, 9], calibrate_thresholds(fm, "l1", [3, 9]))))
     assert a == b
     assert a.startswith("target_avg_neighbors,distance_threshold\n")
 
