@@ -14,10 +14,10 @@ in per-pair SGD and sees the other walks of its group one step late
 (mini-batching across walks, as in Ji et al., arXiv:1604.04661). Negative
 sampling draws its noise per group from one generator seeded by ``seed``.
 
-Determinism: each walk draws from its own generator derived from
-(seed, pass, start vertex), and training has one fixed order, so walks and
-vectors are bitwise reproducible; the ``workers`` keyword of
-``generate_walks`` and ``train_skipgram`` is accepted and ignored.
+Determinism: one generator seeded by ``seed`` draws each pass's shuffle of
+the start vertices, then step t of every walk still alive, in shuffled order;
+a walk stuck at a sink draws no more. So walks and vectors are bitwise
+reproducible per seed, and ``workers`` is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -53,45 +53,40 @@ class WalkConfig:
             raise ValueError("walks_per_vertex must be at least 1")
 
 
-def _single_walk(indptr: list[int], indices: np.ndarray, start: int, length: int,
-                 rng) -> np.ndarray:
-    path = [start]
-    cur = start
-    while len(path) < length:
-        lo, hi = indptr[cur], indptr[cur + 1]
-        if lo == hi:
-            break
-        cur = int(indices[lo + rng.integers(hi - lo)])
-        path.append(cur)
-    return np.array(path, dtype=np.int64)
-
-
 def generate_walks(graph: EntityGraph, cfg: WalkConfig, workers: int = 1) -> list[np.ndarray]:
-    """walks_per_vertex truncated walks per vertex, in seeded-shuffled order.
+    """walks_per_vertex passes of truncated walks, all walks of a pass in
+    lockstep: a step picks a uniform out-neighbor, and a sink ends the walk.
 
-    Each step picks a uniform out-neighbor; a sink vertex ends its walk early.
-    ``workers`` is ignored: threads do not pay off for this Python loop.
+    Walks come pass by pass, in shuffled start order, so fewer passes give a
+    prefix of the corpus; a shorter ``walk_length`` gives prefixes of the first
+    pass's walks (later passes then read other draws).
     """
     cfg.validate()
     n = graph.n_entities
     if n == 0:
         raise ValueError("graph has no entities")
-    order_rng = np.random.default_rng([cfg.seed, _WALK_SALT, 0])
-    schedule = []
-    for pass_i in range(cfg.walks_per_vertex):
-        for v in order_rng.permutation(n):
-            schedule.append((pass_i, int(v)))
-
-    indptr, indices = graph.adjacency.indptr.tolist(), graph.adjacency.indices
-    return [_single_walk(indptr, indices, v, cfg.walk_length,
-                         np.random.default_rng([cfg.seed, _WALK_SALT, 1, pass_i, v]))
-            for pass_i, v in schedule]
+    indptr, indices = graph.adjacency.indptr, graph.adjacency.indices
+    degree = np.diff(indptr)
+    rng = np.random.default_rng([cfg.seed, _WALK_SALT])
+    walks = []
+    for _ in range(cfg.walks_per_vertex):
+        paths = np.full((n, cfg.walk_length), -1, dtype=np.int64)
+        paths[:, 0] = rng.permutation(n)
+        live = np.arange(n)
+        for t in range(1, cfg.walk_length):
+            cur = paths[live, t - 1]
+            moving = degree[cur] > 0
+            live, cur = live[moving], cur[moving]
+            paths[live, t] = indices[indptr[cur] + rng.integers(degree[cur])]
+        lengths = np.count_nonzero(paths >= 0, axis=1).tolist()
+        walks += [path[:length] for path, length in zip(paths, lengths)]
+    return walks
 
 
 def save_walks(walks: list[np.ndarray], ids: list[str], path: str):
     with open(path, "w", encoding="utf-8") as f:
         for walk in walks:
-            f.write(" ".join(ids[v] for v in walk.tolist()) + "\n")
+            f.write("\t".join(ids[v] for v in walk.tolist()) + "\n")
 
 
 def load_walks(path: str, graph: EntityGraph) -> list[np.ndarray]:
@@ -102,7 +97,7 @@ def load_walks(path: str, graph: EntityGraph) -> list[np.ndarray]:
             if not line:
                 continue
             try:
-                walks.append(np.array([graph.index[s] for s in line.split()],
+                walks.append(np.array([graph.index[s] for s in line.split("\t")],
                                       dtype=np.int64))
             except KeyError as e:
                 raise DataError(f"{path}:{lineno}: unknown entity {e.args[0]!r}") from None
@@ -320,6 +315,10 @@ def train_skipgram(walks: list[np.ndarray], n_entities: int, *, dim: int = 128,
     """
     if dim < 1:
         raise ValueError("dim must be at least 1")
+    if window < 1:
+        raise ValueError("window must be at least 1")
+    if not (np.isfinite([initial_lr, final_lr]).all() and min(initial_lr, final_lr) >= 0):
+        raise ValueError("learning rates must be finite and nonnegative")
     if n_entities < 2:
         raise ValueError("need at least 2 entities to train")
     if not walks:

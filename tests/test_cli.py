@@ -107,6 +107,25 @@ def test_walk_and_embed(pipeline):
     assert meta["corpus_walks"] == 24
 
 
+def test_walk_corpus_with_spaced_ids_reads_back(tmp_path):
+    names = ["Isaac Newton", "Gottfried Leibniz", "Emilie du Chatelet"]
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("".join(f"{a}\t{b}\n" for a in names for b in names if a != b),
+                     encoding="utf-8")
+    out = tmp_path / "work"
+    assert main(["ingest", "--graph", str(edges), "--out-dir", str(out)]) == 0
+    walks = tmp_path / "walks.txt"
+    assert main(["walk", "--graph", str(out / "graph.json"), "--walks-per-vertex", "2",
+                 "--walk-length", "4", "--out", str(walks)]) == 0
+    lines = walks.read_text(encoding="utf-8").splitlines()
+    assert {cell for line in lines for cell in line.split("\t")} == set(names)
+    feats = tmp_path / "features.tsv"
+    assert main(["embed", "--graph", str(out / "graph.json"), "--walks", str(walks),
+                 "--dim", "4", "--window", "2", "--out", str(feats)]) == 0
+    meta = json.loads((tmp_path / "features.tsv.model.json").read_text())
+    assert (meta["corpus_walks"], meta["corpus_tokens"]) == (6, 24)
+
+
 def run_embed_knn(tmp, out, k="3"):
     feats = tmp / "features.tsv"
     if not feats.exists():
@@ -528,10 +547,17 @@ def _empty_features(tmp, out):
             "--out", str(tmp / "nb.tsv")]
 
 
+def _zero_window(tmp, out):
+    walks = tmp / "walks.txt"
+    walks.write_text("n0\tn1\tn2\nn6\tn7\n", encoding="utf-8")
+    return ["embed", "--graph", str(out / "graph.json"), "--walks", str(walks),
+            "--window", "0", "--dim", "4", "--out", str(tmp / "f.tsv")]
+
+
 @pytest.mark.parametrize("argv", [_bad_config, _kl_on_points, _universe_mismatch,
                                   _category_only_ranking, _zero_count_size,
                                   _stats_universe_mismatch, _stats_graph_mismatch,
-                                  _empty_features])
+                                  _empty_features, _zero_window])
 def test_rejected_input_exits_2_without_traceback(pipeline, capsys, argv):
     tmp, out = pipeline
     capsys.readouterr()

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
-from catrank.data_model import FeatureMatrix
+import catrank.embeddings as embeddings_module
+from catrank.data_model import FeatureMatrix, load_graph
 from catrank.embeddings import (
     HuffmanTree,
     WalkConfig,
@@ -19,6 +21,7 @@ from catrank.embeddings import (
     save_walks,
     train_skipgram,
 )
+from catrank.errors import DataError
 
 from conftest import graph_from_edges, two_cliques_graph
 from oracles import optimal_expected_code_length
@@ -84,6 +87,107 @@ def test_walks_round_trip(tmp_path):
     save_walks(walks, graph.ids, path)
     back = load_walks(path, graph)
     assert all(np.array_equal(x, y) for x, y in zip(walks, back))
+
+
+def test_walks_round_trip_spaced_ids(tmp_path):
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("Isaac Newton\tGottfried Leibniz\nGottfried Leibniz\tEmilie du Chatelet\n",
+                     encoding="utf-8")
+    graph, _ = load_graph(str(edges), symmetrize=True)
+    walks = generate_walks(graph, WalkConfig(walks_per_vertex=2, walk_length=5, seed=7))
+    path = tmp_path / "walks.txt"
+    save_walks(walks, graph.ids, str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0].split("\t") == [graph.ids[v] for v in walks[0].tolist()]
+    back = load_walks(str(path), graph)
+    assert len(back) == len(walks)
+    assert all(np.array_equal(x, y) for x, y in zip(walks, back))
+    # a corpus written with spaces between ids is no longer read
+    path.write_text("Isaac Newton Gottfried Leibniz\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"walks\.txt:1: unknown entity"):
+        load_walks(str(path), graph)
+
+
+def test_walks_on_graph_without_edges(tmp_path):
+    edges = tmp_path / "loop.tsv"
+    edges.write_text("a\ta\n", encoding="utf-8")  # the self-loop is dropped
+    graph, _ = load_graph(str(edges))
+    assert graph.n_edges == 0
+    cfg = WalkConfig(walks_per_vertex=2, walk_length=5, seed=1)
+    assert [w.tolist() for w in generate_walks(graph, cfg)] == [[0], [0]]
+    walks = generate_walks(graph_from_edges([], ids=["a", "b", "c"]), cfg)
+    assert sorted(w.tolist() for w in walks) == [[0], [0], [1], [1], [2], [2]]
+
+
+def test_walks_build_one_generator(monkeypatch):
+    calls = []
+    real = np.random.default_rng
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(embeddings_module.np.random, "default_rng", spy)
+    walks = generate_walks(two_cliques_graph(5), WalkConfig(walks_per_vertex=3, walk_length=6,
+                                                             seed=8))
+    assert len(walks) == 30
+    assert len(calls) == 1
+
+
+def test_walk_neighbor_choice_is_uniform():
+    # chi-squared over every step taken from every vertex of degree 2 or more
+    rng = np.random.default_rng(4)
+    edges = [(int(a), int(b)) for a, b in rng.integers(0, 20, size=(60, 2)) if a != b]
+    graph = graph_from_edges(edges)
+    walks = generate_walks(graph, WalkConfig(walks_per_vertex=100, walk_length=20, seed=9))
+    steps = np.concatenate([np.stack([w[:-1], w[1:]], axis=1) for w in walks if len(w) > 1])
+    stat, dof = 0.0, 0
+    for v, nbrs in enumerate(graph.adjacency):
+        if len(nbrs) < 2:
+            continue
+        taken = steps[steps[:, 0] == v, 1]
+        counts = np.array([np.count_nonzero(taken == u) for u in nbrs])
+        expected = counts.sum() / len(nbrs)
+        assert expected >= 20
+        stat += float(((counts - expected) ** 2 / expected).sum())
+        dof += len(nbrs) - 1
+    assert dof >= 20
+    assert chi2.sf(stat, dof) > 0.01
+
+
+def test_walk_prefixes():
+    rng = np.random.default_rng(10)
+    edges = [(int(a), int(b)) for a, b in rng.integers(0, 15, size=(30, 2)) if a != b]
+    graph = graph_from_edges(edges)
+    n = graph.n_entities
+    assert any(len(row) == 0 for row in graph.adjacency)  # some walks end early
+    full = generate_walks(graph, WalkConfig(walks_per_vertex=3, walk_length=12, seed=11))
+    for p in range(3):  # each pass starts once from every vertex
+        assert sorted(int(w[0]) for w in full[p * n:(p + 1) * n]) == list(range(n))
+    fewer = generate_walks(graph, WalkConfig(walks_per_vertex=2, walk_length=12, seed=11))
+    assert all(np.array_equal(x, y) for x, y in zip(fewer, full[:2 * n], strict=True))
+    shorter = generate_walks(graph, WalkConfig(walks_per_vertex=3, walk_length=5, seed=11))
+    assert all(np.array_equal(x, y[:5]) for x, y in zip(shorter[:n], full[:n]))
+    assert any(len(y) > 5 for y in full[:n])
+
+
+def test_walks_end_at_sinks_while_others_continue():
+    # 0 -> 1 -> 2 dead-ends; 3 <-> 4 never ends; 5 <-> 6 may fall into the sink 2
+    graph = graph_from_edges([(0, 1), (1, 2), (3, 4), (4, 3), (5, 6), (6, 5), (5, 2)])
+    walks = generate_walks(graph, WalkConfig(walks_per_vertex=10, walk_length=6, seed=12))
+    forced = {0: [0, 1, 2], 1: [1, 2], 2: [2], 3: [3, 4, 3, 4, 3, 4], 4: [4, 3, 4, 3, 4, 3]}
+    branching = []
+    for w in walks:
+        path = w.tolist()
+        if path[0] in forced:
+            assert path == forced[path[0]]
+        else:
+            assert all(b in graph.adjacency[a].tolist() for a, b in zip(path, path[1:]))
+            assert len(path) == 6 or path[-1] == 2
+            assert 2 not in path[:-1]
+            branching.append(path)
+    assert any(len(p) == 6 for p in branching)
+    assert any(len(p) < 6 for p in branching)
 
 
 def test_walk_config_validation():
@@ -337,6 +441,13 @@ def test_train_rejects_bad_args():
         train_skipgram(walks, graph.n_entities, dim=4, method="negative", negative=-1)
     with pytest.raises(ValueError):  # noise cannot avoid the only entity walked
         train_skipgram([np.zeros(4, dtype=np.int64)], 2, dim=4, method="negative")
+    for window in (0, -3):
+        with pytest.raises(ValueError, match="window"):
+            train_skipgram(walks, graph.n_entities, dim=4, window=window)
+    for rates in ({"initial_lr": math.nan}, {"initial_lr": -0.1}, {"final_lr": math.inf},
+                  {"final_lr": -1e-4}):
+        with pytest.raises(ValueError, match="learning rates"):
+            train_skipgram(walks, graph.n_entities, dim=4, **rates)
 
 
 def mean_cosine(rows, pairs):
