@@ -15,7 +15,9 @@ Two criteria quantify how descriptive a category is:
                   member is excluded the level is 1.
 
 Tails are computed in log space (log-gamma + log-sum-exp) so that values
-far below double-precision underflow still rank correctly. A scoring pass
+far below double-precision underflow still rank correctly. Both steps are
+numpy copies of scipy 1.17's ``gammaln`` (on integers) and ``logsumexp``
+that return the same bits; the tests hold them to scipy. A scoring pass
 needs one tail per distinct (size, C, G) key, and computes them all at once:
 keys with the same tail length C - G + 1 share a 2-D array of log-pmf rows,
 sliced so that one block holds at most the neighbor search's block budget of
@@ -29,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from . import evaluation, metrics
 from .data_model import (
@@ -55,6 +56,51 @@ from .neighbors import (
 # space; below it exp() would underflow and the mean moves to log space.
 _LINEAR_MEAN_FLOOR = -700.0
 
+# cephes lgam: log(sqrt(2 pi)) and the Stirling-series coefficients it uses
+# from 13 up to 1,000 (highest power first)
+_LS2PI = 0.91893853320467274178
+_STIRLING = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
+             7.93650340457716943945E-4, -2.77777777730099687205E-3,
+             8.33333333333331927722E-2)
+
+
+def log_gamma_table(top: int) -> np.ndarray:
+    """ln Γ(x) for the integers x = 0..top, bit for bit as scipy 1.17's
+    ``gammaln`` (cephes ``lgam``) gives them: below 13 the log of the exact
+    product (x-1)!, from 13 on Stirling's form with cephes' five-term
+    correction, or its three-term short form from 1,000 on."""
+    table = np.empty(top + 1, dtype=np.float64)
+    table[0] = math.inf
+    for x in range(1, min(top, 12) + 1):
+        table[x] = math.log(math.factorial(x - 1))
+    if top < 13:
+        return table
+    x = np.arange(13, top + 1, dtype=np.float64)
+    q = (x - 0.5) * np.fromiter(map(math.log, x.tolist()), np.float64, len(x)) - x + _LS2PI
+    p = 1.0 / (x * x)
+    poly = np.full_like(p, _STIRLING[0])
+    for coef in _STIRLING[1:]:
+        poly = poly * p + coef
+    short = ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+             + 0.0833333333333333333333)
+    table[13:] = q + np.where(x < 1000.0, poly, short) / x
+    return table
+
+
+def logsumexp(a: np.ndarray, axis: int | None = None):
+    """log(sum(exp(a))) over ``axis`` (all of ``a`` when None), by the steps
+    of scipy 1.17's ``logsumexp``, so that it returns the same bits: the
+    maxima leave the sum and are counted as m, the rest is summed shifted by
+    the maximum and divided by m, and log1p(s) + log(m) + max is returned."""
+    a = np.asarray(a, dtype=np.float64)
+    top = np.max(a, axis=axis, keepdims=True)
+    tied = a == top
+    m = np.sum(tied, axis=axis, keepdims=True, dtype=np.float64)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    s = np.sum(np.exp(np.where(tied, -np.inf, a) - shift), axis=axis, keepdims=True)
+    s = np.where(s == 0, s, s / m)
+    return np.squeeze(np.log1p(s) + np.log(m) + top, axis=axis)
+
 
 def binomial_tail(c: int, g: int, p: float) -> tuple[float, float]:
     """P(X >= g) for X ~ Binomial(c, p), returned as (linear, log).
@@ -71,9 +117,10 @@ def binomial_tail(c: int, g: int, p: float) -> tuple[float, float]:
         return 0.0, -math.inf
     if p == 1.0:
         return 1.0, 0.0
-    xs = np.arange(g, c + 1, dtype=np.float64)
+    xs = np.arange(g, c + 1)
+    lgam = log_gamma_table(c + 1)
     log_pmf = (
-        gammaln(c + 1.0) - gammaln(xs + 1.0) - gammaln(c - xs + 1.0)
+        lgam[c + 1] - lgam[xs + 1] - lgam[c - xs + 1]
         + xs * math.log(p) + (c - xs) * math.log1p(-p)
     )
     log_tail = min(0.0, float(logsumexp(log_pmf)))
@@ -84,7 +131,7 @@ def binomial_log_tails(c: np.ndarray, g: np.ndarray, p: np.ndarray) -> np.ndarra
     """``binomial_tail(c[i], g[i], p[i])[1]`` for every i, bit for bit.
 
     The same formula runs on 2-D blocks of keys that share a tail length;
-    scipy's logsumexp reduces each row as it reduces one tail alone.
+    ``logsumexp`` reduces each row as it reduces one tail alone.
     """
     bad = (g < 0) | (g > c) | ~((p >= 0.0) & (p <= 1.0))
     if bad.any():
@@ -99,15 +146,16 @@ def binomial_log_tails(c: np.ndarray, g: np.ndarray, p: np.ndarray) -> np.ndarra
     log_p = np.array([math.log(q) for q in p_values.tolist()])[p_at, None]
     log_q = np.array([math.log1p(-q) for q in p_values.tolist()])[p_at, None]
     starts = np.flatnonzero(np.diff(lengths, prepend=0))
+    lgam = log_gamma_table(int(c[live].max()) + 1 if len(live) else 0)
     for lo, hi in zip(starts.tolist(), np.append(starts[1:], len(live)).tolist()):
         length = int(lengths[lo])
         step = max(1, _BLOCK_ELEMENTS // length)
         for rows in (slice(s, min(s + step, hi)) for s in range(lo, hi, step)):
             keys = live[rows]
-            cs = c[keys, None].astype(np.float64)
-            xs = g[keys, None] + np.arange(length, dtype=np.float64)
+            cs = c[keys, None]
+            xs = g[keys, None] + np.arange(length)
             log_pmf = (
-                gammaln(cs + 1.0) - gammaln(xs + 1.0) - gammaln(cs - xs + 1.0)
+                lgam[cs + 1] - lgam[xs + 1] - lgam[cs - xs + 1]
                 + xs * log_p[rows] + (cs - xs) * log_q[rows]
             )
             tails = logsumexp(log_pmf, axis=1)

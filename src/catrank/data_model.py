@@ -245,6 +245,10 @@ class EntityGraph:
         ids = payload["ids"]
         if not _is_name_list(ids):
             raise DataError(f"{path}: 'ids' must be a list of distinct strings")
+        for i, name in enumerate(ids):
+            # walks and feature files are TAB-separated lines
+            if any(ch in name for ch in "\t\n\r"):
+                raise DataError(f"{path}: ids[{i}] {name!r} holds a TAB or a line break")
         adjacency = _index_lists(payload["adjacency"], len(ids), f"{path}: adjacency")
         graph = cls(ids=ids, adjacency=adjacency)
         try:

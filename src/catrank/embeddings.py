@@ -26,7 +26,6 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .data_model import EntityGraph, FeatureMatrix, open_text
 from .errors import DataError
@@ -171,6 +170,12 @@ def build_huffman(frequencies) -> HuffmanTree:
 # hierarchical softmax
 
 
+def _expit(x: np.ndarray) -> np.ndarray:
+    """The logistic sigmoid 1 / (1 + e^-x); 0 where e^-x overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def hs_pair_loss(vectors: np.ndarray, node_vecs: np.ndarray, tree: HuffmanTree,
                  center: int, context: int) -> float:
     """Negative log probability of the context entity given the center."""
@@ -187,7 +192,7 @@ def hs_pair_grads(vectors: np.ndarray, node_vecs: np.ndarray, tree: HuffmanTree,
     """
     pts = tree.points[context]
     l2 = node_vecs[pts]
-    f = expit(l2 @ vectors[center])
+    f = _expit(l2 @ vectors[center])
     err = f - (1.0 - tree.codes[context])
     return err @ l2, pts, np.outer(err, vectors[center])
 
@@ -259,7 +264,7 @@ def _sgd_step(in_vecs, out_vecs, centers, targets, labels, mask, alpha):
     dim = in_vecs.shape[1]
     x = in_vecs[centers]
     rows = out_vecs[targets]
-    err = expit(np.matmul(rows, x[:, :, None])[:, :, 0]) - labels
+    err = _expit(np.matmul(rows, x[:, :, None])[:, :, 0]) - labels
     if mask is not None:
         err *= mask
     grad_x = np.matmul(err[:, None, :], rows)[:, 0, :] * alpha[:, None]

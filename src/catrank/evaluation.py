@@ -28,8 +28,6 @@ from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .data_model import CSR, CategoryIndex, VoteDataset
 
@@ -189,14 +187,56 @@ def _exact_best_ordering(weights: np.ndarray) -> tuple[float, list[int]]:
     return float(dp[-1]), order[::-1]
 
 
+def strong_components(adj: np.ndarray) -> tuple[int, np.ndarray]:
+    """``(count, labels)`` of the strongly connected components of the
+    digraph with a dense adjacency matrix, by an iterative Tarjan (SIAM J.
+    Comput. 1972); labels number the components as they complete."""
+    k = adj.shape[0]
+    succ = [np.flatnonzero(row).tolist() for row in adj]
+    index = [-1] * k
+    low = [0] * k
+    labels = [-1] * k
+    stack: list[int] = []
+    count = found = 0
+    for root in range(k):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = found
+        found += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if index[w] < 0:  # tree edge: descend
+                    index[w] = low[w] = found
+                    found += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if labels[w] < 0:  # w is still on the stack
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        labels[w] = count
+                        if w == v:
+                            break
+                    count += 1
+    return count, np.array(labels, dtype=np.int64)
+
+
 def _heuristic_best_ordering(weights: np.ndarray, counts: np.ndarray) -> tuple[float, list[int]]:
     """Condensed topological order of the majority digraph, margin-sorted
     inside each strongly connected component, then a reinsertion hill climb."""
     k = weights.shape[0]
     adj = (counts > counts.T).astype(np.int8)
-    n_comp, labels = connected_components(csr_matrix(adj), directed=True,
-                                          connection="strong")
-    labels = labels.astype(np.int64)
+    n_comp, labels = strong_components(adj)
     comp_members = CSR.from_keys(np.sort(labels * k + np.arange(k)), n_comp, k)
 
     # Kahn's algorithm on the condensation, ties to the lowest member index.

@@ -16,12 +16,19 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import xlogy
 
 from .data_model import DISTRIBUTION_ONLY_METRICS, METRICS, FeatureMatrix
 
 KL_EPS = 1e-10
 LN2 = math.log(2.0)
+
+
+def xlogx(v: np.ndarray) -> np.ndarray:
+    """v log v elementwise, 0 where v is 0 (scipy's ``xlogy(v, v)`` up to
+    the last bit of numpy's log); the log skips the zeros."""
+    out = np.zeros_like(v)
+    np.log(v, out=out, where=v != 0)
+    return np.multiply(v, out, out=out)
 
 
 def requires_distribution(metric: str) -> bool:
@@ -53,10 +60,10 @@ def distance(metric: str, x, y) -> float:
             raise ValueError("cosine distance is undefined for a zero vector")
         return float(np.clip(1.0 - (x @ y) / (nx * ny), 0.0, 2.0))
     if metric == "kl":
-        return float(xlogy(x, x).sum() - (x * np.log(np.maximum(y, KL_EPS))).sum())
+        return float(xlogx(x).sum() - (x * np.log(np.maximum(y, KL_EPS))).sum())
     # js
     m = 0.5 * (x + y)
-    v = 0.5 * xlogy(x, x).sum() + 0.5 * xlogy(y, y).sum() - xlogy(m, m).sum()
+    v = 0.5 * xlogx(x).sum() + 0.5 * xlogx(y).sum() - xlogx(m).sum()
     return float(np.clip(v, 0.0, LN2))
 
 
@@ -71,9 +78,9 @@ def prepare(metric: str, rows: np.ndarray) -> dict:
         prep["unit"] = rows / norms[:, None]
     elif metric == "kl":
         prep["log_floor"] = np.log(np.maximum(rows, KL_EPS))
-        prep["neg_entropy"] = xlogy(rows, rows).sum(axis=1)
+        prep["neg_entropy"] = xlogx(rows).sum(axis=1)
     elif metric == "js":
-        prep["neg_entropy"] = xlogy(rows, rows).sum(axis=1)
+        prep["neg_entropy"] = xlogx(rows).sum(axis=1)
     return prep
 
 
@@ -121,7 +128,7 @@ def block(metric: str, rows: np.ndarray, q: slice | np.ndarray, prep: dict,
     # js
     h = prep["neg_entropy"]
     m = 0.5 * (Q[:, None, :] + R[None, :, :])
-    s = xlogy(m, m).sum(axis=-1)
+    s = xlogx(m).sum(axis=-1)
     return np.clip(0.5 * h[q][:, None] + 0.5 * h[None, start:] - s, 0.0, LN2)
 
 
@@ -140,4 +147,4 @@ def pair_distances(metric: str, rows: np.ndarray, i: np.ndarray, j: np.ndarray,
         return prep["neg_entropy"][i] - (rows[i] * prep["log_floor"][j]).sum(axis=1)
     h = prep["neg_entropy"]
     m = 0.5 * (rows[i] + rows[j])
-    return np.clip(0.5 * h[i] + 0.5 * h[j] - xlogy(m, m).sum(axis=1), 0.0, LN2)
+    return np.clip(0.5 * h[i] + 0.5 * h[j] - xlogx(m).sum(axis=1), 0.0, LN2)

@@ -554,10 +554,18 @@ def _zero_window(tmp, out):
             "--window", "0", "--dim", "4", "--out", str(tmp / "f.tsv")]
 
 
+def _tab_in_graph_id(tmp, out):
+    # walks and features are TAB-separated lines, so no stage could read it back
+    graph = tmp / "tab.json"
+    graph.write_text(json.dumps({"ids": ["a\tb", "c"], "adjacency": [[1], [0]]}),
+                     encoding="utf-8")
+    return ["walk", "--graph", str(graph), "--out", str(tmp / "walks.txt")]
+
+
 @pytest.mark.parametrize("argv", [_bad_config, _kl_on_points, _universe_mismatch,
                                   _category_only_ranking, _zero_count_size,
                                   _stats_universe_mismatch, _stats_graph_mismatch,
-                                  _empty_features, _zero_window])
+                                  _empty_features, _zero_window, _tab_in_graph_id])
 def test_rejected_input_exits_2_without_traceback(pipeline, capsys, argv):
     tmp, out = pipeline
     capsys.readouterr()

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
+from scipy.special import logsumexp as scipy_logsumexp
 
 from catrank import coherence, evaluation
 from catrank.coherence import (
@@ -10,6 +12,8 @@ from catrank.coherence import (
     binomial_log_tails,
     binomial_tail,
     conductance,
+    log_gamma_table,
+    logsumexp,
     p_cat,
     rank_categories,
     run_grid,
@@ -131,6 +135,37 @@ def test_batched_tails_reject_p_outside_unit_interval(p):
     with pytest.raises(ValueError) as got:
         binomial_log_tails(np.array([5, 5]), np.array([1, 2]), np.array([0.5, p]))
     assert str(got.value) == str(want.value)
+
+
+def test_log_gamma_table_equals_scipy_gammaln_bitwise():
+    table = log_gamma_table(300_000)
+    assert table.tobytes() == gammaln(np.arange(300_001, dtype=np.float64)).tobytes()
+    for top in (0, 1, 12, 13, 999, 1000):  # every branch edge, short tables
+        assert log_gamma_table(top).tobytes() == table[:top + 1].tobytes()
+
+
+def _lse_rows():
+    """Rows with tied maxima, single elements and -inf entries."""
+    rng = np.random.default_rng(11)
+    rows = [np.array([0.5]), np.array([-np.inf]), np.array([-np.inf, -np.inf, -np.inf]),
+            np.array([2.0, 2.0, 2.0, 2.0]), np.array([-np.inf, 3.0, 3.0, -1.0])]
+    for _ in range(2000):
+        row = rng.normal(0.0, rng.choice([1.0, 30.0, 700.0]), rng.integers(1, 40))
+        if rng.random() < 0.5:
+            row = np.round(row)  # ties, the maximum among them
+        row[rng.random(len(row)) < rng.choice([0.0, 0.3])] = -np.inf
+        rows.append(row)
+    return rows
+
+
+def test_logsumexp_equals_scipy_bitwise():
+    rows = _lse_rows()
+    got = np.array([logsumexp(row) for row in rows])
+    want = np.array([scipy_logsumexp(row) for row in rows])
+    assert got.tobytes() == want.tobytes()
+    for width in (1, 4, 17):
+        block = np.stack([row[:width] for row in rows if len(row) >= width])
+        assert logsumexp(block, axis=1).tobytes() == scipy_logsumexp(block, axis=1).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -406,6 +408,14 @@ def test_native_json_artifacts_validated(tmp_path, name, text, message):
     with pytest.raises(DataError, match=message) as exc:
         load(path)
     assert name in str(exc.value)
+
+
+@pytest.mark.parametrize("bad", ["a\tb", "a\nb", "a\r", "\r\nb"])
+def test_native_graph_rejects_ids_no_text_artifact_can_carry(tmp_path, bad):
+    path = write(tmp_path / "graph.json",
+                 json.dumps({"ids": ["x", bad], "adjacency": [[1], [0]]}))
+    with pytest.raises(DataError, match=r"graph\.json: ids\[1\] .* holds a TAB or a line break"):
+        EntityGraph.load(path)
 
 
 def test_binary_feature_sidecar_missing_keys(tmp_path, small_graph):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 from scipy.stats import chi2
 
 import catrank.embeddings as embeddings_module
@@ -272,6 +273,17 @@ def test_hs_probabilities_normalize():
             math.exp(hs_log_prob(vectors, node_vecs, tree, v, w)) for w in range(5)
         )
         assert total == pytest.approx(1.0, abs=1e-6)
+
+
+def test_expit_within_four_ulps_of_scipy():
+    # numpy's exp differs from libm's in the last bit for a few inputs;
+    # rounding 1 + e^-x at a binade edge (worst near x = -36.8, where e^-x
+    # nears 2^53) turns that into at most four ulps of the result
+    x = np.concatenate([np.linspace(-745.0, 745.0, 400_001),
+                        np.random.default_rng(3).normal(0.0, 4.0, 400_000)])
+    with np.errstate(over="ignore"):
+        want = expit(x)
+    np.testing.assert_array_max_ulp(embeddings_module._expit(x), want, maxulp=4)
 
 
 def test_hs_gradients_match_finite_differences():

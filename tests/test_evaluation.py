@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from catrank import evaluation
 from catrank.data_model import VoteDataset
@@ -15,6 +17,7 @@ from catrank.evaluation import (
     ranking_positions,
     rough_accuracy,
     score_answer,
+    strong_components,
     _exact_best_ordering,
     _heuristic_best_ordering,
     _ordering_score,
@@ -265,6 +268,35 @@ def test_exact_ordering_matches_subset_loop():
             for w in (rng.random((k, k)), rng.integers(0, 4, (k, k)) / 3):
                 np.fill_diagonal(w, 0.0)
                 assert _exact_best_ordering(w) == exact_best_ordering_by_loop(w)
+
+
+def _partition(labels):
+    return sorted(np.flatnonzero(labels == c).tolist() for c in np.unique(labels))
+
+
+def _digraphs():
+    rng = np.random.default_rng(4)
+    yield np.zeros((1, 1), dtype=np.int8)
+    yield np.ones((1, 1), dtype=np.int8)  # a self-loop
+    yield np.ones((7, 7), dtype=np.int8)  # complete: one component
+    yield np.triu(np.ones((9, 9), dtype=np.int8), 1)  # acyclic: singletons
+    yield np.eye(6, k=1, dtype=np.int8) + np.eye(6, k=-5, dtype=np.int8)  # one cycle
+    for _ in range(300):
+        k = int(rng.integers(1, 80))
+        yield (rng.random((k, k)) < rng.uniform(0.0, 0.15)).astype(np.int8)
+    for k in (40, 200):  # at most one direction per pair, as a strict majority
+        adj = rng.random((k, k)) < 0.5
+        yield (adj & ~adj.T).astype(np.int8)
+
+
+def test_strong_components_partition_equals_scipy():
+    for adj in _digraphs():
+        count, labels = strong_components(adj)
+        want_count, want = connected_components(csr_matrix(adj), directed=True,
+                                                 connection="strong")
+        assert count == want_count
+        assert labels.min() == 0 and labels.max() == count - 1
+        assert _partition(labels) == _partition(want)
 
 
 def test_heuristic_matches_bruteforce_small_instances():

