@@ -16,7 +16,6 @@ it: neighbor search splits its work the same way at any worker count.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -31,11 +30,12 @@ from .data_model import (
     load_features,
     load_graph,
     load_votes,
-    open_text,
     read_features,
     save_features_binary,
     save_features_text,
     save_votes,
+    text_lines,
+    write_json,
 )
 from .errors import DataError
 from .manifest import write_manifest
@@ -50,15 +50,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_config(path: str) -> dict:
     values = {}
-    with open_text(path) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise DataError(f"{path}:{lineno}: expected 'key = value'")
-            values[key.strip().replace("-", "_")] = value.strip()
+    for lineno, line in text_lines(path):
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise DataError(f"{path}:{lineno}: expected 'key = value'")
+        values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
@@ -307,9 +303,7 @@ def _run_embed(args):
         "corpus_tokens": int(sum(len(w) for w in walks)),
     }
     meta_path = args.out + ".model.json"
-    with open(meta_path, "w", encoding="utf-8") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(meta_path, meta)
     outputs.append(meta_path)
     print(f"embedding: {fm.n_entities} x {fm.dim} ({args.method})")
     return meta, inputs, outputs
@@ -398,10 +392,7 @@ def _run_grid(args):
     _write(summary_csv, report.summary_csv(result.rows))
     outputs.append(summary_csv)
     summary_json = os.path.join(args.out_dir, "summary.json")
-    with open(summary_json, "w", encoding="utf-8") as f:
-        json.dump({"rows": result.rows, "skipped_configs": result.skipped_configs},
-                  f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(summary_json, {"rows": result.rows, "skipped_configs": result.skipped_configs})
     outputs.append(summary_json)
     print(f"grid: {len(result.rows)} configurations, "
           f"{len(result.skipped_configs)} skipped")
@@ -416,9 +407,7 @@ def _run_evaluate(args):
     votes = load_votes(args.votes, cats)
     order = report.read_ranking_csv(args.ranking, cats).ordered_categories
     rep = evaluation.evaluate(votes, order)
-    with open(args.out, "w", encoding="utf-8") as f:
-        json.dump(rep.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(args.out, rep.to_dict())
     print(f"rough accuracy:    {rep.rough_accuracy:.4f}")
     print(f"improved accuracy: {rep.improved_accuracy:.4f} "
           f"(cheating score {rep.cheating_score:g} of {rep.n_answers})")
@@ -443,15 +432,11 @@ def _run_report(args):
         if args.subset:
             inputs.append(args.subset)
             subset = []
-            with open_text(args.subset) as f:
-                for lineno, raw in enumerate(f, 1):
-                    name = raw.strip()
-                    if not name:
-                        continue
-                    e = graph.index.get(name)
-                    if e is None:
-                        raise DataError(f"{args.subset}:{lineno}: unknown entity {name!r}")
-                    subset.append(e)
+            for lineno, name in text_lines(args.subset):
+                e = graph.index.get(name)
+                if e is None:
+                    raise DataError(f"{args.subset}:{lineno}: unknown entity {name!r}")
+                subset.append(e)
         stats = report.category_stats(cats, subset=subset, bucket_width=args.bucket_width)
         _write(args.out, report.stats_text(stats))
         return {"bucket_width": args.bucket_width}, inputs, [args.out]

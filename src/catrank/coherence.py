@@ -375,16 +375,14 @@ def _config_key(feature, metric, strategy, size, criterion) -> str:
 
 def run_grid(features: dict[str, FeatureMatrix], cats: CategoryIndex, menu: GridMenu,
              votes: VoteDataset | None = None, workers: int = 1, seed: int = 0,
-             exact_limit: int | None = None, sample_pairs: int | None = None) -> GridResult:
+             exact_limit: int = DEFAULT_EXACT_LIMIT,
+             sample_pairs: int = DEFAULT_SAMPLE_PAIRS) -> GridResult:
     """Run every valid menu combination, reusing work where possible.
 
     Neighbor sets are shared between the two criteria; count-strategy lists
     are computed once at the largest K and sliced; distance-strategy lists
     are computed once at the largest threshold and filtered.
     """
-    exact_limit = DEFAULT_EXACT_LIMIT if exact_limit is None else exact_limit
-    sample_pairs = DEFAULT_SAMPLE_PAIRS if sample_pairs is None else sample_pairs
-
     # the whole menu is checked before any neighbor search or cheating score
     for metric in menu.metrics:
         metrics.check_metric(metric)
@@ -398,15 +396,15 @@ def run_grid(features: dict[str, FeatureMatrix], cats: CategoryIndex, menu: Grid
     rows: list[dict] = []
     rankings: dict[str, CoherenceRanking] = {}
     skipped: list[dict] = []
-    any_valid = False
+    pairs = []
     for fname, fm in features.items():
         for metric in menu.metrics:
             if metric in DISTRIBUTION_ONLY_METRICS and fm.kind != "distribution":
                 skipped.append({"feature": fname, "metric": metric,
                                 "reason": "metric requires distribution features"})
-                continue
-            any_valid = True
-    if not any_valid:
+            else:
+                pairs.append((fname, fm, metric))
+    if not pairs:
         raise ValueError("no valid feature/metric combination in the menu")
     if "count" in menu.strategies and not all(float(s).is_integer() and s >= 1
                                               for s in menu.sizes):
@@ -415,51 +413,48 @@ def run_grid(features: dict[str, FeatureMatrix], cats: CategoryIndex, menu: Grid
     if votes is not None:
         cheat, _ = evaluation.best_cheating_score(votes)
 
-    for fname, fm in features.items():
-        for metric in menu.metrics:
-            if metric in DISTRIBUTION_ONLY_METRICS and fm.kind != "distribution":
-                continue
-            for strategy in menu.strategies:
-                per_size = _neighbor_sets(fm, metric, strategy, menu.sizes, workers,
-                                          seed, exact_limit, sample_pairs)
-                for size, nbrs in per_size:
-                    scores, n_skipped = score_categories(nbrs, cats, menu.min_size)
-                    if not scores:
-                        skipped.append({"feature": fname, "metric": metric,
-                                        "strategy": strategy, "size": size,
-                                        "reason": "no scorable category"})
-                        continue
-                    for criterion in menu.criteria:
-                        ranking = CoherenceRanking(
-                            criterion=criterion,
-                            scores=_order_scores(scores, criterion),
-                            n_skipped=n_skipped,
-                        )
-                        key = _config_key(fname, metric, strategy, size, criterion)
-                        rankings[key] = ranking
-                        row = {
-                            "feature": fname,
-                            "metric": metric,
-                            "strategy": strategy,
-                            "size": size,
-                            "criterion": criterion,
-                            "n_scored": len(ranking),
-                            "n_skipped": n_skipped,
-                        }
-                        if strategy == "distance":
-                            row["threshold"] = nbrs.meta.get("d")
-                        if votes is not None:
-                            rep = evaluation.evaluate(votes, ranking.ordered_categories,
-                                                      cheating_score=cheat)
-                            row.update({
-                                "total_points": rep.total_points,
-                                "rough_accuracy": rep.rough_accuracy,
-                                "cheating_score": rep.cheating_score,
-                                "improved_accuracy": rep.improved_accuracy,
-                            })
-                            for i, frac in enumerate(rep.agreement_histogram, 1):
-                                row[f"agreement_{i}"] = frac
-                        rows.append(row)
+    for fname, fm, metric in pairs:
+        for strategy in menu.strategies:
+            per_size = _neighbor_sets(fm, metric, strategy, menu.sizes, workers,
+                                      seed, exact_limit, sample_pairs)
+            for size, nbrs in per_size:
+                scores, n_skipped = score_categories(nbrs, cats, menu.min_size)
+                if not scores:
+                    skipped.append({"feature": fname, "metric": metric,
+                                    "strategy": strategy, "size": size,
+                                    "reason": "no scorable category"})
+                    continue
+                for criterion in menu.criteria:
+                    ranking = CoherenceRanking(
+                        criterion=criterion,
+                        scores=_order_scores(scores, criterion),
+                        n_skipped=n_skipped,
+                    )
+                    key = _config_key(fname, metric, strategy, size, criterion)
+                    rankings[key] = ranking
+                    row = {
+                        "feature": fname,
+                        "metric": metric,
+                        "strategy": strategy,
+                        "size": size,
+                        "criterion": criterion,
+                        "n_scored": len(ranking),
+                        "n_skipped": n_skipped,
+                    }
+                    if strategy == "distance":
+                        row["threshold"] = nbrs.meta.get("d")
+                    if votes is not None:
+                        rep = evaluation.evaluate(votes, ranking.ordered_categories,
+                                                  cheating_score=cheat)
+                        row.update({
+                            "total_points": rep.total_points,
+                            "rough_accuracy": rep.rough_accuracy,
+                            "cheating_score": rep.cheating_score,
+                            "improved_accuracy": rep.improved_accuracy,
+                        })
+                        for i, frac in enumerate(rep.agreement_histogram, 1):
+                            row[f"agreement_{i}"] = frac
+                    rows.append(row)
     return GridResult(rows=rows, rankings=rankings, skipped_configs=skipped)
 
 

@@ -1,7 +1,8 @@
 """Core domain types, file ingestion and persistence for the pipeline.
 
-External formats:
-  graph       UTF-8 TSV edge list ``src<TAB>dst``, ``#`` comments allowed
+External formats (each line format but neighbor lists skips blank lines and
+``#`` comments, see ``text_lines``):
+  graph       UTF-8 TSV edge list ``src<TAB>dst``
   categories  UTF-8 TSV ``entity<TAB>category``
   features    text header ``n<SP>dim<SP>kind`` then rows
               ``entity<TAB>v1 v2 ... vdim``; alternative binary format of
@@ -54,6 +55,38 @@ def open_text(path: str, newline: str | None = None):
         raise DataError(f"{path}: unreadable text: {e}") from None
 
 
+def text_lines(path: str):
+    """``(line number, stripped text)`` for each content line of a UTF-8
+    text file: every line that is neither blank nor a ``#`` comment. Every
+    line format the package reads goes through here, except neighbor lists,
+    which keep their own grammar."""
+    with open_text(path) as f:
+        for lineno, raw in enumerate(f, 1):
+            line = raw.strip()
+            if line and line[0] != "#":
+                yield lineno, line
+
+
+def csv_records(path: str, what: str):
+    """The header of a UTF-8 CSV file, then ``(line, record)`` for each
+    non-blank record, where line is the one the record ends on. DataError
+    ``empty <what>`` for an empty file, and at a record whose cell count
+    differs from the header's."""
+    with open_text(path, newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty {what}")
+        yield header
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(f"{path}:{reader.line_num}: expected {len(header)} "
+                                f"columns, got {len(row)}")
+            yield reader.line_num, row
+
+
 def csv_text(header: list[str], rows) -> str:
     """CSV text with minimal quoting and ``\\n`` line ends; None is an
     empty cell and Python floats keep their shortest round-trip form. Every
@@ -63,6 +96,17 @@ def csv_text(header: list[str], rows) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return out.getvalue()
+
+
+def write_json(path: str, payload, compact: bool = False):
+    """Every JSON file the package writes: ``compact`` without spaces and in
+    the payload's key order, otherwise indented by 2 with sorted keys and a
+    final newline."""
+    with open(path, "w", encoding="utf-8") as f:
+        if compact:
+            json.dump(payload, f, separators=(",", ":"))
+        else:
+            f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def read_json_object(path: str, keys: tuple[str, ...] = ()) -> dict:
@@ -78,6 +122,26 @@ def read_json_object(path: str, keys: tuple[str, ...] = ()) -> dict:
     if missing:
         raise DataError(f"{path}: missing keys {missing}")
     return payload
+
+
+def check_names(names: list[str], where):
+    """DataError ``<where(i)> <name> <why>`` at the first ``names[i]`` that
+    cannot be an entity id or category name. Text formats split at TABs and
+    line ends, strip cells and skip ``#`` lines, so a name is non-empty, does
+    not start with ``#``, holds no TAB or line break and has no surrounding
+    whitespace."""
+    for i, name in enumerate(names):
+        if not name:
+            why = "is empty"
+        elif name[0] == "#":
+            why = "starts with '#'"
+        elif "\t" in name or "\n" in name or "\r" in name:
+            why = "holds a TAB or a line break"
+        elif name != name.strip():
+            why = "has surrounding whitespace"
+        else:
+            continue
+        raise DataError(f"{where(i)} {name!r} {why}")
 
 
 def _is_count(value) -> bool:
@@ -107,22 +171,24 @@ def _index_lists(raw, count: int, where: str) -> "CSR":
 
 
 def _read_pairs(path: str, form: str) -> tuple[list[str], list[str]]:
-    """The two stripped cells of each ``a<TAB>b`` line of a UTF-8 TSV file;
-    blank lines and ``#`` comments are skipped. ``form`` names the columns
-    in the DataError a malformed line raises."""
+    """The two stripped cells of each ``a<TAB>b`` content line of a UTF-8
+    TSV file. ``form`` names the columns in the DataError a malformed line
+    raises."""
     left: list[str] = []
     right: list[str] = []
-    with open_text(path) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-                raise DataError(f"{path}:{lineno}: expected '{form}', got {line!r}")
-            left.append(parts[0].strip())
-            right.append(parts[1].strip())
+    for lineno, line in text_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
+            raise DataError(f"{path}:{lineno}: expected '{form}', got {line!r}")
+        left.append(parts[0].strip())
+        right.append(parts[1].strip())
     return left, right
+
+
+def _line_holding(path: str, name: str) -> str:
+    """``path:line:`` of the first content line with the cell ``name``."""
+    return next(f"{path}:{lineno}:" for lineno, line in text_lines(path)
+                if name in [cell.strip() for cell in line.split("\t")])
 
 
 def _codes(names: list[str], index: dict[str, int]) -> np.ndarray:
@@ -232,12 +298,8 @@ class EntityGraph:
         self.adjacency.check(n, "adjacency", no_self=True)
 
     def save(self, path: str):
-        payload = {
-            "ids": self.ids,
-            "adjacency": [a.tolist() for a in self.adjacency],
-        }
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(payload, f, separators=(",", ":"))
+        write_json(path, {"ids": self.ids, "adjacency": [a.tolist() for a in self.adjacency]},
+                   compact=True)
 
     @classmethod
     def load(cls, path: str) -> "EntityGraph":
@@ -245,10 +307,7 @@ class EntityGraph:
         ids = payload["ids"]
         if not _is_name_list(ids):
             raise DataError(f"{path}: 'ids' must be a list of distinct strings")
-        for i, name in enumerate(ids):
-            # walks and feature files are TAB-separated lines
-            if any(ch in name for ch in "\t\n\r"):
-                raise DataError(f"{path}: ids[{i}] {name!r} holds a TAB or a line break")
+        check_names(ids, lambda i: f"{path}: ids[{i}]")
         adjacency = _index_lists(payload["adjacency"], len(ids), f"{path}: adjacency")
         graph = cls(ids=ids, adjacency=adjacency)
         try:
@@ -271,6 +330,7 @@ def load_graph(path: str, symmetrize: bool = False):
     ids = list(dict.fromkeys(ends))
     if not ids:
         raise DataError(f"{path}: empty graph")
+    check_names(ids, lambda i: _line_holding(path, ids[i]))
     index = {s: i for i, s in enumerate(ids)}
     n = len(ids)
     u, v = _codes(ends, index).reshape(-1, 2).T
@@ -325,13 +385,8 @@ class CategoryIndex:
         self.members.check(self.n_entities, "members")
 
     def save(self, path: str):
-        payload = {
-            "n_entities": self.n_entities,
-            "names": self.names,
-            "members": [m.tolist() for m in self.members],
-        }
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(payload, f, separators=(",", ":"))
+        write_json(path, {"n_entities": self.n_entities, "names": self.names,
+                          "members": [m.tolist() for m in self.members]}, compact=True)
 
     @classmethod
     def load(cls, path: str) -> "CategoryIndex":
@@ -341,6 +396,7 @@ class CategoryIndex:
             raise DataError(f"{path}: 'n_entities' must be a nonnegative integer")
         if not _is_name_list(names):
             raise DataError(f"{path}: 'names' must be a list of distinct strings")
+        check_names(names, lambda i: f"{path}: names[{i}]")
         members = _index_lists(payload["members"], len(names), f"{path}: members")
         cats = cls(names=names, members=members, n_entities=n)
         try:
@@ -362,6 +418,7 @@ def load_categories(path: str, graph: EntityGraph):
     known = e >= 0
     labels = [c for c, k in zip(labels, known.tolist()) if k]
     names = list(dict.fromkeys(labels))
+    check_names(names, lambda i: _line_holding(path, names[i]))
     cat_index = {s: i for i, s in enumerate(names)}
     raw = _codes(labels, cat_index) * graph.n_entities + e[known]
     keys = np.unique(raw)
@@ -470,54 +527,45 @@ def _parse_features(path: str) -> tuple[FeatureMatrix, list[str], int]:
 
 
 def _parse_features_text(path: str):
-    with open_text(path) as f:
-        header = None
-        lineno = 0
-        for lineno, raw in enumerate(f, 1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                header = line
-                break
-        if header is None:
-            raise DataError(f"{path}: missing feature header")
-        parts = header.split()
-        if len(parts) != 3:
-            raise DataError(f"{path}:{lineno}: header must be 'n dim kind'")
+    lines = text_lines(path)
+    lineno, header = next(lines, (0, None))
+    if header is None:
+        raise DataError(f"{path}: missing feature header")
+    parts = header.split()
+    if len(parts) != 3:
+        raise DataError(f"{path}:{lineno}: header must be 'n dim kind'")
+    try:
+        n, dim = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise DataError(f"{path}:{lineno}: non-integer header counts") from None
+    if n < 0 or dim < 1:
+        raise DataError(f"{path}:{lineno}: header needs n >= 0 and dim >= 1")
+    kind = parts[2].lower()
+    if kind not in FEATURE_KINDS:
+        raise DataError(f"{path}:{lineno}: unknown kind {parts[2]!r} in header")
+    ids: list[str] = []
+    vecs: list[np.ndarray] = []
+    seen: set[str] = set()
+    for lineno, line in lines:
+        ent, _, rest = line.partition("\t")
+        ent = ent.strip()
+        if not rest:
+            raise DataError(f"{path}:{lineno}: expected 'entity<TAB>values'")
+        if ent in seen:
+            raise DataError(f"{path}:{lineno}: duplicate row for {ent!r}")
+        if len(ids) == n:
+            raise DataError(f"{path}:{lineno}: more rows than the {n} the header declares")
         try:
-            n, dim = int(parts[0]), int(parts[1])
+            vec = np.array(rest.split(), dtype=np.float64)
         except ValueError:
-            raise DataError(f"{path}:{lineno}: non-integer header counts") from None
-        if n < 0 or dim < 1:
-            raise DataError(f"{path}:{lineno}: header needs n >= 0 and dim >= 1")
-        kind = parts[2].lower()
-        if kind not in FEATURE_KINDS:
-            raise DataError(f"{path}:{lineno}: unknown kind {parts[2]!r} in header")
-        ids: list[str] = []
-        vecs: list[np.ndarray] = []
-        seen: set[str] = set()
-        for lineno, raw in enumerate(f, lineno + 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            ent, _, rest = line.partition("\t")
-            ent = ent.strip()
-            if not rest:
-                raise DataError(f"{path}:{lineno}: expected 'entity<TAB>values'")
-            if ent in seen:
-                raise DataError(f"{path}:{lineno}: duplicate row for {ent!r}")
-            if len(ids) == n:
-                raise DataError(f"{path}:{lineno}: more rows than the {n} the header declares")
-            try:
-                vec = np.array(rest.split(), dtype=np.float64)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric component") from None
-            if vec.shape[0] != dim:
-                raise DataError(
-                    f"{path}:{lineno}: expected {dim} components, got {vec.shape[0]}"
-                )
-            seen.add(ent)
-            ids.append(ent)
-            vecs.append(vec)
+            raise DataError(f"{path}:{lineno}: non-numeric component") from None
+        if vec.shape[0] != dim:
+            raise DataError(
+                f"{path}:{lineno}: expected {dim} components, got {vec.shape[0]}"
+            )
+        seen.add(ent)
+        ids.append(ent)
+        vecs.append(vec)
     rows = np.array(vecs, dtype=np.float64).reshape(len(vecs), dim)
     return rows, ids, kind, n
 
@@ -532,6 +580,7 @@ def _parse_features_binary(path: str):
         raise DataError(f"{sidecar}: unknown kind {kind!r}")
     if not _is_name_list(ids) or len(ids) != n:
         raise DataError(f"{sidecar}: 'ids' must list {n} distinct entity ids")
+    check_names(ids, lambda i: f"{sidecar}: ids[{i}]")
     data = np.fromfile(path, dtype="<f4")
     if data.size != n * dim:
         raise DataError(f"{path}: expected {n * dim} float32 values, found {data.size}")
@@ -553,8 +602,7 @@ def save_features_binary(fm: FeatureMatrix, ids: list[str], path: str):
         raise ValueError("id list length does not match feature rows")
     fm.rows.astype("<f4").tofile(path)
     meta = {"n": fm.n_entities, "dim": fm.dim, "kind": fm.kind, "ids": list(ids)}
-    with open(path + ".json", "w", encoding="utf-8") as f:
-        json.dump(meta, f, separators=(",", ":"))
+    write_json(path + ".json", meta, compact=True)
 
 
 # ---------------------------------------------------------------------------
@@ -600,55 +648,36 @@ class VoteDataset:
 
 def load_votes(path: str, cats: CategoryIndex) -> VoteDataset:
     """Ingest the vote CSV; choice columns carry category names."""
-    qids: list[str] = []
     choice_lists: list[list[int]] = []
     by_id: dict[str, int] = {}
     answers: list[tuple[int, int]] = []
-    with open_text(path, newline="") as f:
-        reader = csv.reader(f)
+    records = csv_records(path, "vote file")
+    m = len(next(records)) - 2
+    if m < 2:
+        raise DataError(f"{path}: header must carry at least 2 choice columns")
+    for lineno, row in records:
+        qid = row[0].strip()
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty vote file") from None
-        m = len(header) - 2
-        if m < 2:
-            raise DataError(f"{path}: header must carry at least 2 choice columns")
-        for rowno, row in enumerate(reader, 2):
-            if not row:
-                continue
-            if len(row) != m + 2:
-                raise DataError(f"{path}:{rowno}: expected {m + 2} columns, got {len(row)}")
-            qid = row[0].strip()
-            choice_names = [c.strip() for c in row[1:-1]]
-            try:
-                voted = int(row[-1])
-            except ValueError:
-                raise DataError(f"{path}:{rowno}: voted index is not an integer") from None
-            if not 1 <= voted <= m:
-                raise DataError(f"{path}:{rowno}: voted index {voted} outside [1, {m}]")
-            choices = []
-            for name in choice_names:
-                c = cats.index.get(name)
-                if c is None:
-                    raise DataError(f"{path}:{rowno}: unknown category {name!r}")
-                choices.append(c)
-            if len(set(choices)) != m:
-                raise DataError(f"{path}:{rowno}: duplicate categories in choices")
-            qi = by_id.get(qid)
-            if qi is None:
-                qi = len(qids)
-                by_id[qid] = qi
-                qids.append(qid)
-                choice_lists.append(choices)
-            elif choice_lists[qi] != choices:
-                raise DataError(
-                    f"{path}:{rowno}: question {qid!r} repeats with different choices"
-                )
-            answers.append((qi, voted - 1))
-
+            voted = int(row[-1])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: voted index is not an integer") from None
+        if not 1 <= voted <= m:
+            raise DataError(f"{path}:{lineno}: voted index {voted} outside [1, {m}]")
+        try:
+            choices = [cats.index[c.strip()] for c in row[1:-1]]
+        except KeyError as e:
+            raise DataError(f"{path}:{lineno}: unknown category {e.args[0]!r}") from None
+        if len(set(choices)) != m:
+            raise DataError(f"{path}:{lineno}: duplicate categories in choices")
+        qi = by_id.setdefault(qid, len(by_id))
+        if qi == len(choice_lists):
+            choice_lists.append(choices)
+        elif choice_lists[qi] != choices:
+            raise DataError(f"{path}:{lineno}: question {qid!r} repeats with different choices")
+        answers.append((qi, voted - 1))
     if not answers:
         raise DataError(f"{path}: no answers")
-    return VoteDataset.from_lists(qids, choice_lists, answers)
+    return VoteDataset.from_lists(list(by_id), choice_lists, answers)
 
 
 def save_votes(votes: VoteDataset, cats: CategoryIndex, path: str):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import EntityGraph, FeatureMatrix, open_text
+from .data_model import EntityGraph, FeatureMatrix, text_lines
 from .errors import DataError
 
 _WALK_SALT = 0x57A1C
@@ -90,16 +90,11 @@ def save_walks(walks: list[np.ndarray], ids: list[str], path: str):
 
 def load_walks(path: str, graph: EntityGraph) -> list[np.ndarray]:
     walks = []
-    with open_text(path) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                walks.append(np.array([graph.index[s] for s in line.split("\t")],
-                                      dtype=np.int64))
-            except KeyError as e:
-                raise DataError(f"{path}:{lineno}: unknown entity {e.args[0]!r}") from None
+    for lineno, line in text_lines(path):
+        try:
+            walks.append(np.array([graph.index[s] for s in line.split("\t")], dtype=np.int64))
+        except KeyError as e:
+            raise DataError(f"{path}:{lineno}: unknown entity {e.args[0]!r}") from None
     if not walks:
         raise DataError(f"{path}: empty walk corpus")
     return walks

@@ -7,9 +7,9 @@ manifests then differ only in the wall_clock_s field.
 from __future__ import annotations
 
 import hashlib
-import json
 
 from . import __version__
+from .data_model import write_json
 
 
 def file_digest(path: str) -> str:
@@ -32,6 +32,4 @@ def write_manifest(path: str, command: str, parameters: dict, inputs: list[str],
         "seed": seed,
         "wall_clock_s": wall_clock_s,
     }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, payload)

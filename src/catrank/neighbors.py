@@ -13,7 +13,6 @@ compute every unordered pair once; cosine and kl blocks span full rows.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import os
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .data_model import CSR, FeatureMatrix, open_text, read_json_object
+from .data_model import CSR, FeatureMatrix, open_text, read_json_object, write_json
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -73,8 +72,8 @@ class NeighborSet(CSR):
                 idx, dist = self.neighbors(v)
                 cells = ",".join(f"{i}:{repr(d)}" for i, d in zip(idx.tolist(), dist.tolist()))
                 f.write(f"{v}\t{cells}\n")
-        with open(path + ".meta.json", "w", encoding="utf-8") as f:
-            json.dump(self.meta | {"n": self.n}, f, separators=(",", ":"), sort_keys=True)
+        write_json(path + ".meta.json", dict(sorted((self.meta | {"n": self.n}).items())),
+                   compact=True)
 
     @classmethod
     def load(cls, path: str) -> "NeighborSet":

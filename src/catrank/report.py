@@ -7,7 +7,6 @@ fixed orderings).
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import CategoryScore, CoherenceRanking
-from .data_model import CategoryIndex, csv_text, open_text
+from .data_model import CategoryIndex, csv_records, csv_text
 from .errors import DataError
 
 
@@ -154,40 +153,34 @@ def read_ranking_csv(path: str, cats: CategoryIndex) -> CoherenceRanking:
     scores: list[CategoryScore] = []
     seen: set[int] = set()
     by_conductance = True
-    with open_text(path, newline="") as f:
-        reader = csv.reader(f)
-        if next(reader, None) != RANKING_COLUMNS:
-            raise DataError(f"{path}:1: header must be {','.join(RANKING_COLUMNS)}")
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}:{reader.line_num}"
-            if len(row) != len(RANKING_COLUMNS):
-                raise DataError(f"{where}: expected {len(RANKING_COLUMNS)} columns, "
-                                f"got {len(row)}")
-            rank, name, value, cond, log_s, n_members, n_observers = row
-            c = cats.index.get(name)
-            if c is None:
-                raise DataError(f"{where}: unknown category {name!r}")
-            if c in seen:
-                raise DataError(f"{where}: category {name!r} listed twice")
-            try:
-                numbers = (int(rank), float(cond) if cond else None, float(log_s),
-                           int(n_members), int(n_observers))
-            except ValueError:
-                raise DataError(f"{where}: non-numeric field") from None
-            rank, conductance, log_surprise, n_members, n_observers = numbers
-            if rank != len(scores) + 1:
-                raise DataError(f"{where}: rank {rank} out of sequence")
-            if not (log_surprise <= 0.0 and (conductance is None or 0.0 <= conductance <= 1.0)):
-                raise DataError(f"{where}: need log_surprise <= 0 and conductance in [0, 1]")
-            by_conductance = by_conductance and value == cond
-            seen.add(c)
-            scores.append(CategoryScore(
-                category=c, n_members=n_members, conductance=conductance,
-                surprise=math.exp(log_surprise), log_surprise=log_surprise,
-                n_observers_used=n_observers,
-            ))
+    records = csv_records(path, "ranking")
+    if next(records) != RANKING_COLUMNS:
+        raise DataError(f"{path}:1: header must be {','.join(RANKING_COLUMNS)}")
+    for lineno, row in records:
+        where = f"{path}:{lineno}"
+        rank, name, value, cond, log_s, n_members, n_observers = row
+        c = cats.index.get(name)
+        if c is None:
+            raise DataError(f"{where}: unknown category {name!r}")
+        if c in seen:
+            raise DataError(f"{where}: category {name!r} listed twice")
+        try:
+            numbers = (int(rank), float(cond) if cond else None, float(log_s),
+                       int(n_members), int(n_observers))
+        except ValueError:
+            raise DataError(f"{where}: non-numeric field") from None
+        rank, conductance, log_surprise, n_members, n_observers = numbers
+        if rank != len(scores) + 1:
+            raise DataError(f"{where}: rank {rank} out of sequence")
+        if not (log_surprise <= 0.0 and (conductance is None or 0.0 <= conductance <= 1.0)):
+            raise DataError(f"{where}: need log_surprise <= 0 and conductance in [0, 1]")
+        by_conductance = by_conductance and value == cond
+        seen.add(c)
+        scores.append(CategoryScore(
+            category=c, n_members=n_members, conductance=conductance,
+            surprise=math.exp(log_surprise), log_surprise=log_surprise,
+            n_observers_used=n_observers,
+        ))
     if not scores:
         raise DataError(f"{path}: empty ranking")
     return CoherenceRanking(criterion="conductance" if by_conductance else "surprise",

@@ -126,6 +126,30 @@ def test_walk_corpus_with_spaced_ids_reads_back(tmp_path):
     assert (meta["corpus_walks"], meta["corpus_tokens"]) == (6, 24)
 
 
+def test_ingested_ids_round_trip_through_embed_and_knn(tmp_path, capsys):
+    """Every id ingest accepts reads back from the feature files embed writes,
+    and an id that a text format would skip as a comment fails at its line."""
+    names = ["a#b", "Emilie du Chatelet", "x,y", '"q"', "c"]
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("".join(f"{a}\t{b}\n" for a in names for b in names if a != b),
+                     encoding="utf-8")
+    graph = str(tmp_path / "work" / "graph.json")
+    assert main(["ingest", "--graph", str(edges), "--out-dir", str(tmp_path / "work")]) == 0
+    for binary in ([], ["--binary"]):
+        feats, nb = str(tmp_path / f"f{len(binary)}"), str(tmp_path / f"nb{len(binary)}.tsv")
+        assert main(["embed", "--graph", graph, "--walks-per-vertex", "2", "--walk-length", "4",
+                     "--dim", "3", "--window", "1", "--out", feats] + binary) == 0
+        assert main(["knn", "--features", feats, "--metric", "l2", "--k", "2",
+                     "--out", nb]) == 0
+        assert NeighborSet.load(nb).n == len(names)
+        assert main(["ingest", "--graph", str(edges), "--features", feats,
+                     "--out-dir", str(tmp_path / f"again{len(binary)}")]) == 0
+    edges.write_text("a#b\tc\nx\t#b\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["ingest", "--graph", str(edges), "--out-dir", str(tmp_path / "bad")]) == 2
+    assert f"{edges}:2: '#b' starts with '#'" in capsys.readouterr().err
+
+
 def run_embed_knn(tmp, out, k="3"):
     feats = tmp / "features.tsv"
     if not feats.exists():

@@ -1,8 +1,11 @@
 import json
+import os
+import re
 
 import numpy as np
 import pytest
 
+from catrank import cli, embeddings, report
 from catrank.data_model import (
     CSR,
     CategoryIndex,
@@ -17,6 +20,7 @@ from catrank.data_model import (
     save_features_binary,
     save_features_text,
     save_votes,
+    write_json,
 )
 from catrank.errors import DataError
 
@@ -99,6 +103,13 @@ def test_load_graph_comments_and_symmetrize(tmp_path):
     assert graph.adjacency[1].tolist() == [0, 2]
     assert graph.adjacency[2].tolist() == [1]
     graph.validate()
+
+
+def test_load_graph_rejects_id_starting_with_hash(tmp_path):
+    # walks and feature files would skip a line starting with it as a comment
+    p = write(tmp_path / "g.tsv", "A\tB\n\n# note\nB\t #b\n#b\tA\n")
+    with pytest.raises(DataError, match=r"g\.tsv:4: '#b' starts with '#'"):
+        load_graph(p)
 
 
 def test_graph_round_trip(tmp_path):
@@ -184,6 +195,12 @@ def test_load_categories_basic(tmp_path, small_graph):
     assert cats.members[1].tolist() == [0]
     assert rep.n_assignments == 3
     cats.validate()
+
+
+def test_load_categories_rejects_name_starting_with_hash(tmp_path, small_graph):
+    p = write(tmp_path / "c.tsv", "A\tcat1\nZ\t#skipped\nB\t#cat2\n")
+    with pytest.raises(DataError, match=r"c\.tsv:3: '#cat2' starts with '#'"):
+        load_categories(p, small_graph)
 
 
 def test_load_categories_unknown_entity_skipped(tmp_path, small_graph):
@@ -361,6 +378,16 @@ def test_load_votes_duplicate_choice_rejected(tmp_path, vote_cats):
         load_votes(p, vote_cats)
 
 
+def test_vote_errors_point_at_the_line_where_the_record_ends(tmp_path, vote_cats):
+    p = write(tmp_path / "v.csv", vote_csv([
+        "q1,c1,c2,c3,c4,c5,1",
+        '"q\n2",c1,c2,c3,c4,c5,2',
+        "q3,c1,c2,c3,c4,nope,1",
+    ]))
+    with pytest.raises(DataError, match=r"v\.csv:5: unknown category 'nope'"):
+        load_votes(p, vote_cats)
+
+
 def test_votes_round_trip(tmp_path, vote_cats):
     p = write(tmp_path / "v.csv", vote_csv([
         "q1,c1,c2,c3,c4,c5,1",
@@ -418,6 +445,33 @@ def test_native_graph_rejects_ids_no_text_artifact_can_carry(tmp_path, bad):
         EntityGraph.load(path)
 
 
+@pytest.mark.parametrize("bad, why", [
+    (" x", "has surrounding whitespace"), ("x\u00a0", "has surrounding whitespace"),
+    ("", "is empty"), ("#x", "starts with '#'"), ("a\tb", "holds a TAB or a line break"),
+])
+@pytest.mark.parametrize("artifact", ["graph", "categories", "sidecar"])
+def test_native_names_follow_the_text_name_rule(tmp_path, artifact, bad, why):
+    """Every native artifact refuses a name that no text format reads back
+    as itself, naming the key and the index."""
+    if artifact == "graph":
+        where = r"graph\.json: ids\[1\]"
+        path = write(tmp_path / "graph.json",
+                     json.dumps({"ids": ["y", bad], "adjacency": [[1], [0]]}))
+        load = EntityGraph.load
+    elif artifact == "categories":
+        where = r"categories\.json: names\[1\]"
+        path = write(tmp_path / "categories.json",
+                     json.dumps({"n_entities": 2, "names": ["y", bad], "members": [[0], [1]]}))
+        load = CategoryIndex.load
+    else:
+        where = r"f\.bin\.json: ids\[1\]"
+        path = str(tmp_path / "f.bin")
+        save_features_binary(FeatureMatrix(kind="point", rows=np.ones((2, 2))), ["y", bad], path)
+        load = read_features
+    with pytest.raises(DataError, match=rf"{where} '.*' {why}$"):
+        load(path)
+
+
 def test_binary_feature_sidecar_missing_keys(tmp_path, small_graph):
     path = tmp_path / "f.bin"
     save_features_binary(FeatureMatrix(kind="point", rows=np.ones((2, 2))),
@@ -439,3 +493,73 @@ def test_read_features_keeps_file_order_and_checks_rows(tmp_path):
     short = write(tmp_path / "h.tsv", "2 2 point\nB\t0.5 0.5\n")
     with pytest.raises(DataError, match="declares 2 rows, found 1"):
         read_features(short)
+
+
+# ---------------------------------------------------------------------------
+# one content-line rule, one CSV record rule
+
+
+@pytest.fixture
+def native(tmp_path):
+    """A two-entity graph and categories x, y, z, loaded and saved."""
+    graph, _ = load_graph(write(tmp_path / "g.tsv", "A\tB\nB\tA\n"))
+    cats, _ = load_categories(write(tmp_path / "c.tsv", "A\tx\nB\ty\nA\tz\n"), graph)
+    graph.save(str(tmp_path / "graph.json"))
+    cats.save(str(tmp_path / "categories.json"))
+    return graph, cats
+
+
+def _subset(path, graph, cats):
+    work = os.path.dirname(path)
+    args = cli.build_parser().parse_args([
+        "report", "stats", "--graph", os.path.join(work, "graph.json"), "--subset", path,
+        "--categories", os.path.join(work, "categories.json"),
+        "--out", os.path.join(work, "stats.txt")])
+    cli._run_report(args)  # noqa: SLF001
+
+
+# Each reader gets a bad record on line 5, after a blank line and a '#' line.
+# CSV has no comments, so there the '#' line sits inside a quoted cell and
+# the record holding it spans lines 3-4.
+_READERS = {
+    "edges": ("A\tB\n\n# note\nB\tA\nA\n", "expected 'src<TAB>dst'",
+              lambda p, g, c: load_graph(p)),
+    "categories": ("A\tx\n\n# note\nB\ty\nB\n", "expected 'entity<TAB>category'",
+                   lambda p, g, c: load_categories(p, g)),
+    "features": ("2 2 point\n\n# note\nA\t1 2\nB\t1 y\n", "non-numeric component",
+                 lambda p, g, c: read_features(p)),
+    "walks": ("A\tB\n\n# note\nB\tA\nA\tZ\n", "unknown entity 'Z'",
+              lambda p, g, c: embeddings.load_walks(p, g)),
+    "config": ("seed = 1\n\n# note\nk = 2\nseed 3\n", "expected 'key = value'",
+               lambda p, g, c: cli._read_config(p)),  # noqa: SLF001
+    "subset": ("A\n\n# note\nB\nZ\n", "unknown entity 'Z'", _subset),
+    "votes": ('question_id,choice_1,choice_2,voted_index\n\n"q1\n# note",x,y,1\n'
+              "q2,x,nope,1\n", "unknown category 'nope'",
+              lambda p, g, c: load_votes(p, c)),
+    "ranking": (",".join(report.RANKING_COLUMNS) + '\n\n1,x,"-0.5\n# note",0.5,-0.5,2,1\n'
+                "2,nope,-0.5,0.5,-0.5,2,1\n", "unknown category 'nope'",
+                lambda p, g, c: report.read_ranking_csv(p, c)),
+    "votes_cells": ('question_id,choice_1,choice_2,voted_index\n\n"q1\n# note",x,y,1\n'
+                    "q2,x,y\n", "expected 4 columns, got 3", lambda p, g, c: load_votes(p, c)),
+    "ranking_cells": (",".join(report.RANKING_COLUMNS) + '\n\n1,x,"-0.5\n# note",0.5,-0.5,2,1\n'
+                      "2,y,-0.5,0.5,-0.5,2,1,9\n", "expected 7 columns, got 8",
+                      lambda p, g, c: report.read_ranking_csv(p, c)),
+}
+
+
+@pytest.mark.parametrize("reader", list(_READERS))
+def test_every_reader_points_at_the_bad_line(tmp_path, native, reader):
+    text, message, read = _READERS[reader]
+    path = write(tmp_path / f"{reader}.txt", text)
+    with pytest.raises(DataError, match=rf"^{re.escape(path)}:5: {message}"):
+        read(path, *native)
+
+
+def test_write_json_has_two_fixed_forms(tmp_path):
+    payload = {"b": [1, 2], "a": {"d": 1.5, "c": None}}
+    path = tmp_path / "x.json"
+    write_json(str(path), payload, compact=True)
+    assert path.read_bytes() == b'{"b":[1,2],"a":{"d":1.5,"c":null}}'
+    write_json(str(path), payload)
+    assert path.read_bytes() == (b'{\n  "a": {\n    "c": null,\n    "d": 1.5\n  },\n'
+                                 b'  "b": [\n    1,\n    2\n  ]\n}\n')
