@@ -384,6 +384,9 @@ def run_grid(features: dict[str, FeatureMatrix], cats: CategoryIndex, menu: Grid
     are computed once at the largest threshold and filtered.
     """
     # the whole menu is checked before any neighbor search or cheating score
+    for axis in ("metrics", "strategies", "sizes", "criteria"):
+        if not getattr(menu, axis):
+            raise ValueError(f"grid menu axis {axis!r} is empty")
     for metric in menu.metrics:
         metrics.check_metric(metric)
     for strategy in menu.strategies:

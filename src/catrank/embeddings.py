@@ -23,6 +23,7 @@ reproducible per seed, and ``workers`` is accepted and ignored.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,23 +200,11 @@ def hs_log_prob(vectors: np.ndarray, node_vecs: np.ndarray, tree: HuffmanTree,
 
 @dataclass
 class SkipGramModel:
+    """What training learned; ``catrank embed`` records the settings itself."""
+
     input_vectors: np.ndarray
     node_vectors: np.ndarray
     tree: HuffmanTree
-    dim: int
-    initial_lr: float
-    final_lr: float
-    method: str
-    seed: int
-
-
-def _count_pairs(walks, window: int) -> int:
-    total = 0
-    for walk in walks:
-        n = len(walk)
-        for t in range(n):
-            total += min(t + window, n - 1) - max(t - window, 0)
-    return total
 
 
 def _make_noise_cdf(freqs: np.ndarray) -> np.ndarray:
@@ -233,6 +222,12 @@ def _pair_offsets(length: int, window: int) -> tuple[np.ndarray, np.ndarray]:
     c = t + np.tile(np.arange(-window, window + 1), length)
     keep = (c >= 0) & (c < length) & (c != t)
     return t[keep], c[keep]
+
+
+def _count_pairs(walks, window: int) -> int:
+    """(center, context) pairs in a walk corpus, as ``_pair_offsets`` lists them."""
+    lengths = Counter(len(w) for w in walks)
+    return sum(k * len(_pair_offsets(n, window)[0]) for n, k in lengths.items())
 
 
 def _padded_paths(tree: HuffmanTree):
@@ -345,9 +340,8 @@ def train_skipgram(walks: list[np.ndarray], n_entities: int, *, dim: int = 128,
         noise_rng = np.random.default_rng([seed, _NEG_SALT])
         ns_labels = np.r_[1.0, np.zeros(negative)]
 
-    lengths = [len(w) for w in walks]
-    offsets = {n: _pair_offsets(n, window) for n in set(lengths)}
-    total_pairs = sum(len(offsets[n][0]) for n in lengths)
+    offsets = {n: _pair_offsets(n, window) for n in {len(w) for w in walks}}
+    total_pairs = _count_pairs(walks, window)
     lr_span = final_lr - initial_lr
     done = 0
     for g0 in range(0, len(walks), _GROUP):
@@ -366,16 +360,7 @@ def train_skipgram(walks: list[np.ndarray], n_entities: int, *, dim: int = 128,
                 _sgd_step(vectors, out_vecs, centers[lo:hi], targets[lo:hi], ns_labels,
                           None, alpha[lo:hi])
 
-    return SkipGramModel(
-        input_vectors=vectors,
-        node_vectors=node_vecs,
-        tree=tree,
-        dim=dim,
-        initial_lr=initial_lr,
-        final_lr=final_lr,
-        method=method,
-        seed=seed,
-    )
+    return SkipGramModel(input_vectors=vectors, node_vectors=node_vecs, tree=tree)
 
 
 def embed(graph: EntityGraph, walk_cfg: WalkConfig, *, dim: int = 128,

@@ -31,14 +31,11 @@ def xlogx(v: np.ndarray) -> np.ndarray:
     return np.multiply(v, out, out=out)
 
 
-def requires_distribution(metric: str) -> bool:
-    return metric in DISTRIBUTION_ONLY_METRICS
-
-
 def check_metric(metric: str, features: FeatureMatrix | None = None):
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
-    if features is not None and requires_distribution(metric) and features.kind != "distribution":
+    if (features is not None and metric in DISTRIBUTION_ONLY_METRICS
+            and features.kind != "distribution"):
         raise ValueError(f"metric {metric!r} requires distribution features")
 
 
@@ -104,6 +101,21 @@ def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b.T
 
 
+def _broadcast(metric: str, rows: np.ndarray, i, j, h: np.ndarray | None) -> np.ndarray:
+    """l1, l2 or js between the row stacks ``rows[i]`` and ``rows[j]``, which
+    broadcast against each other; ``h`` holds the rows' negative entropies
+    (js only). ``block`` and ``pair_distances`` both evaluate these metrics
+    here, so a pair gets the same bytes from either."""
+    x, y = rows[i], rows[j]
+    if metric == "l1":
+        return np.abs(x - y).sum(axis=-1)
+    if metric == "l2":
+        d = x - y
+        return np.sqrt((d * d).sum(axis=-1))
+    m = 0.5 * (x + y)
+    return np.clip(0.5 * h[i] + 0.5 * h[j] - xlogx(m).sum(axis=-1), 0.0, LN2)
+
+
 def block(metric: str, rows: np.ndarray, q: slice | np.ndarray, prep: dict,
           start: int = 0) -> np.ndarray:
     """Distances from ``rows[q]`` to ``rows[start:]``, as a (len(q), n - start)
@@ -114,37 +126,21 @@ def block(metric: str, rows: np.ndarray, q: slice | np.ndarray, prep: dict,
     columns from ``start`` on holds the same bytes as the transposed block
     from the other side. Cosine (GEMM sums, see ``_gemm``) and kl
     (asymmetric) are not, and their callers take full rows."""
-    Q, R = rows[q], rows[start:]
-    if metric == "l1":
-        return np.abs(Q[:, None, :] - R[None, :, :]).sum(axis=-1)
-    if metric == "l2":
-        d = Q[:, None, :] - R[None, :, :]
-        return np.sqrt((d * d).sum(axis=-1))
     if metric == "cosine":
         unit = prep["unit"]
         return np.clip(1.0 - _gemm(unit[q], unit[start:]), 0.0, 2.0)
     if metric == "kl":
-        return prep["neg_entropy"][q][:, None] - _gemm(Q, prep["log_floor"][start:])
-    # js
-    h = prep["neg_entropy"]
-    m = 0.5 * (Q[:, None, :] + R[None, :, :])
-    s = xlogx(m).sum(axis=-1)
-    return np.clip(0.5 * h[q][:, None] + 0.5 * h[None, start:] - s, 0.0, LN2)
+        return prep["neg_entropy"][q][:, None] - _gemm(rows[q], prep["log_floor"][start:])
+    return _broadcast(metric, rows, (q, None), (None, slice(start, None)),
+                      prep.get("neg_entropy"))
 
 
 def pair_distances(metric: str, rows: np.ndarray, i: np.ndarray, j: np.ndarray,
                    prep: dict) -> np.ndarray:
     """Elementwise distances between ``rows[i[t]]`` and ``rows[j[t]]``."""
-    if metric == "l1":
-        return np.abs(rows[i] - rows[j]).sum(axis=1)
-    if metric == "l2":
-        d = rows[i] - rows[j]
-        return np.sqrt((d * d).sum(axis=1))
     if metric == "cosine":
         unit = prep["unit"]
         return np.clip(1.0 - (unit[i] * unit[j]).sum(axis=1), 0.0, 2.0)
     if metric == "kl":
         return prep["neg_entropy"][i] - (rows[i] * prep["log_floor"][j]).sum(axis=1)
-    h = prep["neg_entropy"]
-    m = 0.5 * (rows[i] + rows[j])
-    return np.clip(0.5 * h[i] + 0.5 * h[j] - xlogx(m).sum(axis=1), 0.0, LN2)
+    return _broadcast(metric, rows, i, j, prep.get("neg_entropy"))

@@ -146,13 +146,14 @@ def top_csv(table: TopTable) -> str:
 def read_ranking_csv(path: str, cats: CategoryIndex) -> CoherenceRanking:
     """Read a ranking written by ``ranking_csv``, keeping its order.
 
-    The criterion is not stored as such: a file whose every criterion_value
-    cell equals its conductance cell is a conductance ranking, any other a
-    surprise ranking.
+    The criterion is not stored as such: each row's criterion_value cell must
+    equal its conductance cell or its log_surprise cell, and every row where
+    those two differ must match the same one. A file with no such row is read
+    as a conductance ranking.
     """
     scores: list[CategoryScore] = []
     seen: set[int] = set()
-    by_conductance = True
+    criterion = None
     records = csv_records(path, "ranking")
     if next(records) != RANKING_COLUMNS:
         raise DataError(f"{path}:1: header must be {','.join(RANKING_COLUMNS)}")
@@ -174,7 +175,15 @@ def read_ranking_csv(path: str, cats: CategoryIndex) -> CoherenceRanking:
             raise DataError(f"{where}: rank {rank} out of sequence")
         if not (log_surprise <= 0.0 and (conductance is None or 0.0 <= conductance <= 1.0)):
             raise DataError(f"{where}: need log_surprise <= 0 and conductance in [0, 1]")
-        by_conductance = by_conductance and value == cond
+        if value not in (cond, log_s):
+            raise DataError(f"{where}: criterion_value {value!r} is neither the conductance "
+                            "nor the log_surprise cell")
+        if cond != log_s:
+            matched = "conductance" if value == cond else "surprise"
+            if criterion not in (None, matched):
+                raise DataError(f"{where}: criterion_value matches {matched} here "
+                                f"but {criterion} on earlier rows")
+            criterion = matched
         seen.add(c)
         scores.append(CategoryScore(
             category=c, n_members=n_members, conductance=conductance,
@@ -183,8 +192,7 @@ def read_ranking_csv(path: str, cats: CategoryIndex) -> CoherenceRanking:
         ))
     if not scores:
         raise DataError(f"{path}: empty ranking")
-    return CoherenceRanking(criterion="conductance" if by_conductance else "surprise",
-                            scores=scores, n_skipped=0)
+    return CoherenceRanking(criterion=criterion or "conductance", scores=scores, n_skipped=0)
 
 
 def _cell(v) -> str:

@@ -4,11 +4,13 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import catrank
+from catrank import coherence
 from catrank.cli import main
 from catrank.data_model import FeatureMatrix, read_features, save_features_text
 from catrank.neighbors import (
@@ -18,7 +20,8 @@ from catrank.neighbors import (
     neighbors_by_distance,
 )
 
-from conftest import random_simplex
+from conftest import categories_from_members, random_simplex
+from oracles import exact_binomial_tail
 
 
 def make_dataset(root):
@@ -516,6 +519,53 @@ def test_report_top_on_conductance_ranking(pipeline):
     assert len(rows) == 5
     assert all(r["criterion_value"] == r["conductance"] for r in rows)
     assert rows[0]["criterion_value"] != rows[0]["log_surprise"]
+
+
+def test_grid_refuses_an_empty_menu_axis(pipeline, capsys):
+    tmp, out = pipeline
+    grid_dir = tmp / "grid"
+    assert main(["grid", "--features", str(write_points(tmp / "f.tsv")),
+                 "--categories", str(out / "categories.json"), "--sizes=",
+                 "--out-dir", str(grid_dir)]) == 2
+    assert "grid menu axis 'sizes' is empty" in capsys.readouterr().err
+    assert not (grid_dir / "summary.csv").exists()
+
+
+def test_adjusted_p_scores_and_ranks_by_the_without_replacement_p(fig4_instance, tmp_path):
+    # fig. 4's neighbor set with a second category, "flip", whose surprise is
+    # above the probe's at p = size/N (0.40 > 0.375) and below it at
+    # p = (size-1)/(N-1) (0.30 < 0.36)
+    nbrs, _ = fig4_instance
+    members = [[0, 1, 2, 3], [0, 2, 4]]
+    cats = categories_from_members(members, 16, names=["probe", "flip"])
+    want = []
+    for m in members:
+        p = Fraction(len(m) - 1, cats.n_entities - 1)
+        tails = [exact_binomial_tail(len(ids), len(set(ids.tolist()) & set(m)), p)
+                 for ids in (nbrs.neighbors(v)[0] for v in m) if len(ids)]
+        want.append(float(sum(tails) / len(tails)))
+    for c in range(2):
+        assert coherence.surprise_level(c, nbrs, cats, adjusted_p=True)[0] == \
+            pytest.approx(want[c], rel=1e-12)
+    scores, _ = coherence.score_categories(nbrs, cats, adjusted_p=True)
+    assert [s.surprise for s in scores] == pytest.approx(want, rel=1e-12)
+    assert coherence.rank_categories(nbrs, cats, "surprise",
+                                     adjusted_p=True).ordered_categories == [1, 0]
+
+    nbrs.save(str(tmp_path / "nb.tsv"))
+    cats.save(str(tmp_path / "cats.json"))
+    for flag, order in (([], ["probe", "flip"]), (["--adjusted-p"], ["flip", "probe"])):
+        ranking = tmp_path / f"ranking{len(flag)}.csv"
+        assert main(["rank", "--neighbors", str(tmp_path / "nb.tsv"), "--categories",
+                     str(tmp_path / "cats.json"), "--criterion", "surprise",
+                     "--out", str(ranking), *flag]) == 0
+        with open(ranking, encoding="utf-8", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [r["category"] for r in rows] == order
+        manifest = json.loads((tmp_path / f"{ranking.name}.manifest.json").read_text())
+        assert manifest["parameters"]["adjusted_p"] is bool(flag)
+    assert [math.exp(float(r["log_surprise"])) for r in rows] == \
+        pytest.approx(want[::-1], rel=1e-12)
 
 
 def _bad_config(tmp, out):

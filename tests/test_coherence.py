@@ -534,6 +534,10 @@ def test_grid_takes_integral_float_count_size_as_k():
     ({"strategies": ("count", "bogus")}, "unknown closeness strategy 'bogus'"),
     ({"metrics": ("l1", "l3")}, "unknown metric 'l3'"),
     ({"min_size": 1}, "min_size must be at least 2"),
+    ({"metrics": ()}, "grid menu axis 'metrics' is empty"),
+    ({"strategies": ()}, "grid menu axis 'strategies' is empty"),
+    ({"sizes": ()}, "grid menu axis 'sizes' is empty"),
+    ({"criteria": ()}, "grid menu axis 'criteria' is empty"),
 ])
 def test_grid_rejects_bad_menu_before_any_work(monkeypatch, bad, message):
     def no_work(*args, **kwargs):

@@ -520,7 +520,8 @@ def _subset(path, graph, cats):
 
 # Each reader gets a bad record on line 5, after a blank line and a '#' line.
 # CSV has no comments, so there the '#' line sits inside a quoted cell and
-# the record holding it spans lines 3-4.
+# the record holding it spans lines 3-4. Every ranking cell is a number or a
+# name, so there the quoted cell spanning lines 3-4 is the rank, "\n1".
 _READERS = {
     "edges": ("A\tB\n\n# note\nB\tA\nA\n", "expected 'src<TAB>dst'",
               lambda p, g, c: load_graph(p)),
@@ -536,12 +537,12 @@ _READERS = {
     "votes": ('question_id,choice_1,choice_2,voted_index\n\n"q1\n# note",x,y,1\n'
               "q2,x,nope,1\n", "unknown category 'nope'",
               lambda p, g, c: load_votes(p, c)),
-    "ranking": (",".join(report.RANKING_COLUMNS) + '\n\n1,x,"-0.5\n# note",0.5,-0.5,2,1\n'
+    "ranking": (",".join(report.RANKING_COLUMNS) + '\n\n"\n1",x,-0.5,0.5,-0.5,2,1\n'
                 "2,nope,-0.5,0.5,-0.5,2,1\n", "unknown category 'nope'",
                 lambda p, g, c: report.read_ranking_csv(p, c)),
     "votes_cells": ('question_id,choice_1,choice_2,voted_index\n\n"q1\n# note",x,y,1\n'
                     "q2,x,y\n", "expected 4 columns, got 3", lambda p, g, c: load_votes(p, c)),
-    "ranking_cells": (",".join(report.RANKING_COLUMNS) + '\n\n1,x,"-0.5\n# note",0.5,-0.5,2,1\n'
+    "ranking_cells": (",".join(report.RANKING_COLUMNS) + '\n\n"\n1",x,-0.5,0.5,-0.5,2,1\n'
                       "2,y,-0.5,0.5,-0.5,2,1,9\n", "expected 7 columns, got 8",
                       lambda p, g, c: report.read_ranking_csv(p, c)),
 }

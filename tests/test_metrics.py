@@ -131,11 +131,9 @@ def test_pair_distances_matches_scalar():
                 distance(metric, rows[i[t]], rows[j[t]]), rel=1e-10, abs=1e-12)
 
 
-@pytest.mark.parametrize("dim", [6, 64])
-@pytest.mark.parametrize("metric", ["l1", "l2", "js"])
-def test_symmetric_blocks_are_bitwise_transposes(metric, dim):
-    # zero rows, and for l1 and l2 rows of +-1e308 whose distances overflow
-    # to inf: each (i, j) must still carry the bytes of (j, i)
+def edge_rows(metric, dim):
+    """30 rows with zeros, and for l1 and l2 rows of +-1e308 whose distances
+    overflow to inf."""
     rng = np.random.default_rng(17)
     n = 30
     if metric == "js":
@@ -148,6 +146,15 @@ def test_symmetric_blocks_are_bitwise_transposes(metric, dim):
         rows[1, ::2] = 1e308
         rows[2, 1::3] = -1e308
         rows[3] = 1e308
+    return rows
+
+
+@pytest.mark.parametrize("dim", [6, 64])
+@pytest.mark.parametrize("metric", ["l1", "l2", "js"])
+def test_symmetric_blocks_are_bitwise_transposes(metric, dim):
+    # each (i, j) must carry the bytes of (j, i), also where a distance is inf
+    rows = edge_rows(metric, dim)
+    n = len(rows)
     prep = metrics.prepare(metric, rows)
     with np.errstate(over="ignore"):
         full = metrics.block(metric, rows, np.arange(n), prep)
@@ -156,3 +163,20 @@ def test_symmetric_blocks_are_bitwise_transposes(metric, dim):
             to_i = metrics.block(metric, rows, np.arange(n), prep, start=i)[:, 0]
             assert from_i.tobytes() == to_i.tobytes(), i
     assert np.isinf(full).any() == (metric != "js")
+
+
+@pytest.mark.parametrize("dim", [1, 3, 64])
+@pytest.mark.parametrize("metric", ["l1", "l2", "js"])
+def test_block_and_pair_distances_agree_bitwise(metric, dim):
+    # the exact scan and the sampled calibration pool share one formula, so
+    # each pair carries the same bytes from either, also where it is inf
+    rows = edge_rows(metric, dim)
+    n = len(rows)
+    prep = metrics.prepare(metric, rows)
+    with np.errstate(over="ignore"):
+        for q, start in ((np.arange(n), 0), (slice(2, 9), 5), (np.array([3, 0, 17]), 1),
+                         (slice(n - 1, n), n - 1)):
+            got = metrics.block(metric, rows, q, prep, start)
+            i, j = np.meshgrid(np.arange(n)[q], np.arange(start, n), indexing="ij")
+            want = metrics.pair_distances(metric, rows, i.ravel(), j.ravel(), prep)
+            assert got.tobytes() == want.tobytes(), (q, start)

@@ -168,12 +168,24 @@ def test_ranking_csv_reads_back(tmp_path, criterion):
         assert a.surprise == pytest.approx(b.surprise, rel=1e-12)
 
 
+def _with_value(line, value):
+    """A ranking CSV line with its criterion_value cell set to ``value``."""
+    cells = line.split(",")
+    return ",".join(cells[:2] + [value] + cells[3:])
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda lines: ["category"] + [l.split(",")[1] for l in lines[1:]], r":1: header"),
     (lambda lines: lines[:2] + lines[1:2], r":3: category 'cat\d+' listed twice"),
     (lambda lines: lines[:1] + lines[2:], r":2: rank 2 out of sequence"),
     (lambda lines: lines[:1] + [lines[1].replace(",3,", ",x,", 1)], r":2: non-numeric"),
     (lambda lines: lines[:1], "empty ranking"),
+    (lambda lines: lines[:1] + [_with_value(lines[1], "abc")] + lines[2:],
+     r":2: criterion_value 'abc' is neither the conductance nor the log_surprise cell"),
+    (lambda lines: lines[:1] + [_with_value(lines[1], "")] + lines[2:],
+     r":2: criterion_value '' is neither the conductance nor the log_surprise cell"),
+    (lambda lines: lines[:2] + [_with_value(lines[2], lines[2].split(",")[3])] + lines[3:],
+     r":3: criterion_value matches conductance here but surprise on earlier rows"),
 ])
 def test_read_ranking_csv_rejects_malformed(tmp_path, edit, message):
     ranking, cats = small_ranking()
@@ -182,3 +194,20 @@ def test_read_ranking_csv_rejects_malformed(tmp_path, edit, message):
                     encoding="utf-8")
     with pytest.raises(DataError, match=message):
         read_ranking_csv(str(path), cats)
+
+
+@pytest.mark.parametrize("rows, criterion", [
+    ("1,cat0,0.5,0.5,-1.0,3,3\n2,cat1,0.0,0.0,0.0,3,3\n", "conductance"),
+    ("1,cat0,0.0,0.0,0.0,3,3\n2,cat1,-2.0,0.25,-2.0,3,3\n", "surprise"),
+    ("1,cat0,,,0.0,3,0\n", "conductance"),
+    ("1,cat0,0.0,,0.0,3,0\n", "surprise"),
+    ("1,cat0,0.0,0.0,0.0,3,3\n", "conductance"),
+])
+def test_read_ranking_csv_criterion_from_rows_whose_cells_differ(tmp_path, rows, criterion):
+    # a row whose conductance and log_surprise cells are equal does not decide;
+    # a file with no deciding row reads as a conductance ranking
+    _, cats = small_ranking()
+    path = tmp_path / "ranking.csv"
+    path.write_text("rank,category,criterion_value,conductance,log_surprise,n_members,"
+                    "n_observers_used\n" + rows, encoding="utf-8")
+    assert read_ranking_csv(str(path), cats).criterion == criterion
