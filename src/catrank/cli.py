@@ -2,15 +2,15 @@
 
 Stages exchange persisted artifacts (no hidden state), so any stage can be
 rerun from the previous stage's outputs. Every run writes a manifest
-recording resolved parameters and input/output digests. Exit status: 0 on
+recording its parameters, seed and input/output digests. Exit status: 0 on
 success, 1 on usage errors, 2 on data errors.
 
 A ``key = value`` config file, given as ``--config PATH`` or
 ``--config=PATH`` before the subcommand, supplies defaults for any long
-flag; explicit flags win. ``--workers`` exists only on the stages whose
-library call takes a worker count (walk, embed, knn, grid and report
-quantiles), and ``CATRANK_WORKERS`` sets its default. No output depends on
-it: neighbor search splits its work the same way at any worker count.
+flag; explicit flags win. ``--workers`` exists only on the stages that run
+neighbor search or threshold calibration (knn, grid and report quantiles),
+and ``CATRANK_WORKERS`` sets its default. No output depends on it: neighbor
+search splits its work the same way at any worker count.
 """
 
 from __future__ import annotations
@@ -79,9 +79,8 @@ def _workers(text: str) -> int:
     return value
 
 
-_WORKERS_HELP = ("threads for neighbor search and threshold calibration (knn, grid, "
-                "report quantiles; walk and embed run in one thread); outputs do not "
-                "depend on it")
+_WORKERS_HELP = ("threads for neighbor search and threshold calibration; outputs do "
+                "not depend on it")
 
 
 def _add_workers(p):
@@ -108,7 +107,6 @@ def build_parser() -> _Parser:
     p.add_argument("--walks-per-vertex", type=int, default=10)
     p.add_argument("--walk-length", type=int, default=40)
     p.add_argument("--seed", type=int, default=0)
-    _add_workers(p)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("embed", help="train skip-gram embeddings")
@@ -124,7 +122,6 @@ def build_parser() -> _Parser:
     p.add_argument("--method", choices=["hs", "negative"], default="hs")
     p.add_argument("--negative", type=int, default=5)
     p.add_argument("--binary", action="store_true", help="write float32 binary features")
-    _add_workers(p)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("knn", help="build the close-neighbor relation")
@@ -211,12 +208,12 @@ def _write(path: str, text: str):
 
 
 # ---------------------------------------------------------------------------
-# stage runners: each returns (parameters, input paths, output paths)
+# stage runners: each returns (output paths, values it computed); main writes
+# the manifest's parameters and inputs from the parsed options
 
 
 def _run_ingest(args):
     os.makedirs(args.out_dir, exist_ok=True)
-    inputs = [args.graph]
     outputs = []
     graph, greport = load_graph(args.graph, symmetrize=args.symmetrize)
     gpath = os.path.join(args.out_dir, "graph.json")
@@ -226,7 +223,6 @@ def _run_ingest(args):
           f"{greport.n_self_loops_dropped} self-loops dropped, "
           f"{greport.n_duplicate_edges_dropped} duplicate edges dropped")
     if args.categories:
-        inputs.append(args.categories)
         cats, creport = load_categories(args.categories, graph)
         cpath = os.path.join(args.out_dir, "categories.json")
         cats.save(cpath)
@@ -235,7 +231,6 @@ def _run_ingest(args):
               f"{creport.n_assignments} assignments, "
               f"{creport.n_skipped_unknown_entities} skipped unknown entities")
     if args.features:
-        inputs.append(args.features)
         fm = load_features(args.features, args.feature_kind, graph)
         fpath = os.path.join(args.out_dir, "features.tsv")
         save_features_text(fm, graph.ids, fpath)
@@ -244,14 +239,12 @@ def _run_ingest(args):
     if args.votes:
         if not args.categories:
             raise DataError("--votes requires --categories")
-        inputs.append(args.votes)
         votes = load_votes(args.votes, cats)
         vpath = os.path.join(args.out_dir, "votes.csv")
         save_votes(votes, cats, vpath)
         outputs.append(vpath)
         print(f"votes: {len(votes.qids)} questions, {votes.n_answers} answers")
-    params = {"symmetrize": args.symmetrize, "feature_kind": args.feature_kind}
-    return params, inputs, outputs
+    return outputs, {}
 
 
 def _run_walk(args):
@@ -264,13 +257,11 @@ def _run_walk(args):
     walks = embeddings.generate_walks(graph, cfg)
     embeddings.save_walks(walks, graph.ids, args.out)
     print(f"walks: {len(walks)} walks over {graph.n_entities} entities")
-    params = {"walks_per_vertex": cfg.walks_per_vertex, "walk_length": cfg.walk_length}
-    return params, [args.graph], [args.out]
+    return [args.out], {}
 
 
 def _run_embed(args):
     graph = EntityGraph.load(args.graph)
-    inputs = [args.graph]
     cfg = embeddings.WalkConfig(
         walks_per_vertex=args.walks_per_vertex,
         walk_length=args.walk_length,
@@ -278,7 +269,6 @@ def _run_embed(args):
         seed=args.seed,
     )
     if args.walks:
-        inputs.append(args.walks)
         walks = embeddings.load_walks(args.walks, graph)
     else:
         walks = embeddings.generate_walks(graph, cfg)
@@ -294,27 +284,25 @@ def _run_embed(args):
         outputs.append(args.out + ".json")
     else:
         save_features_text(fm, graph.ids, args.out)
-    meta = {
+    corpus = {"corpus_walks": len(walks),
+              "corpus_tokens": int(sum(len(w) for w in walks))}
+    meta_path = args.out + ".model.json"
+    write_json(meta_path, {
         "dim": args.dim, "window": args.window, "seed": args.seed,
         "walks_per_vertex": cfg.walks_per_vertex, "walk_length": cfg.walk_length,
         "initial_lr": args.initial_lr, "final_lr": args.final_lr,
-        "method": args.method, "negative": args.negative,
-        "corpus_walks": len(walks),
-        "corpus_tokens": int(sum(len(w) for w in walks)),
-    }
-    meta_path = args.out + ".model.json"
-    write_json(meta_path, meta)
+        "method": args.method, "negative": args.negative, **corpus,
+    })
     outputs.append(meta_path)
     print(f"embedding: {fm.n_entities} x {fm.dim} ({args.method})")
-    return meta, inputs, outputs
+    return outputs, corpus
 
 
 def _run_knn(args):
     fm, _ = read_features(args.features)
-    params = {"metric": args.metric}
+    computed = {}
     if args.k is not None:
         nbrs = neighbors.knn_by_count(fm, args.metric, args.k, workers=args.workers)
-        params["k"] = args.k
     elif args.avg_target is not None:
         d, = neighbors.calibrate_thresholds(
             fm, args.metric, [args.avg_target], exact_limit=args.exact_limit,
@@ -323,17 +311,15 @@ def _run_knn(args):
         nbrs.meta["target"] = args.avg_target
         nbrs.meta["exact_limit"] = args.exact_limit
         nbrs.meta["sample_pairs"] = args.sample_pairs
-        params.update(avg_target=args.avg_target, threshold=d,
-                      exact_limit=args.exact_limit, sample_pairs=args.sample_pairs)
+        computed["threshold"] = d
         print(f"calibrated threshold: {d!r}")
     else:
         nbrs = neighbors.neighbors_by_distance(fm, args.metric, args.radius,
                                                workers=args.workers)
-        params["radius"] = args.radius
     nbrs.save(args.out)
     degs = nbrs.out_degrees()
     print(f"neighbors: {nbrs.n} entities, mean out-degree {degs.mean():.3f}")
-    return params, [args.features], [args.out, args.out + ".meta.json"]
+    return [args.out, args.out + ".meta.json"], computed
 
 
 def _run_coherence(args):
@@ -345,8 +331,7 @@ def _run_coherence(args):
         raise DataError("no scorable category (all below min-size)")
     _write(args.out, report.scores_csv(scores, cats))
     print(f"coherence: scored {len(scores)} categories, skipped {skipped}")
-    params = {"min_size": args.min_size, "adjusted_p": args.adjusted_p}
-    return params, [args.neighbors, args.categories], [args.out]
+    return [args.out], {}
 
 
 def _run_rank(args):
@@ -357,20 +342,14 @@ def _run_rank(args):
     _write(args.out, report.ranking_csv(ranking, cats))
     print(f"ranking: {len(ranking)} categories by {args.criterion}, "
           f"skipped {ranking.n_skipped}")
-    params = {"criterion": args.criterion, "min_size": args.min_size,
-              "adjusted_p": args.adjusted_p}
-    return params, [args.neighbors, args.categories], [args.out]
+    return [args.out], {}
 
 
 def _run_grid(args):
     os.makedirs(args.out_dir, exist_ok=True)
     fm, _ = read_features(args.features)
     cats = CategoryIndex.load(args.categories)
-    inputs = [args.features, args.categories]
-    votes = None
-    if args.votes:
-        inputs.append(args.votes)
-        votes = load_votes(args.votes, cats)
+    votes = load_votes(args.votes, cats) if args.votes else None
     menu = coherence.GridMenu(
         metrics=tuple(_str_list(args.metrics)),
         strategies=tuple(_str_list(args.strategies)),
@@ -396,10 +375,7 @@ def _run_grid(args):
     outputs.append(summary_json)
     print(f"grid: {len(result.rows)} configurations, "
           f"{len(result.skipped_configs)} skipped")
-    params = {"metrics": args.metrics, "strategies": args.strategies,
-              "sizes": args.sizes, "criteria": args.criteria,
-              "min_size": args.min_size}
-    return params, inputs, outputs
+    return outputs, {}
 
 
 def _run_evaluate(args):
@@ -413,13 +389,12 @@ def _run_evaluate(args):
           f"(cheating score {rep.cheating_score:g} of {rep.n_answers})")
     for i, frac in enumerate(rep.agreement_histogram, 1):
         print(f"agreement {i}: {frac:.4f}")
-    return {}, [args.ranking, args.votes, args.categories], [args.out]
+    return [args.out], {}
 
 
 def _run_report(args):
     if args.report_command == "stats":
         cats = CategoryIndex.load(args.categories)
-        inputs = [args.categories]
         subset = None
         if args.subset and not args.graph:
             raise DataError("--subset requires --graph to resolve entity ids")
@@ -428,9 +403,7 @@ def _run_report(args):
             if graph.n_entities != cats.n_entities:
                 raise DataError(f"{args.graph} has {graph.n_entities} entities, but "
                                 f"{args.categories} has n_entities = {cats.n_entities}")
-            inputs.append(args.graph)
         if args.subset:
-            inputs.append(args.subset)
             subset = []
             for lineno, name in text_lines(args.subset):
                 e = graph.index.get(name)
@@ -439,7 +412,7 @@ def _run_report(args):
                 subset.append(e)
         stats = report.category_stats(cats, subset=subset, bucket_width=args.bucket_width)
         _write(args.out, report.stats_text(stats))
-        return {"bucket_width": args.bucket_width}, inputs, [args.out]
+        return [args.out], {}
     if args.report_command == "quantiles":
         fm, _ = read_features(args.features)
         targets = _float_list(args.targets)
@@ -447,8 +420,7 @@ def _run_report(args):
             fm, args.metric, targets, exact_limit=args.exact_limit,
             sample_pairs=args.sample_pairs, seed=args.seed, workers=args.workers)
         _write(args.out, report.quantiles_csv(list(zip(targets, ds))))
-        params = {"metric": args.metric, "targets": args.targets}
-        return params, [args.features], [args.out]
+        return [args.out], {}
     # top
     cats = CategoryIndex.load(args.categories)
     ranking = report.read_ranking_csv(args.ranking, cats)
@@ -460,7 +432,7 @@ def _run_report(args):
         outputs.append(args.text)
     if table.truncated_note:
         print(table.truncated_note)
-    return {"top": args.top}, [args.ranking, args.categories], outputs
+    return outputs, {}
 
 
 _RUNNERS = {
@@ -476,11 +448,25 @@ _RUNNERS = {
 }
 
 
+# options naming a file a stage reads: the manifest digests them as inputs
+_INPUT_OPTIONS = {"graph", "walks", "categories", "features", "votes", "neighbors",
+                  "ranking", "subset"}
+# parsed values that are not parameters: the subcommand names, output paths,
+# the seed (its own manifest field), the config file (resolved into the other
+# options) and the worker count (no output depends on it)
+_NOT_PARAMETERS = {"command", "report_command", "out", "out_dir", "text", "seed",
+                   "config", "workers"}
+
+
 def _manifest_path(args) -> str:
     out_dir = getattr(args, "out_dir", None)
     if out_dir:
         return os.path.join(out_dir, "manifest.json")
     return args.out + ".manifest.json"
+
+
+_CONFIG_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+                 "0": False, "false": False, "no": False, "off": False}
 
 
 def _iter_parsers(parser):
@@ -507,7 +493,10 @@ def _apply_config(parser, config):
                     except argparse.ArgumentTypeError as e:
                         raise ValueError(f"config {action.dest}: {e}") from None
                 elif isinstance(action.const, bool) or isinstance(action.default, bool):
-                    raw = raw.lower() in ("1", "true", "yes", "on")
+                    if raw.lower() not in _CONFIG_BOOLS:
+                        raise ValueError(f"config {action.dest}: expected one of "
+                                         f"{'/'.join(_CONFIG_BOOLS)}, got {raw!r}")
+                    raw = _CONFIG_BOOLS[raw.lower()]
                 defaults[action.dest] = raw
         sub.set_defaults(**defaults)
     unknown = set(config) - known
@@ -532,7 +521,7 @@ def main(argv=None) -> int:
             _apply_config(parser, config)
         args = parser.parse_args(argv)
         started = time.monotonic()
-        params, inputs, outputs = _RUNNERS[args.command](args)
+        outputs, computed = _RUNNERS[args.command](args)
     except (DataError, ValueError) as e:
         print(f"catrank: data error: {e}", file=sys.stderr)
         return 2
@@ -540,9 +529,12 @@ def main(argv=None) -> int:
         print(f"catrank: {e}", file=sys.stderr)
         return 2
     wall = time.monotonic() - started
-    seed = getattr(args, "seed", None)
-    write_manifest(_manifest_path(args), args.command, params, inputs, outputs,
-                   seed, wall)
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    inputs = [v for k, v in given.items() if k in _INPUT_OPTIONS]
+    params = {k: v for k, v in given.items()
+              if k not in _INPUT_OPTIONS and k not in _NOT_PARAMETERS}
+    write_manifest(_manifest_path(args), args.command, {**params, **computed}, inputs,
+                   outputs, getattr(args, "seed", None), wall)
     return 0
 
 

@@ -385,8 +385,13 @@ def run_grid(features: dict[str, FeatureMatrix], cats: CategoryIndex, menu: Grid
     """
     # the whole menu is checked before any neighbor search or cheating score
     for axis in ("metrics", "strategies", "sizes", "criteria"):
-        if not getattr(menu, axis):
+        values = getattr(menu, axis)
+        if not values:
             raise ValueError(f"grid menu axis {axis!r} is empty")
+        # equal sizes merge into one configuration; any other repeat would rerun one
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated and axis != "sizes":
+            raise ValueError(f"grid menu axis {axis!r} repeats {repeated[0]!r}")
     for metric in menu.metrics:
         metrics.check_metric(metric)
     for strategy in menu.strategies:

@@ -337,11 +337,9 @@ def _run_pipeline(root):
         ["ingest", "--graph", str(graph), "--categories", str(cats),
          "--votes", str(votes), "--out-dir", str(work)],
         ["walk", "--graph", str(work / "graph.json"), "--walks-per-vertex", "4",
-         "--walk-length", "10", "--seed", "7", "--workers", "1",
-         "--out", str(root / "walks.txt")],
+         "--walk-length", "10", "--seed", "7", "--out", str(root / "walks.txt")],
         ["embed", "--graph", str(work / "graph.json"), "--walks", str(root / "walks.txt"),
-         "--dim", "8", "--window", "2", "--seed", "7", "--workers", "1",
-         "--out", str(root / "features.tsv")],
+         "--dim", "8", "--window", "2", "--seed", "7", "--out", str(root / "features.tsv")],
         ["knn", "--features", str(root / "features.tsv"), "--metric", "l2",
          "--k", "3", "--workers", "1", "--out", str(root / "nb.tsv")],
         ["knn", "--features", str(root / "features.tsv"), "--metric", "l2",

@@ -414,7 +414,7 @@ def test_workers_flag_only_on_stages_that_take_it():
 
     takers = sorted(p.prog.removeprefix("catrank ") for p in _iter_parsers(build_parser())
                     if any(a.dest == "workers" for a in p._actions))  # noqa: SLF001
-    assert takers == ["embed", "grid", "knn", "report quantiles", "walk"]
+    assert takers == ["grid", "knn", "report quantiles"]
 
 
 def test_evaluate_manifest_records_no_parameters(pipeline):
@@ -445,7 +445,8 @@ def test_workers_env_default(tmp_path, monkeypatch):
     monkeypatch.setenv("CATRANK_WORKERS", "3")
     from catrank.cli import build_parser
 
-    args = build_parser().parse_args(["walk", "--graph", "g", "--out", "w"])
+    args = build_parser().parse_args(["knn", "--features", "f", "--metric", "l1", "--k", "3",
+                                      "--out", "o"])
     assert args.workers == 3
 
 
@@ -680,3 +681,187 @@ def test_fractional_distance_sizes_and_quantile_targets(pipeline):
                  "--targets", "1.5,3", "--out", str(q_out)]) == 0
     assert [line.split(",")[0] for line in q_out.read_text().splitlines()] == \
         ["target_avg_neighbors", "1.5", "3"]
+
+
+# ---------------------------------------------------------------------------
+# manifests: one rule for every stage
+
+
+@pytest.mark.parametrize("word, value", [
+    ("1", True), ("true", True), ("Yes", True), ("ON", True),
+    ("0", False), ("FALSE", False), ("no", False), ("Off", False),
+])
+def test_config_boolean_words(tmp_path, word, value):
+    graph, _, _ = make_dataset(tmp_path)
+    cfg = tmp_path / "catrank.conf"
+    cfg.write_text(f"symmetrize = {word}\n", encoding="utf-8")
+    out = tmp_path / "work"
+    assert main(["--config", str(cfg), "ingest", "--graph", str(graph),
+                 "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["parameters"]["symmetrize"] is value
+
+
+def test_config_boolean_typo_is_a_config_error(tmp_path, capsys):
+    graph, _, _ = make_dataset(tmp_path)
+    cfg = tmp_path / "catrank.conf"
+    cfg.write_text("symmetrize = ture\n", encoding="utf-8")
+    out = tmp_path / "work"
+    assert main(["--config", str(cfg), "ingest", "--graph", str(graph),
+                 "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("catrank: data error: config symmetrize: ")
+    assert err.rstrip().endswith("got 'ture'")
+    assert not out.exists()
+
+
+def test_grid_refuses_a_repeated_menu_value(pipeline, capsys):
+    tmp, out = pipeline
+    grid_dir = tmp / "grid"
+    assert main(["grid", "--features", str(write_points(tmp / "f.tsv")),
+                 "--categories", str(out / "categories.json"), "--metrics", "l1,l1",
+                 "--criteria", "surprise,surprise", "--sizes", "1",
+                 "--out-dir", str(grid_dir)]) == 2
+    assert "grid menu axis 'metrics' repeats 'l1'" in capsys.readouterr().err
+    assert not (grid_dir / "summary.csv").exists()
+
+
+def _manifest(argv) -> dict:
+    from catrank.cli import _manifest_path, build_parser
+
+    with open(_manifest_path(build_parser().parse_args(argv)), encoding="utf-8") as f:
+        return json.load(f)
+
+
+def _grid_argv(tmp, out, name):
+    return ["grid", "--features", str(write_points(tmp / "f.tsv")),
+            "--categories", str(out / "categories.json"), "--metrics", "l2",
+            "--strategies", "distance", "--sizes", "3", "--criteria", "surprise",
+            "--out-dir", str(tmp / name)]
+
+
+def _quantiles_argv(tmp, out, name):
+    return ["report", "quantiles", "--features", str(write_points(tmp / "f.tsv")),
+            "--metric", "l2", "--targets", "3", "--out", str(tmp / name)]
+
+
+@pytest.mark.parametrize("argv, flag, value, parsed", [
+    (_grid_argv, "--exact-limit", "2", 2),
+    (_grid_argv, "--sample-pairs", "7", 7),
+    (_grid_argv, "--features-name", "other", "other"),
+    (_quantiles_argv, "--exact-limit", "2", 2),
+    (_quantiles_argv, "--sample-pairs", "7", 7),
+])
+def test_manifest_parameters_tell_apart_runs_that_differ_in_one_option(
+        pipeline, argv, flag, value, parsed):
+    tmp, out = pipeline
+    runs = (argv(tmp, out, "a"), argv(tmp, out, "b") + [flag, value])
+    for run in runs:
+        assert main(run) == 0
+    a, b = (_manifest(run)["parameters"] for run in runs)
+    key = flag[2:].replace("-", "_")
+    assert a[key] != parsed
+    assert b == {**a, key: parsed}
+
+
+def _normalized_manifest(path, root):
+    payload = json.loads(path.read_text(encoding="utf-8").replace(str(root), "@"))
+    del payload["wall_clock_s"]
+    return payload
+
+
+def _worker_chain(root, features, cats, workers):
+    root.mkdir()
+    w = ["--workers", str(workers)]
+    sampled = ["--exact-limit", "100", "--sample-pairs", "5000", "--seed", "3"]
+    for argv in (
+        ["knn", "--features", features, "--metric", "js", "--k", "5", *w,
+         "--out", str(root / "nb_k.tsv")],
+        ["knn", "--features", features, "--metric", "l1", "--avg-target", "5", *sampled, *w,
+         "--out", str(root / "nb_avg.tsv")],
+        ["knn", "--features", features, "--metric", "cosine", "--radius", "0.05", *w,
+         "--out", str(root / "nb_radius.tsv")],
+        ["grid", "--features", features, "--categories", cats, "--metrics", "l1,js,cosine",
+         "--sizes", "3,5", "--criteria", "surprise", *sampled, *w,
+         "--out-dir", str(root / "grid")],
+        ["report", "quantiles", "--features", features, "--metric", "kl", "--targets", "2,5",
+         *sampled, *w, "--out", str(root / "quantiles.csv")],
+    ):
+        assert main(argv) == 0, argv
+    return root
+
+
+def test_outputs_and_manifests_do_not_depend_on_workers(tmp_path):
+    # 300 entities: every distance kernel splits its queries into several blocks
+    rng = np.random.default_rng(31)
+    n = 300
+    features = tmp_path / "features.tsv"
+    save_features_text(FeatureMatrix(kind="distribution", rows=random_simplex(rng, n, 4)),
+                       [f"e{i}" for i in range(n)], str(features))
+    cats = tmp_path / "categories.json"
+    categories_from_members([rng.choice(n, size=int(rng.integers(2, 30)), replace=False)
+                             for _ in range(20)], n).save(str(cats))
+    one, two = (_worker_chain(tmp_path / f"w{w}", str(features), str(cats), w) for w in (1, 2))
+    files = sorted(p.relative_to(one) for p in one.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(two) for p in two.rglob("*") if p.is_file())
+    for rel in files:
+        if rel.name.endswith("manifest.json"):
+            assert _normalized_manifest(one / rel, one) == _normalized_manifest(two / rel, two)
+        else:
+            assert (one / rel).read_bytes() == (two / rel).read_bytes(), rel
+
+
+_INPUT_FLAGS = ("--graph", "--walks", "--categories", "--features", "--votes", "--neighbors",
+                "--ranking", "--subset")
+
+
+def test_manifest_inputs_are_the_input_options_given(pipeline):
+    tmp, out = pipeline
+    graph, cats, votes = (str(out / name) for name in
+                          ("graph.json", "categories.json", "votes.csv"))
+    feats, walks, nb, ranking = (str(tmp / name) for name in
+                                 ("features.tsv", "walks.txt", "nb.tsv", "ranking.csv"))
+    subset = tmp / "subset.txt"
+    subset.write_text("n0\nn1\n", encoding="utf-8")
+    steps = [
+        (["ingest", "--graph", str(tmp / "edges.tsv"), "--out-dir", str(tmp / "g")],
+         [str(tmp / "edges.tsv")]),
+        (["ingest", "--graph", str(tmp / "edges.tsv"), "--categories", str(tmp / "cats.tsv"),
+          "--features", str(write_points(tmp / "points.tsv")), "--votes", str(tmp / "votes.csv"),
+          "--out-dir", str(tmp / "all")],
+         [str(tmp / "edges.tsv"), str(tmp / "cats.tsv"), str(tmp / "points.tsv"),
+          str(tmp / "votes.csv")]),
+        (["walk", "--graph", graph, "--walks-per-vertex", "2", "--walk-length", "6",
+          "--out", walks], [graph]),
+        (["embed", "--graph", graph, "--walks-per-vertex", "2", "--walk-length", "6",
+          "--dim", "4", "--window", "2", "--out", str(tmp / "generated.tsv")], [graph]),
+        (["embed", "--graph", graph, "--walks", walks, "--dim", "4", "--window", "2",
+          "--out", feats], [graph, walks]),
+        (["knn", "--features", feats, "--metric", "l2", "--k", "3", "--out", nb], [feats]),
+        (["coherence", "--neighbors", nb, "--categories", cats, "--out", str(tmp / "s.csv")],
+         [nb, cats]),
+        (["rank", "--neighbors", nb, "--categories", cats, "--criterion", "surprise",
+          "--out", ranking], [nb, cats]),
+        (["grid", "--features", feats, "--categories", cats, "--metrics", "l2",
+          "--strategies", "count", "--sizes", "3", "--criteria", "surprise",
+          "--out-dir", str(tmp / "grid")], [feats, cats]),
+        (["grid", "--features", feats, "--categories", cats, "--votes", votes,
+          "--metrics", "l2", "--strategies", "count", "--sizes", "3", "--criteria", "surprise",
+          "--out-dir", str(tmp / "grid_votes")], [feats, cats, votes]),
+        (["evaluate", "--ranking", ranking, "--votes", votes, "--categories", cats,
+          "--out", str(tmp / "eval.json")], [ranking, votes, cats]),
+        (["report", "stats", "--categories", cats, "--out", str(tmp / "stats.txt")], [cats]),
+        (["report", "stats", "--categories", cats, "--graph", graph, "--subset", str(subset),
+          "--out", str(tmp / "stats_subset.txt")], [cats, graph, str(subset)]),
+        (["report", "quantiles", "--features", feats, "--metric", "l2", "--targets", "3",
+          "--out", str(tmp / "q.csv")], [feats]),
+        (["report", "top", "--ranking", ranking, "--categories", cats, "--top", "2",
+          "--out", str(tmp / "top.csv"), "--text", str(tmp / "top.txt")], [ranking, cats]),
+    ]
+    for argv, expected in steps:
+        assert main(argv) == 0, argv
+        manifest = _manifest(argv)
+        assert sorted(manifest["inputs"]) == sorted(expected), argv
+        assert not {"out", "out_dir", "text", "seed", "workers", "config"} \
+            & set(manifest["parameters"]), argv
+        assert not {f[2:] for f in _INPUT_FLAGS} & set(manifest["parameters"]), argv

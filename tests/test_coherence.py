@@ -538,6 +538,10 @@ def test_grid_takes_integral_float_count_size_as_k():
     ({"strategies": ()}, "grid menu axis 'strategies' is empty"),
     ({"sizes": ()}, "grid menu axis 'sizes' is empty"),
     ({"criteria": ()}, "grid menu axis 'criteria' is empty"),
+    ({"metrics": ("l1", "l2", "l1")}, "grid menu axis 'metrics' repeats 'l1'"),
+    ({"strategies": ("count", "count")}, "grid menu axis 'strategies' repeats 'count'"),
+    ({"criteria": ("surprise", "conductance", "surprise")},
+     "grid menu axis 'criteria' repeats 'surprise'"),
 ])
 def test_grid_rejects_bad_menu_before_any_work(monkeypatch, bad, message):
     def no_work(*args, **kwargs):
