@@ -22,6 +22,7 @@ import time
 
 from . import coherence, embeddings, evaluation, neighbors, report
 from .data_model import (
+    CRITERIA,
     METRICS,
     CategoryIndex,
     EntityGraph,
@@ -89,6 +90,9 @@ def _add_workers(p):
 
 
 def build_parser() -> _Parser:
+    # the paper's default menu, as the grid and quantile flags spell it
+    menu = coherence.GridMenu()
+    sizes = ",".join(f"{size:g}" for size in menu.sizes)
     parser = _Parser(prog="catrank", description=__doc__)
     parser.add_argument("--config", help="key = value defaults file")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -98,7 +102,6 @@ def build_parser() -> _Parser:
     p.add_argument("--symmetrize", action="store_true", help="add reverse edges")
     p.add_argument("--categories", help="TSV entity/category assignments")
     p.add_argument("--features", help="feature file (text, or binary with sidecar)")
-    p.add_argument("--feature-kind", choices=["point", "distribution"], default="point")
     p.add_argument("--votes", help="vote CSV")
     p.add_argument("--out-dir", required=True)
 
@@ -148,7 +151,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("rank", help="order categories by a criterion")
     p.add_argument("--neighbors", required=True)
     p.add_argument("--categories", required=True)
-    p.add_argument("--criterion", choices=["conductance", "surprise"], required=True)
+    p.add_argument("--criterion", choices=CRITERIA, required=True)
     p.add_argument("--min-size", type=int, default=2)
     p.add_argument("--adjusted-p", action="store_true")
     p.add_argument("--out", required=True)
@@ -158,10 +161,10 @@ def build_parser() -> _Parser:
     p.add_argument("--features-name", default="features")
     p.add_argument("--categories", required=True)
     p.add_argument("--votes")
-    p.add_argument("--metrics", default="l1,l2,cosine,kl,js")
-    p.add_argument("--strategies", default="count,distance")
-    p.add_argument("--sizes", default="5,10,25,50,100")
-    p.add_argument("--criteria", default="conductance,surprise")
+    p.add_argument("--metrics", default=",".join(menu.metrics))
+    p.add_argument("--strategies", default=",".join(menu.strategies))
+    p.add_argument("--sizes", default=sizes)
+    p.add_argument("--criteria", default=",".join(menu.criteria))
     p.add_argument("--min-size", type=int, default=2)
     p.add_argument("--exact-limit", type=int, default=neighbors.DEFAULT_EXACT_LIMIT)
     p.add_argument("--sample-pairs", type=int, default=neighbors.DEFAULT_SAMPLE_PAIRS)
@@ -187,7 +190,7 @@ def build_parser() -> _Parser:
     rp = rsub.add_parser("quantiles")
     rp.add_argument("--features", required=True)
     rp.add_argument("--metric", choices=METRICS, required=True)
-    rp.add_argument("--targets", default="5,10,25,50,100")
+    rp.add_argument("--targets", default=sizes)
     rp.add_argument("--exact-limit", type=int, default=neighbors.DEFAULT_EXACT_LIMIT)
     rp.add_argument("--sample-pairs", type=int, default=neighbors.DEFAULT_SAMPLE_PAIRS)
     rp.add_argument("--seed", type=int, default=0)
@@ -213,36 +216,35 @@ def _write(path: str, text: str):
 
 
 def _run_ingest(args):
-    os.makedirs(args.out_dir, exist_ok=True)
-    outputs = []
+    # every input is loaded and checked before anything is written
+    if args.votes and not args.categories:
+        raise DataError("--votes requires --categories")
     graph, greport = load_graph(args.graph, symmetrize=args.symmetrize)
-    gpath = os.path.join(args.out_dir, "graph.json")
-    graph.save(gpath)
-    outputs.append(gpath)
+    if args.categories:
+        cats, creport = load_categories(args.categories, graph)
+    if args.features:
+        fm = load_features(args.features, None, graph)
+    if args.votes:
+        votes = load_votes(args.votes, cats)
+    os.makedirs(args.out_dir, exist_ok=True)
+    outputs = [os.path.join(args.out_dir, "graph.json")]
+    graph.save(outputs[-1])
     print(f"graph: {greport.n_entities} entities, {greport.n_edges} edges, "
           f"{greport.n_self_loops_dropped} self-loops dropped, "
           f"{greport.n_duplicate_edges_dropped} duplicate edges dropped")
     if args.categories:
-        cats, creport = load_categories(args.categories, graph)
-        cpath = os.path.join(args.out_dir, "categories.json")
-        cats.save(cpath)
-        outputs.append(cpath)
+        outputs.append(os.path.join(args.out_dir, "categories.json"))
+        cats.save(outputs[-1])
         print(f"categories: {cats.n_categories} categories, "
               f"{creport.n_assignments} assignments, "
               f"{creport.n_skipped_unknown_entities} skipped unknown entities")
     if args.features:
-        fm = load_features(args.features, args.feature_kind, graph)
-        fpath = os.path.join(args.out_dir, "features.tsv")
-        save_features_text(fm, graph.ids, fpath)
-        outputs.append(fpath)
+        outputs.append(os.path.join(args.out_dir, "features.tsv"))
+        save_features_text(fm, graph.ids, outputs[-1])
         print(f"features: {fm.n_entities} rows, dim {fm.dim}, kind {fm.kind}")
     if args.votes:
-        if not args.categories:
-            raise DataError("--votes requires --categories")
-        votes = load_votes(args.votes, cats)
-        vpath = os.path.join(args.out_dir, "votes.csv")
-        save_votes(votes, cats, vpath)
-        outputs.append(vpath)
+        outputs.append(os.path.join(args.out_dir, "votes.csv"))
+        save_votes(votes, cats, outputs[-1])
         print(f"votes: {len(votes.qids)} questions, {votes.n_answers} answers")
     return outputs, {}
 
@@ -284,18 +286,9 @@ def _run_embed(args):
         outputs.append(args.out + ".json")
     else:
         save_features_text(fm, graph.ids, args.out)
-    corpus = {"corpus_walks": len(walks),
-              "corpus_tokens": int(sum(len(w) for w in walks))}
-    meta_path = args.out + ".model.json"
-    write_json(meta_path, {
-        "dim": args.dim, "window": args.window, "seed": args.seed,
-        "walks_per_vertex": cfg.walks_per_vertex, "walk_length": cfg.walk_length,
-        "initial_lr": args.initial_lr, "final_lr": args.final_lr,
-        "method": args.method, "negative": args.negative, **corpus,
-    })
-    outputs.append(meta_path)
     print(f"embedding: {fm.n_entities} x {fm.dim} ({args.method})")
-    return outputs, corpus
+    return outputs, {"corpus_walks": len(walks),
+                     "corpus_tokens": int(sum(len(w) for w in walks))}
 
 
 def _run_knn(args):
@@ -308,9 +301,6 @@ def _run_knn(args):
             fm, args.metric, [args.avg_target], exact_limit=args.exact_limit,
             sample_pairs=args.sample_pairs, seed=args.seed, workers=args.workers)
         nbrs = neighbors.neighbors_by_distance(fm, args.metric, d, workers=args.workers)
-        nbrs.meta["target"] = args.avg_target
-        nbrs.meta["exact_limit"] = args.exact_limit
-        nbrs.meta["sample_pairs"] = args.sample_pairs
         computed["threshold"] = d
         print(f"calibrated threshold: {d!r}")
     else:
@@ -346,7 +336,6 @@ def _run_rank(args):
 
 
 def _run_grid(args):
-    os.makedirs(args.out_dir, exist_ok=True)
     fm, _ = read_features(args.features)
     cats = CategoryIndex.load(args.categories)
     votes = load_votes(args.votes, cats) if args.votes else None
@@ -362,7 +351,7 @@ def _run_grid(args):
         seed=args.seed, exact_limit=args.exact_limit, sample_pairs=args.sample_pairs)
     outputs = []
     rank_dir = os.path.join(args.out_dir, "rankings")
-    os.makedirs(rank_dir, exist_ok=True)
+    os.makedirs(rank_dir, exist_ok=True)  # makes --out-dir too, once the grid has run
     for key in sorted(result.rankings):
         path = os.path.join(rank_dir, key.replace("|", "_") + ".csv")
         _write(path, report.ranking_csv(result.rankings[key], cats))
@@ -404,12 +393,14 @@ def _run_report(args):
                 raise DataError(f"{args.graph} has {graph.n_entities} entities, but "
                                 f"{args.categories} has n_entities = {cats.n_entities}")
         if args.subset:
-            subset = []
+            subset = {}  # entity ids in file order
             for lineno, name in text_lines(args.subset):
                 e = graph.index.get(name)
                 if e is None:
                     raise DataError(f"{args.subset}:{lineno}: unknown entity {name!r}")
-                subset.append(e)
+                if e in subset:
+                    raise DataError(f"{args.subset}:{lineno}: repeated entity {name!r}")
+                subset[e] = None
         stats = report.category_stats(cats, subset=subset, bucket_width=args.bucket_width)
         _write(args.out, report.stats_text(stats))
         return [args.out], {}

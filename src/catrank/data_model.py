@@ -487,13 +487,14 @@ def read_features(path: str) -> tuple[FeatureMatrix, list[str]]:
     return fm, ids
 
 
-def load_features(path: str, kind: str, graph: EntityGraph) -> FeatureMatrix:
+def load_features(path: str, kind: str | None, graph: EntityGraph) -> FeatureMatrix:
     """Read a feature file (see ``read_features``) and align its rows to
-    graph dense order. Every graph entity must appear exactly once."""
-    if kind not in FEATURE_KINDS:
-        raise ValueError(f"feature kind must be one of {FEATURE_KINDS}, got {kind!r}")
+    graph dense order. Every graph entity must appear exactly once. The file
+    must declare ``kind``; None takes the kind it declares."""
+    if kind not in FEATURE_KINDS + (None,):
+        raise ValueError(f"feature kind must be one of {FEATURE_KINDS} or None, got {kind!r}")
     fm, ids, n = _parse_features(path)
-    if fm.kind != kind:
+    if kind not in (None, fm.kind):
         raise DataError(f"{path}: requested kind {kind!r} but file declares {fm.kind!r}")
     if n != graph.n_entities:
         raise DataError(f"{path}: file declares {n} entities, graph has {graph.n_entities}")
@@ -509,7 +510,7 @@ def load_features(path: str, kind: str, graph: EntityGraph) -> FeatureMatrix:
             f"{path}: missing rows for {len(missing)} entities, "
             f"first missing ids: {[graph.ids[i] for i in missing[:10]]}"
         )
-    return FeatureMatrix(kind=kind, rows=fm.rows[row_of])
+    return FeatureMatrix(kind=fm.kind, rows=fm.rows[row_of])
 
 
 def _parse_features(path: str) -> tuple[FeatureMatrix, list[str], int]:

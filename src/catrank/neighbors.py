@@ -88,11 +88,19 @@ class NeighborSet(CSR):
         # ids are still float64, so an id too long for int64 reads as out of range
         owner = CSR(indptr=indptr, indices=ids).owners()
         bad = (ids >= n) | (ids == owner)
+        # a row's repeated id has equal row-major keys; an id past n keys as n
+        indices = np.minimum(ids, n).astype(np.int64)
+        keys = owner * (n + 1) + indices
+        ordered = np.sort(keys)
+        if (ordered[1:] == ordered[:-1]).any():
+            order = np.argsort(keys, kind="stable")
+            bad[order[1:]] |= keys[order[1:]] == keys[order[:-1]]
         if bad.any():
             at = int(bad.argmax())
-            why = f"outside [0, {n})" if ids[at] >= n else "is the entity itself"
+            why = (f"outside [0, {n})" if ids[at] >= n else
+                   "is the entity itself" if ids[at] == owner[at] else "is repeated")
             raise DataError(f"{path}:{linenos[owner[at]]}: neighbor index {ids[at]:.0f} {why}")
-        return cls(indptr=indptr, indices=ids.astype(np.int64), distances=distances, meta=meta)
+        return cls(indptr=indptr, indices=indices, distances=distances, meta=meta)
 
 
 def _parse(path: str):

@@ -98,7 +98,7 @@ _CELLS = rf"(?:[0-9]+:{_DISTANCE}(?:,[0-9]+:{_DISTANCE})*)?"
 def parse_neighbor_list(text: str):
     """What loading a neighbor list should give: its rows as lists of
     (id, distance), or the line number of its first bad line, grammar
-    first, then ids out of range or naming the row itself."""
+    first, then ids out of range, naming the row itself or repeated in it."""
     rows, linenos = [], []
     for lineno, line in enumerate(re.split(r"\r\n|\r|\n", text), 1):
         if not line:
@@ -110,7 +110,8 @@ def parse_neighbor_list(text: str):
         rows.append([(int(i), float(d)) for i, d in cells])
         linenos.append(lineno)
     for v, row in enumerate(rows):
-        if any(i >= len(rows) or i == v for i, _ in row):
+        ids = [i for i, _ in row]
+        if any(i >= len(rows) or i == v for i in ids) or len(set(ids)) < len(ids):
             return linenos[v]
     return rows
 

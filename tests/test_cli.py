@@ -105,9 +105,10 @@ def test_walk_and_embed(pipeline):
     assert rc == 0
     header = feats.read_text().splitlines()[0].split()
     assert header == ["12", "8", "point"]
-    meta = json.loads((tmp / "features.tsv.model.json").read_text())
-    assert meta["dim"] == 8
-    assert meta["corpus_walks"] == 24
+    manifest = json.loads((tmp / "features.tsv.manifest.json").read_text())
+    assert manifest["parameters"]["dim"] == 8
+    assert manifest["parameters"]["corpus_walks"] == 24
+    assert not (tmp / "features.tsv.model.json").exists()
 
 
 def test_walk_corpus_with_spaced_ids_reads_back(tmp_path):
@@ -125,8 +126,9 @@ def test_walk_corpus_with_spaced_ids_reads_back(tmp_path):
     feats = tmp_path / "features.tsv"
     assert main(["embed", "--graph", str(out / "graph.json"), "--walks", str(walks),
                  "--dim", "4", "--window", "2", "--out", str(feats)]) == 0
-    meta = json.loads((tmp_path / "features.tsv.model.json").read_text())
-    assert (meta["corpus_walks"], meta["corpus_tokens"]) == (6, 24)
+    params = json.loads((tmp_path / "features.tsv.manifest.json").read_text())["parameters"]
+    assert (params["corpus_walks"], params["corpus_tokens"]) == (6, 24)
+    assert not (tmp_path / "features.tsv.model.json").exists()
 
 
 def test_ingested_ids_round_trip_through_embed_and_knn(tmp_path, capsys):
@@ -218,7 +220,9 @@ def test_knn_avg_target_calibrates(pipeline):
     ]) == 0
     meta = json.loads((tmp / "nb_dist.tsv.meta.json").read_text())
     assert meta["strategy"] == "distance"
-    assert meta["target"] == 3.0
+    assert "target" not in meta
+    manifest = json.loads((tmp / "nb_dist.tsv.manifest.json").read_text())
+    assert manifest["parameters"]["avg_target"] == 3.0
 
 
 @pytest.mark.parametrize("metric", ["l1", "l2", "cosine", "kl", "js"])
@@ -333,6 +337,81 @@ def test_data_error_exit_code(tmp_path):
     bad.write_text("justonefield\n", encoding="utf-8")
     rc = main(["ingest", "--graph", str(bad), "--out-dir", str(tmp_path / "o")])
     assert rc == 2
+
+
+def test_ingest_takes_the_feature_kind_the_file_declares(tmp_path):
+    graph, _, _ = make_dataset(tmp_path)
+    dist = tmp_path / "dist.tsv"
+    dist.write_text("12 2 distribution\n" + "".join(f"n{v}\t0.25 0.75\n" for v in range(12)),
+                    encoding="utf-8")
+    out = tmp_path / "work"
+    assert main(["ingest", "--graph", str(graph), "--features", str(dist),
+                 "--out-dir", str(out)]) == 0
+    assert (out / "features.tsv").read_text().splitlines()[0] == "12 2 distribution"
+    assert "feature_kind" not in json.loads((out / "manifest.json").read_text())["parameters"]
+    with pytest.raises(SystemExit) as exc:
+        main(["ingest", "--graph", str(graph), "--features", str(dist),
+              "--feature-kind", "distribution", "--out-dir", str(tmp_path / "flag")])
+    assert exc.value.code == 1
+    cfg = tmp_path / "catrank.conf"
+    cfg.write_text("feature-kind = distribution\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "ingest", "--graph", str(graph),
+              "--out-dir", str(tmp_path / "config")])
+    assert exc.value.code == 1
+
+
+def _votes_without_categories(tmp):
+    return ["--votes", str(tmp / "votes.csv")]
+
+
+def _bad_categories_line(tmp):
+    (tmp / "bad_cats.tsv").write_text("n0\tcliqueA\nn1 cliqueA\n", encoding="utf-8")
+    return ["--categories", str(tmp / "bad_cats.tsv")]
+
+
+def _bad_feature_row(tmp):
+    (tmp / "bad_f.tsv").write_text("1 2 point\nn0\t0.5 x\n", encoding="utf-8")
+    return ["--features", str(tmp / "bad_f.tsv")]
+
+
+def _bad_vote_line(tmp):
+    (tmp / "bad_votes.csv").write_text("question_id,choice_1,choice_2,voted_index\n"
+                                       "q1,cliqueA,nowhere,1\n", encoding="utf-8")
+    return ["--categories", str(tmp / "cats.tsv"), "--votes", str(tmp / "bad_votes.csv")]
+
+
+@pytest.mark.parametrize("extra", [_votes_without_categories, _bad_categories_line,
+                                   _bad_feature_row, _bad_vote_line])
+def test_refused_ingest_writes_nothing(tmp_path, capsys, extra):
+    graph, _, _ = make_dataset(tmp_path)
+    out = tmp_path / "work"
+    assert main(["ingest", "--graph", str(graph), *extra(tmp_path),
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("menu", [["--sizes="], ["--metrics", "l1,l1"], ["--metrics", "kl"]])
+def test_refused_grid_writes_nothing(pipeline, menu):
+    tmp, out = pipeline
+    grid_dir = tmp / "grid"
+    assert main(["grid", "--features", str(write_points(tmp / "f.tsv")),
+                 "--categories", str(out / "categories.json"), *menu,
+                 "--out-dir", str(grid_dir)]) == 2
+    assert not grid_dir.exists()
+
+
+def test_report_stats_refuses_a_repeated_subset_id(pipeline, capsys):
+    tmp, out = pipeline
+    subset = tmp / "subset.txt"
+    subset.write_text("n0\nn1\n# comment\nn0\n", encoding="utf-8")
+    stats = tmp / "stats.txt"
+    assert main(["report", "stats", "--categories", str(out / "categories.json"),
+                 "--graph", str(out / "graph.json"), "--subset", str(subset),
+                 "--out", str(stats)]) == 2
+    assert f"{subset}:4: repeated entity 'n0'" in capsys.readouterr().err
+    assert not stats.exists()
 
 
 def test_config_file_supplies_defaults(tmp_path):

@@ -255,6 +255,21 @@ def test_neighbor_set_load_rejects_self_neighbor(tmp_path):
         NeighborSet.load(str(path))
 
 
+@pytest.mark.parametrize("rows, line, message", [
+    (["0\t1:0.5,1:0.5", "1\t0:0.5"], 1, "neighbor index 1 is repeated"),
+    (["0\t1:0.5", "1\t0:0.5,2:0.1,0:0.7", "2\t0:0.1"], 2, "neighbor index 0 is repeated"),
+    # one rule: the first row holding an id out of range, its own or repeated
+    (["0\t1:0.5", "1\t2:0.5,2:0.5", "2\t9:0.1"], 2, "neighbor index 2 is repeated"),
+    (["0\t1:0.5", "1\t9:0.5", "2\t0:0.1,0:0.1"], 2, r"neighbor index 9 outside \[0, 3\)"),
+    (["0\t1:0.5,1:0.5,7:0.1", "1\t0:0.5"], 1, "neighbor index 1 is repeated"),
+])
+def test_neighbor_set_load_rejects_repeated_neighbor(tmp_path, rows, line, message):
+    path = tmp_path / "nb.tsv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=rf"nb\.tsv:{line}: {message}$"):
+        NeighborSet.load(str(path))
+
+
 def test_neighbor_set_load_checks_sidecar_row_count(tmp_path):
     fm = points(np.arange(20.0)[:, None])
     path = str(tmp_path / "nb.tsv")
