@@ -31,7 +31,6 @@ from .data_model import (
     load_features,
     load_graph,
     load_votes,
-    read_features,
     save_features_binary,
     save_features_text,
     save_votes,
@@ -217,8 +216,6 @@ def _write(path: str, text: str):
 
 def _run_ingest(args):
     # every input is loaded and checked before anything is written
-    if args.votes and not args.categories:
-        raise DataError("--votes requires --categories")
     graph, greport = load_graph(args.graph, symmetrize=args.symmetrize)
     if args.categories:
         cats, creport = load_categories(args.categories, graph)
@@ -292,7 +289,7 @@ def _run_embed(args):
 
 
 def _run_knn(args):
-    fm, _ = read_features(args.features)
+    fm = load_features(args.features, None, None)
     computed = {}
     if args.k is not None:
         nbrs = neighbors.knn_by_count(fm, args.metric, args.k, workers=args.workers)
@@ -336,7 +333,7 @@ def _run_rank(args):
 
 
 def _run_grid(args):
-    fm, _ = read_features(args.features)
+    fm = load_features(args.features, None, None)
     cats = CategoryIndex.load(args.categories)
     votes = load_votes(args.votes, cats) if args.votes else None
     menu = coherence.GridMenu(
@@ -385,8 +382,6 @@ def _run_report(args):
     if args.report_command == "stats":
         cats = CategoryIndex.load(args.categories)
         subset = None
-        if args.subset and not args.graph:
-            raise DataError("--subset requires --graph to resolve entity ids")
         if args.graph:
             graph = EntityGraph.load(args.graph)
             if graph.n_entities != cats.n_entities:
@@ -405,7 +400,7 @@ def _run_report(args):
         _write(args.out, report.stats_text(stats))
         return [args.out], {}
     if args.report_command == "quantiles":
-        fm, _ = read_features(args.features)
+        fm = load_features(args.features, None, None)
         targets = _float_list(args.targets)
         ds = neighbors.calibrate_thresholds(
             fm, args.metric, targets, exact_limit=args.exact_limit,
@@ -511,6 +506,10 @@ def main(argv=None) -> int:
                 return 1
             _apply_config(parser, config)
         args = parser.parse_args(argv)
+        if args.command == "ingest" and args.votes and not args.categories:
+            parser.error("ingest: --votes requires --categories")
+        if getattr(args, "report_command", None) == "stats" and args.subset and not args.graph:
+            parser.error("report stats: --subset requires --graph to resolve entity ids")
         started = time.monotonic()
         outputs, computed = _RUNNERS[args.command](args)
     except (DataError, ValueError) as e:

@@ -425,7 +425,7 @@ def run_grid(features: dict[str, FeatureMatrix], cats: CategoryIndex, menu: Grid
         for strategy in menu.strategies:
             per_size = _neighbor_sets(fm, metric, strategy, menu.sizes, workers,
                                       seed, exact_limit, sample_pairs)
-            for size, nbrs in per_size:
+            for size, threshold, nbrs in per_size:
                 scores, n_skipped = score_categories(nbrs, cats, menu.min_size)
                 if not scores:
                     skipped.append({"feature": fname, "metric": metric,
@@ -450,7 +450,7 @@ def run_grid(features: dict[str, FeatureMatrix], cats: CategoryIndex, menu: Grid
                         "n_skipped": n_skipped,
                     }
                     if strategy == "distance":
-                        row["threshold"] = nbrs.meta.get("d")
+                        row["threshold"] = threshold
                     if votes is not None:
                         rep = evaluation.evaluate(votes, ranking.ordered_categories,
                                                   cheating_score=cheat)
@@ -467,12 +467,14 @@ def run_grid(features: dict[str, FeatureMatrix], cats: CategoryIndex, menu: Grid
 
 
 def _neighbor_sets(fm, metric, strategy, sizes, workers, seed, exact_limit, sample_pairs):
+    """``(size, threshold, neighbor set)`` for each distinct size, the
+    threshold being the calibrated distance, or None for the count strategy."""
     if strategy == "count":
         ks = sorted({int(s) for s in sizes})
         full = knn_by_count(fm, metric, max(ks), workers=workers)
-        return [(k, slice_knn(full, k)) for k in ks]
+        return [(k, None, slice_knn(full, k)) for k in ks]
     targets = sorted({float(s) for s in sizes})
     ds = calibrate_thresholds(fm, metric, targets, exact_limit=exact_limit,
                               sample_pairs=sample_pairs, seed=seed, workers=workers)
     widest = neighbors_by_distance(fm, metric, max(ds), workers=workers)
-    return [(t, filter_by_distance(widest, d)) for t, d in zip(targets, ds)]
+    return [(t, d, filter_by_distance(widest, d)) for t, d in zip(targets, ds)]

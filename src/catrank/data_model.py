@@ -471,31 +471,34 @@ def _normalize_distribution_rows(rows: np.ndarray, context: str):
         rows[needs] /= sums[needs, None]
 
 
-def read_features(path: str) -> tuple[FeatureMatrix, list[str]]:
-    """Read a feature file in file order, with the kind the file declares.
+def load_features(path: str, kind: str | None, graph: EntityGraph | None) -> FeatureMatrix:
+    """Read a feature file, text or binary (a ``<path>.json`` sidecar next to
+    the file switches to the binary format). Rows must be finite;
+    distribution rows must be nonnegative and are renormalized to sum 1.
 
-    Returns the matrix and the entity id of each row. A ``<path>.json``
-    sidecar next to the file switches to the binary format. Rows must be
-    finite; distribution rows must be nonnegative and are renormalized to
-    sum 1.
-    """
-    fm, ids, n = _parse_features(path)
-    if len(ids) != n:
-        raise DataError(f"{path}: header declares {n} rows, found {len(ids)}")
-    if not ids:
-        raise DataError(f"{path}: no feature rows")
-    return fm, ids
-
-
-def load_features(path: str, kind: str | None, graph: EntityGraph) -> FeatureMatrix:
-    """Read a feature file (see ``read_features``) and align its rows to
-    graph dense order. Every graph entity must appear exactly once. The file
-    must declare ``kind``; None takes the kind it declares."""
+    With a graph, rows are aligned to graph dense order and every graph
+    entity must appear exactly once; with None they stay in file order,
+    which must hold the rows the header declares. The file must declare
+    ``kind``; None takes the kind it declares."""
     if kind not in FEATURE_KINDS + (None,):
         raise ValueError(f"feature kind must be one of {FEATURE_KINDS} or None, got {kind!r}")
-    fm, ids, n = _parse_features(path)
-    if kind not in (None, fm.kind):
-        raise DataError(f"{path}: requested kind {kind!r} but file declares {fm.kind!r}")
+    if os.path.exists(path + ".json"):
+        rows, ids, declared, n = _parse_features_binary(path)
+    else:
+        rows, ids, declared, n = _parse_features_text(path)
+    if not np.all(np.isfinite(rows)):
+        bad = int(np.argwhere(~np.isfinite(rows))[0][0])
+        raise DataError(f"{path}: non-finite component in row {bad}")
+    if declared == "distribution":
+        _normalize_distribution_rows(rows, path)
+    if kind not in (None, declared):
+        raise DataError(f"{path}: requested kind {kind!r} but file declares {declared!r}")
+    if graph is None:
+        if len(ids) != n:
+            raise DataError(f"{path}: header declares {n} rows, found {len(ids)}")
+        if not ids:
+            raise DataError(f"{path}: no feature rows")
+        return FeatureMatrix(kind=declared, rows=rows)
     if n != graph.n_entities:
         raise DataError(f"{path}: file declares {n} entities, graph has {graph.n_entities}")
     row_of = np.full(n, -1, dtype=np.int64)
@@ -510,21 +513,7 @@ def load_features(path: str, kind: str | None, graph: EntityGraph) -> FeatureMat
             f"{path}: missing rows for {len(missing)} entities, "
             f"first missing ids: {[graph.ids[i] for i in missing[:10]]}"
         )
-    return FeatureMatrix(kind=fm.kind, rows=fm.rows[row_of])
-
-
-def _parse_features(path: str) -> tuple[FeatureMatrix, list[str], int]:
-    """Rows in file order, their ids, and the row count the file declares."""
-    if os.path.exists(path + ".json"):
-        rows, ids, kind, n = _parse_features_binary(path)
-    else:
-        rows, ids, kind, n = _parse_features_text(path)
-    if not np.all(np.isfinite(rows)):
-        bad = int(np.argwhere(~np.isfinite(rows))[0][0])
-        raise DataError(f"{path}: non-finite component in row {bad}")
-    if kind == "distribution":
-        _normalize_distribution_rows(rows, path)
-    return FeatureMatrix(kind=kind, rows=rows), ids, n
+    return FeatureMatrix(kind=declared, rows=rows[row_of])
 
 
 def _parse_features_text(path: str):

@@ -115,17 +115,15 @@ def agreement_histogram(votes: VoteDataset, order: Sequence[int]) -> np.ndarray:
 
 @dataclass
 class PreferenceGraph:
-    """Pairwise vote counts between co-appearing categories.
+    """Pairwise votes between co-appearing categories.
 
-    ``counts[a][b]`` is how many answers voted a in a question also listing
-    b. ``weights`` carries the same comparisons scaled by 1/(m-1), the
-    per-comparison point value, which is what the cheating score maximizes;
-    each cell adds its values in answer order. Rows and columns follow
+    ``weights[a][b]`` adds 1/(m-1), the per-comparison point value, for each
+    answer that voted a in a question of m choices also listing b, in answer
+    order; it is what the cheating score maximizes. Rows and columns follow
     ``categories``, the sorted vote categories.
     """
 
     categories: list[int]
-    counts: np.ndarray
     weights: np.ndarray
 
 
@@ -142,9 +140,7 @@ def build_preference_graph(votes: VoteDataset) -> PreferenceGraph:
     cells = (winner[:, None] * k + local)[other]
     weights = np.zeros(k * k)
     np.add.at(weights, cells, np.repeat(1.0 / (m - 1), m - 1))
-    return PreferenceGraph(categories=cats.tolist(),
-                           counts=np.bincount(cells, minlength=k * k).reshape(k, k),
-                           weights=weights.reshape(k, k))
+    return PreferenceGraph(categories=cats.tolist(), weights=weights.reshape(k, k))
 
 
 def _ordering_score(weights: np.ndarray, order: Sequence[int]) -> float:
@@ -231,11 +227,12 @@ def strong_components(adj: np.ndarray) -> tuple[int, np.ndarray]:
     return count, np.array(labels, dtype=np.int64)
 
 
-def _heuristic_best_ordering(weights: np.ndarray, counts: np.ndarray) -> tuple[float, list[int]]:
-    """Condensed topological order of the majority digraph, margin-sorted
-    inside each strongly connected component, then a reinsertion hill climb."""
+def _heuristic_best_ordering(weights: np.ndarray) -> tuple[float, list[int]]:
+    """Condensed topological order of the weight-majority digraph (a -> b
+    when W[a, b] > W[b, a]), margin-sorted inside each strongly connected
+    component, then a reinsertion hill climb."""
     k = weights.shape[0]
-    adj = (counts > counts.T).astype(np.int8)
+    adj = (weights > weights.T).astype(np.int8)
     n_comp, labels = strong_components(adj)
     comp_members = CSR.from_keys(np.sort(labels * k + np.arange(k)), n_comp, k)
 
@@ -321,7 +318,7 @@ def best_cheating_score(votes: VoteDataset) -> tuple[float, list[int]]:
     if len(pref.categories) <= _EXACT_HARD_CAP:
         score, local_order = _exact_best_ordering(pref.weights)
     else:
-        score, local_order = _heuristic_best_ordering(pref.weights, pref.counts)
+        score, local_order = _heuristic_best_ordering(pref.weights)
     return score, [pref.categories[x] for x in local_order]
 
 

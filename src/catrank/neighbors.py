@@ -18,7 +18,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class NeighborSet(CSR):
     distance at the same position of ``distances``."""
 
     distances: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -67,16 +66,19 @@ class NeighborSet(CSR):
         return self.lengths()
 
     def save(self, path: str):
+        """The rows as text, and ``<path>.meta.json`` holding the row count
+        ``n`` alone; the settings that made the lists are the manifest's."""
         with open(path, "w", encoding="utf-8") as f:
             for v in range(self.n):
                 idx, dist = self.neighbors(v)
                 cells = ",".join(f"{i}:{repr(d)}" for i, d in zip(idx.tolist(), dist.tolist()))
                 f.write(f"{v}\t{cells}\n")
-        write_json(path + ".meta.json", dict(sorted((self.meta | {"n": self.n}).items())),
-                   compact=True)
+        write_json(path + ".meta.json", {"n": self.n}, compact=True)
 
     @classmethod
     def load(cls, path: str) -> "NeighborSet":
+        """Rows in the grammar ``_parse_rows`` takes. A ``<path>.meta.json``
+        sidecar, where present, must agree on ``n``; other keys are ignored."""
         meta = {}
         if os.path.exists(path + ".meta.json"):
             meta = read_json_object(path + ".meta.json")
@@ -100,7 +102,7 @@ class NeighborSet(CSR):
             why = (f"outside [0, {n})" if ids[at] >= n else
                    "is the entity itself" if ids[at] == owner[at] else "is repeated")
             raise DataError(f"{path}:{linenos[owner[at]]}: neighbor index {ids[at]:.0f} {why}")
-        return cls(indptr=indptr, indices=indices, distances=distances, meta=meta)
+        return cls(indptr=indptr, indices=indices, distances=distances)
 
 
 def _parse(path: str):
@@ -212,11 +214,11 @@ def _upper(d: np.ndarray) -> np.ndarray:
     return np.arange(d.shape[1]) > np.arange(len(d))[:, None]
 
 
-def _assemble(blocks, meta: dict) -> NeighborSet:
+def _assemble(blocks) -> NeighborSet:
     """A NeighborSet from per-chunk (out-degrees, indices, distances)."""
     degrees, indices, distances = (np.concatenate(part) for part in zip(*blocks))
     return NeighborSet(indptr=np.concatenate(([0], np.cumsum(degrees))),
-                       indices=indices, distances=distances, meta=meta)
+                       indices=indices, distances=distances)
 
 
 def _keep_first(dist: np.ndarray, ids: np.ndarray, m: int):
@@ -272,10 +274,8 @@ def knn_by_count(features: FeatureMatrix, metric: str, k: int, workers: int = 1)
         raise ValueError("k nearest neighbors needs at least 2 entities")
     if k < 1:
         raise ValueError("k must be at least 1")
-    clamped = False
     if k >= n:
         logger.warning("k=%d >= n=%d, clamping lists to %d neighbors", k, n, n - 1)
-        clamped = True
         k = n - 1
     m = k + 1
 
@@ -289,11 +289,9 @@ def knn_by_count(features: FeatureMatrix, metric: str, k: int, workers: int = 1)
         keep[keep.all(axis=1), k] = False
         return np.full(len(chunk), k), ids[keep], dist[keep]
 
-    meta = {"metric": metric, "strategy": "count", "k": k, "clamped": clamped,
-            "pairs": "directed"}
     if metric in metrics.GEMM_METRICS:
         return _assemble(_blocks(features, metric, workers,
-                                 lambda chunk, d: nearest(chunk, d, np.arange(n))), meta)
+                                 lambda chunk, d: nearest(chunk, d, np.arange(n))))
 
     def strip(chunk, d):
         own = _keep_first(d, np.arange(chunk[0], n), m)
@@ -307,7 +305,7 @@ def knn_by_count(features: FeatureMatrix, metric: str, k: int, workers: int = 1)
         held.append((hi, *later))
         if sum(p[1].shape[1] for p in held) > 2 * m:
             held = [(hi, *_keep_first(*_rows(held, hi, n), m))]
-    return _assemble(lists, meta)
+    return _assemble(lists)
 
 
 def neighbors_by_distance(features: FeatureMatrix, metric: str, d: float,
@@ -338,8 +336,7 @@ def neighbors_by_distance(features: FeatureMatrix, metric: str, d: float,
     if symmetric:
         row, col, dist = np.concatenate((row, col)), np.concatenate((col, row)), np.tile(dist, 2)
     order = np.lexsort((col, dist, row))  # by entity, then (distance, index)
-    meta = {"metric": metric, "strategy": "distance", "d": d, "pairs": "directed"}
-    return _assemble([(np.bincount(row, minlength=n), col[order], dist[order])], meta)
+    return _assemble([(np.bincount(row, minlength=n), col[order], dist[order])])
 
 
 def _pooled(held: list[np.ndarray], r: int) -> np.ndarray:
@@ -456,20 +453,20 @@ def calibrate_thresholds(features: FeatureMatrix, metric: str, targets,
     return [float(smallest[r - 1]) for r in ranks]
 
 
-def _keep_entries(nbrs: NeighborSet, keep: np.ndarray, meta: dict) -> NeighborSet:
+def _keep_entries(nbrs: NeighborSet, keep: np.ndarray) -> NeighborSet:
     """The entries where ``keep`` holds, each row keeping its order."""
     kept_before = np.concatenate(([0], np.cumsum(keep)))
     return NeighborSet(indptr=kept_before[nbrs.indptr], indices=nbrs.indices[keep],
-                       distances=nbrs.distances[keep], meta=meta)
+                       distances=nbrs.distances[keep])
 
 
 def slice_knn(nbrs: NeighborSet, k: int) -> NeighborSet:
     """Restrict count-strategy lists to their first k entries (lists are
     sorted by (distance, index), so the prefix is the exact smaller-k result)."""
     position = np.arange(len(nbrs.indices)) - nbrs.indptr[nbrs.owners()]
-    return _keep_entries(nbrs, position < k, dict(nbrs.meta, k=k))
+    return _keep_entries(nbrs, position < k)
 
 
 def filter_by_distance(nbrs: NeighborSet, d: float) -> NeighborSet:
     """Restrict distance-strategy lists to entries with distance <= d."""
-    return _keep_entries(nbrs, nbrs.distances <= d, dict(nbrs.meta, d=d))
+    return _keep_entries(nbrs, nbrs.distances <= d)

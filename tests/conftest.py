@@ -49,7 +49,6 @@ def neighbor_set_from_lists(lists, distances=None):
         indptr=indptr,
         indices=np.array(idx, dtype=np.int64),
         distances=np.array(dist, dtype=np.float64),
-        meta={"strategy": "test"},
     )
 
 

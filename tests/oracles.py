@@ -217,13 +217,12 @@ def score_votes_by_loop(votes, order):
 
 
 def preference_graph_by_loop(votes):
-    """(categories, counts, weights) of ``evaluation.build_preference_graph``,
+    """(categories, weights) of ``evaluation.build_preference_graph``,
     one answer and one choice at a time."""
     questions = question_lists(votes)
     cats = sorted({c for q in questions for c in q})
     local = {c: i for i, c in enumerate(cats)}
     k = len(cats)
-    counts = np.zeros((k, k), dtype=np.int64)
     weights = np.zeros((k, k), dtype=np.float64)
     for qi, pos in answer_pairs(votes):
         q = questions[qi]
@@ -232,9 +231,8 @@ def preference_graph_by_loop(votes):
         for c in q:
             b = local[c]
             if b != a:
-                counts[a, b] += 1
                 weights[a, b] += w
-    return cats, counts, weights
+    return cats, weights
 
 
 def exact_best_ordering_by_loop(weights: np.ndarray) -> tuple[float, list[int]]:

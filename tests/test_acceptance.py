@@ -302,7 +302,7 @@ def test_criterion_09_cheating_score_heuristic():
         votes = random_votes(rng, n_cats, n_questions=int(rng.integers(4, 10)),
                              m=3, per_question=int(rng.integers(2, 6)))
         pref = build_preference_graph(votes)
-        h_score, _ = _heuristic_best_ordering(pref.weights, pref.counts)
+        h_score, _ = _heuristic_best_ordering(pref.weights)
         b_score, _ = best_ordering_bruteforce(pref.weights)
         if abs(h_score - b_score) <= 1e-9:
             hits += 1

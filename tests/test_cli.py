@@ -12,7 +12,7 @@ import pytest
 import catrank
 from catrank import coherence
 from catrank.cli import main
-from catrank.data_model import FeatureMatrix, read_features, save_features_text
+from catrank.data_model import FeatureMatrix, load_features, save_features_text
 from catrank.neighbors import (
     NeighborSet,
     calibrate_thresholds,
@@ -175,9 +175,8 @@ def test_knn_coherence_rank_evaluate(pipeline):
     tmp, out = pipeline
     feats, nb = run_embed_knn(tmp, out)
     assert nb.exists()
-    meta = json.loads((tmp / "nb.tsv.meta.json").read_text())
-    assert meta["metric"] == "cosine"
-    assert meta["k"] == 3
+    params = json.loads((tmp / "nb.tsv.manifest.json").read_text())["parameters"]
+    assert (params["metric"], params["k"]) == ("cosine", 3)
 
     scores = tmp / "scores.csv"
     assert main([
@@ -218,11 +217,10 @@ def test_knn_avg_target_calibrates(pipeline):
         "knn", "--features", str(feats), "--metric", "l2", "--avg-target", "3",
         "--out", str(nb),
     ]) == 0
-    meta = json.loads((tmp / "nb_dist.tsv.meta.json").read_text())
-    assert meta["strategy"] == "distance"
-    assert "target" not in meta
     manifest = json.loads((tmp / "nb_dist.tsv.manifest.json").read_text())
     assert manifest["parameters"]["avg_target"] == 3.0
+    d, = calibrate_thresholds(load_features(str(feats), None, None), "l2", [3.0])
+    assert manifest["parameters"]["threshold"] == d
 
 
 @pytest.mark.parametrize("metric", ["l1", "l2", "cosine", "kl", "js"])
@@ -236,7 +234,7 @@ def test_knn_output_loads_back_bitwise(tmp_path, metric):
         fm.rows[:2] = [[1e308] * 3, [-1e308] * 3]
     features = str(tmp_path / "f.tsv")
     save_features_text(fm, [f"e{v}" for v in range(16)], features)
-    fm, _ = read_features(features)
+    fm = load_features(features, None, None)
     out = str(tmp_path / "nb.tsv")
     with np.errstate(over="ignore", invalid="ignore"):
         for flag, value, nbrs in (
@@ -250,6 +248,9 @@ def test_knn_output_loads_back_bitwise(tmp_path, metric):
             for a, b in ((back.indptr, nbrs.indptr), (back.indices, nbrs.indices),
                          (back.distances, nbrs.distances)):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), flag
+            # the sidecar states the row count alone; the manifest holds the settings
+            with open(out + ".meta.json", encoding="utf-8") as f:
+                assert json.load(f) == {"n": 16}, flag
     if metric in ("l1", "l2"):
         assert np.isinf(back.distances).any()
 
@@ -270,6 +271,30 @@ def test_grid_eight_configs(pipeline):
     assert len(summary["rows"]) == 8
     assert all("improved_accuracy" in row for row in summary["rows"])
     assert len(list((grid_dir / "rankings").glob("*.csv"))) == 8
+
+
+def test_grid_threshold_is_the_calibrated_distance(pipeline):
+    tmp, out = pipeline
+    feats, _ = run_embed_knn(tmp, out)
+    grid_dir = tmp / "grid"
+    assert main([
+        "grid", "--features", str(feats), "--categories", str(out / "categories.json"),
+        "--metrics", "l1,cosine", "--strategies", "count,distance", "--sizes", "5,3",
+        "--criteria", "surprise", "--out-dir", str(grid_dir),
+    ]) == 0
+    fm = load_features(str(feats), None, None)
+    want = {(metric, t): d for metric in ("l1", "cosine")
+            for t, d in zip((3.0, 5.0), calibrate_thresholds(fm, metric, [3.0, 5.0]))}
+    rows = json.loads((grid_dir / "summary.json").read_text())["rows"]
+    with open(grid_dir / "summary.csv", encoding="utf-8", newline="") as f:
+        cells = list(csv.DictReader(f))
+    assert len(rows) == len(cells) == 8
+    for row, cell in zip(rows, cells):
+        if row["strategy"] == "count":
+            assert "threshold" not in row and cell["threshold"] == ""
+        else:
+            d = want[row["metric"], row["size"]]
+            assert row["threshold"] == d and float(cell["threshold"]) == d
 
 
 def test_report_stats_quantiles_top(pipeline):
@@ -361,10 +386,6 @@ def test_ingest_takes_the_feature_kind_the_file_declares(tmp_path):
     assert exc.value.code == 1
 
 
-def _votes_without_categories(tmp):
-    return ["--votes", str(tmp / "votes.csv")]
-
-
 def _bad_categories_line(tmp):
     (tmp / "bad_cats.tsv").write_text("n0\tcliqueA\nn1 cliqueA\n", encoding="utf-8")
     return ["--categories", str(tmp / "bad_cats.tsv")]
@@ -381,8 +402,7 @@ def _bad_vote_line(tmp):
     return ["--categories", str(tmp / "cats.tsv"), "--votes", str(tmp / "bad_votes.csv")]
 
 
-@pytest.mark.parametrize("extra", [_votes_without_categories, _bad_categories_line,
-                                   _bad_feature_row, _bad_vote_line])
+@pytest.mark.parametrize("extra", [_bad_categories_line, _bad_feature_row, _bad_vote_line])
 def test_refused_ingest_writes_nothing(tmp_path, capsys, extra):
     graph, _, _ = make_dataset(tmp_path)
     out = tmp_path / "work"
@@ -400,6 +420,24 @@ def test_refused_grid_writes_nothing(pipeline, menu):
                  "--categories", str(out / "categories.json"), *menu,
                  "--out-dir", str(grid_dir)]) == 2
     assert not grid_dir.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ingest", "--graph", "{tmp}/edges.tsv", "--votes", "{tmp}/votes.csv",
+      "--out-dir", "{tmp}/refused"], "ingest: --votes requires --categories"),
+    (["report", "stats", "--categories", "{tmp}/work/categories.json",
+      "--subset", "{tmp}/cats.tsv", "--out", "{tmp}/refused"],
+     "report stats: --subset requires --graph"),
+])
+def test_option_without_the_option_it_needs_is_a_usage_error(pipeline, capsys, argv, message):
+    tmp, _ = pipeline
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(tmp=tmp) for arg in argv])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    assert not list(tmp.glob("refused*"))
 
 
 def test_report_stats_refuses_a_repeated_subset_id(pipeline, capsys):

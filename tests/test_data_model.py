@@ -16,7 +16,6 @@ from catrank.data_model import (
     load_features,
     load_graph,
     load_votes,
-    read_features,
     save_features_binary,
     save_features_text,
     save_votes,
@@ -467,7 +466,7 @@ def test_native_names_follow_the_text_name_rule(tmp_path, artifact, bad, why):
         where = r"f\.bin\.json: ids\[1\]"
         path = str(tmp_path / "f.bin")
         save_features_binary(FeatureMatrix(kind="point", rows=np.ones((2, 2))), ["y", bad], path)
-        load = read_features
+        load = lambda p: load_features(p, None, None)  # noqa: E731
     with pytest.raises(DataError, match=rf"{where} '.*' {why}$"):
         load(path)
 
@@ -481,18 +480,22 @@ def test_binary_feature_sidecar_missing_keys(tmp_path, small_graph):
         load_features(str(path), "point", small_graph)
 
 
-def test_read_features_keeps_file_order_and_checks_rows(tmp_path):
+def test_load_features_without_graph_keeps_file_order_and_checks_rows(tmp_path):
     p = write(tmp_path / "f.tsv", "2 2 point\nB\t0.5 0.5\nA\t0.25 0.75\n")
-    fm, ids = read_features(p)
-    assert ids == ["B", "A"]
+    fm = load_features(p, None, None)
     assert fm.kind == "point"
     assert fm.rows.tolist() == [[0.5, 0.5], [0.25, 0.75]]
     bad = write(tmp_path / "g.tsv", "2 2 point\nB\t0.5 0.5\nA\tnan 0.75\n")
     with pytest.raises(DataError, match="non-finite"):
-        read_features(bad)
+        load_features(bad, None, None)
     short = write(tmp_path / "h.tsv", "2 2 point\nB\t0.5 0.5\n")
-    with pytest.raises(DataError, match="declares 2 rows, found 1"):
-        read_features(short)
+    with pytest.raises(DataError, match=r"h\.tsv: header declares 2 rows, found 1$"):
+        load_features(short, None, None)
+    empty = write(tmp_path / "e.tsv", "0 2 point\n")
+    with pytest.raises(DataError, match=r"e\.tsv: no feature rows$"):
+        load_features(empty, None, None)
+    with pytest.raises(DataError, match="requested kind 'distribution' but file declares"):
+        load_features(p, "distribution", None)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +531,7 @@ _READERS = {
     "categories": ("A\tx\n\n# note\nB\ty\nB\n", "expected 'entity<TAB>category'",
                    lambda p, g, c: load_categories(p, g)),
     "features": ("2 2 point\n\n# note\nA\t1 2\nB\t1 y\n", "non-numeric component",
-                 lambda p, g, c: read_features(p)),
+                 lambda p, g, c: load_features(p, None, None)),
     "walks": ("A\tB\n\n# note\nB\tA\nA\tZ\n", "unknown entity 'Z'",
               lambda p, g, c: embeddings.load_walks(p, g)),
     "config": ("seed = 1\n\n# note\nk = 2\nseed 3\n", "expected 'key = value'",

@@ -162,17 +162,17 @@ def test_preference_graph_unanimous_question():
     a = pref.categories.index(3)
     for other in (0, 1, 2, 4):
         b = pref.categories.index(other)
-        assert pref.counts[a, b] == 20
-        assert pref.counts[b, a] == 0
+        assert pref.weights[a, b] == 20 * 0.25
+        assert pref.weights[b, a] == 0
     winners = {(pref.categories[w], pref.categories[l])
-               for w, l in zip(*np.nonzero(pref.counts > pref.counts.T))}
+               for w, l in zip(*np.nonzero(pref.weights > pref.weights.T))}
     assert winners == {(3, 0), (3, 1), (3, 2), (3, 4)}
 
 
 def test_preference_graph_tie_no_majority():
     votes = make_votes([[0, 1]], [(0, 0)] * 10 + [(0, 1)] * 10)
     pref = build_preference_graph(votes)
-    assert (pref.counts == pref.counts.T).all()
+    assert (pref.weights == pref.weights.T).all()
 
 
 def test_preference_graph_weights_scale():
@@ -188,10 +188,8 @@ def test_preference_graph_matches_answer_loop():
     for _ in range(60):
         votes, _ = mixed_votes(rng)
         pref = build_preference_graph(votes)
-        cats, counts, weights = preference_graph_by_loop(votes)
+        cats, weights = preference_graph_by_loop(votes)
         assert pref.categories == cats
-        assert pref.counts.dtype == counts.dtype
-        assert pref.counts.tobytes() == counts.tobytes()
         assert pref.weights.tobytes() == weights.tobytes()
 
 
@@ -220,7 +218,7 @@ def test_cheating_score_three_cycle():
     brute, _ = best_ordering_bruteforce(build_preference_graph(votes).weights)
     assert score == pytest.approx(brute)
     pref = build_preference_graph(votes)
-    h_score, _ = _heuristic_best_ordering(pref.weights, pref.counts)
+    h_score, _ = _heuristic_best_ordering(pref.weights)
     assert h_score == pytest.approx(brute)
 
 
@@ -308,13 +306,28 @@ def test_heuristic_matches_bruteforce_small_instances():
         votes = random_votes(rng, n_cats, n_questions=int(rng.integers(4, 10)),
                              m=3, per_question=int(rng.integers(2, 6)))
         pref = build_preference_graph(votes)
-        h_score, h_order = _heuristic_best_ordering(pref.weights, pref.counts)
+        h_score, h_order = _heuristic_best_ordering(pref.weights)
         b_score, _ = best_ordering_bruteforce(pref.weights)
         assert _ordering_score(pref.weights, h_order) == pytest.approx(h_score)
         assert h_score >= 0.98 * b_score  # never far off, even when not optimal
         if abs(h_score - b_score) <= 1e-9:
             hits += 1
     assert hits >= math.ceil(0.98 * trials), f"heuristic optimal on {hits}/{trials}"
+
+
+def test_heuristic_condenses_on_the_weight_majority():
+    # Category 1 beats 4 in two answers of 4- and 5-choice questions (1/3 and
+    # 1/4 point) and loses to it in one 2-choice answer (1 point): the answer
+    # majority says 1 -> 4, the weight majority 4 -> 1. Condensing on answer
+    # counts instead gives 31/6 points, below the optimum of 16/3.
+    votes = make_votes([[3, 2, 1, 4], [1, 4, 0, 3, 2], [4, 1], [2, 0]],
+                       [(0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (3, 0), (3, 0)])
+    pref = build_preference_graph(votes)
+    assert pref.weights[4, 1] == 1.0 and pref.weights[1, 4] == 1 / 3 + 1 / 4
+    b_score, _ = best_ordering_bruteforce(pref.weights)
+    h_score, h_order = _heuristic_best_ordering(pref.weights)
+    assert h_score == pytest.approx(b_score)
+    assert _ordering_score(pref.weights, h_order) == pytest.approx(b_score)
 
 
 def test_cheating_dominates_random_rankings():

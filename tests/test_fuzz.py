@@ -20,7 +20,6 @@ from catrank.data_model import (
     load_features,
     load_graph,
     load_votes,
-    read_features,
     save_features_binary,
 )
 from catrank.embeddings import load_walks
@@ -69,9 +68,9 @@ CASES = [
      _INGEST + ["--categories", "{d}/cats.tsv", "--votes", "{d}/votes.csv"]),
     ("features.tsv", lambda p, g, c: load_features(p, "point", g),
      _INGEST + ["--features", "{d}/features.tsv"]),
-    ("features.tsv", lambda p, g, c: read_features(p), _KNN + ["{d}/features.tsv"]),
-    ("features.bin", lambda p, g, c: read_features(p), _KNN + ["{d}/features.bin"]),
-    ("features.bin.json", lambda p, g, c: read_features(p.removesuffix(".json")),
+    ("features.tsv", lambda p, g, c: load_features(p, None, None), _KNN + ["{d}/features.tsv"]),
+    ("features.bin", lambda p, g, c: load_features(p, None, None), _KNN + ["{d}/features.bin"]),
+    ("features.bin.json", lambda p, g, c: load_features(p.removesuffix(".json"), None, None),
      _KNN + ["{d}/features.bin"]),
     ("graph.json", lambda p, g, c: EntityGraph.load(p),
      ["walk", "--graph", "{d}/graph.json", "--walk-length", "3", "--out", "{d}/o.txt"]),

@@ -1,3 +1,5 @@
+import json
+import logging
 import math
 import re
 
@@ -54,11 +56,12 @@ def test_knn_tie_breaks_to_lower_index():
     assert nbrs.neighbors(2)[0].tolist() == [0]
 
 
-def test_knn_clamps_large_k():
+def test_knn_clamps_large_k(caplog):
     fm = points([[float(i)] for i in range(5)])
-    nbrs = knn_by_count(fm, "l2", 10)
+    with caplog.at_level(logging.WARNING, logger="catrank.neighbors"):
+        nbrs = knn_by_count(fm, "l2", 10)
     assert all(d == 4 for d in nbrs.out_degrees())
-    assert nbrs.meta["clamped"] is True
+    assert "clamping lists to 4 neighbors" in caplog.text
 
 
 def test_knn_degree_regularity():
@@ -216,7 +219,8 @@ def test_neighbor_set_round_trip(tmp_path):
     assert np.array_equal(back.indptr, nbrs.indptr)
     assert np.array_equal(back.indices, nbrs.indices)
     assert np.array_equal(back.distances, nbrs.distances)
-    assert back.meta["metric"] == "cosine"
+    with open(path + ".meta.json", encoding="utf-8") as f:
+        assert json.load(f) == {"n": 20}
 
 
 def test_neighbor_set_round_trip_with_empty_lists(tmp_path):
@@ -281,6 +285,19 @@ def test_neighbor_set_load_checks_sidecar_row_count(tmp_path):
     with pytest.raises(DataError, match=r"nb\.tsv: 18 rows, but .*nb\.tsv\.meta\.json "
                                         r"says n = 20$"):
         NeighborSet.load(path)
+
+
+def test_neighbor_set_load_ignores_other_sidecar_keys(tmp_path):
+    # the keys earlier versions of knn wrote, which the benchmark's planted lists still carry
+    path = tmp_path / "nb.tsv"
+    path.write_text("0\t1:0.5\n1\t0:0.5\n2\t1:1.0\n", encoding="utf-8")
+    (tmp_path / "nb.tsv.meta.json").write_text(
+        '{"clamped":false,"k":1,"metric":"l2","n":3,"pairs":"directed","strategy":"count"}',
+        encoding="utf-8")
+    back = NeighborSet.load(str(path))
+    assert back.indptr.tolist() == [0, 1, 2, 3]
+    assert back.indices.tolist() == [1, 0, 1]
+    assert back.distances.tolist() == [0.5, 0.5, 1.0]
 
 
 def check_load(path, expected):
