@@ -209,6 +209,13 @@ def _write(path: str, text: str):
         f.write(text)
 
 
+def _check_universe(path: str, n: int, rows: str, cats_path: str, cats: CategoryIndex):
+    """Refuse an input whose entity count is not the category index's."""
+    if n != cats.n_entities:
+        raise DataError(f"{path} has {n} {rows}, but {cats_path} has "
+                        f"n_entities = {cats.n_entities}")
+
+
 # ---------------------------------------------------------------------------
 # stage runners: each returns (output paths, values it computed); main writes
 # the manifest's parameters and inputs from the parsed options
@@ -312,6 +319,7 @@ def _run_knn(args):
 def _run_coherence(args):
     nbrs = neighbors.NeighborSet.load(args.neighbors)
     cats = CategoryIndex.load(args.categories)
+    _check_universe(args.neighbors, nbrs.n, "rows", args.categories, cats)
     scores, skipped = coherence.score_categories(
         nbrs, cats, min_size=args.min_size, adjusted_p=args.adjusted_p)
     if not scores:
@@ -324,6 +332,7 @@ def _run_coherence(args):
 def _run_rank(args):
     nbrs = neighbors.NeighborSet.load(args.neighbors)
     cats = CategoryIndex.load(args.categories)
+    _check_universe(args.neighbors, nbrs.n, "rows", args.categories, cats)
     ranking = coherence.rank_categories(
         nbrs, cats, args.criterion, min_size=args.min_size, adjusted_p=args.adjusted_p)
     _write(args.out, report.ranking_csv(ranking, cats))
@@ -335,6 +344,7 @@ def _run_rank(args):
 def _run_grid(args):
     fm = load_features(args.features, None, None)
     cats = CategoryIndex.load(args.categories)
+    _check_universe(args.features, fm.n_entities, "rows", args.categories, cats)
     votes = load_votes(args.votes, cats) if args.votes else None
     menu = coherence.GridMenu(
         metrics=tuple(_str_list(args.metrics)),
@@ -384,9 +394,7 @@ def _run_report(args):
         subset = None
         if args.graph:
             graph = EntityGraph.load(args.graph)
-            if graph.n_entities != cats.n_entities:
-                raise DataError(f"{args.graph} has {graph.n_entities} entities, but "
-                                f"{args.categories} has n_entities = {cats.n_entities}")
+            _check_universe(args.graph, graph.n_entities, "entities", args.categories, cats)
         if args.subset:
             subset = {}  # entity ids in file order
             for lineno, name in text_lines(args.subset):
@@ -466,9 +474,13 @@ def _iter_parsers(parser):
 def _apply_config(parser, config):
     known = set()
     for sub in _iter_parsers(parser):
+        # a key for one of a required group's flags (knn's --k, --avg-target
+        # and --radius) would override the flag given on the command line
+        grouped = {action for group in sub._mutually_exclusive_groups  # noqa: SLF001
+                   for action in group._group_actions}  # noqa: SLF001
         defaults = {}
         for action in sub._actions:  # noqa: SLF001
-            if action.dest in ("help", "command", "report_command"):
+            if action.dest in ("help", "command", "report_command") or action in grouped:
                 continue
             known.add(action.dest)
             if action.dest in config:
@@ -476,7 +488,7 @@ def _apply_config(parser, config):
                 if action.type is not None:
                     try:
                         raw = action.type(raw)
-                    except argparse.ArgumentTypeError as e:
+                    except (argparse.ArgumentTypeError, ValueError) as e:
                         raise ValueError(f"config {action.dest}: {e}") from None
                 elif isinstance(action.const, bool) or isinstance(action.default, bool):
                     if raw.lower() not in _CONFIG_BOOLS:

@@ -228,21 +228,25 @@ def _inside_counts(nbrs: NeighborSet, cats: CategoryIndex, cat_ids: list[int]) -
     return np.concatenate(inside)
 
 
-def _score(nbrs: NeighborSet, cats: CategoryIndex, cat_ids: list[int],
-           adjusted_p: bool = False) -> list[CategoryScore]:
-    """Conductance and surprise level of each listed category, in one pass.
+def score_categories(nbrs: NeighborSet, cats: CategoryIndex, min_size: int = 2,
+                     adjusted_p: bool = False) -> tuple[list[CategoryScore], int]:
+    """Conductance and surprise level of every category with at least
+    ``min_size`` members, in one pass.
 
+    Returns the scores (in category-index order) and the skipped count.
     Each member observes C close neighbors, G of them members. p depends
     only on the size, so each distinct (C, G, size) tail is computed once;
     each mean is taken over the category's own observers in member order.
     """
+    if min_size < 2:
+        raise ValueError("min_size must be at least 2")
     if nbrs.n != cats.n_entities:
         raise ValueError("neighbor set and category index cover different universes")
+    cat_ids = np.flatnonzero(cats.members.lengths() >= min_size).tolist()
+    skipped = cats.n_categories - len(cat_ids)
     if not cat_ids:
-        return []
+        return [], skipped
     sizes = cats.members.lengths()[cat_ids]
-    if sizes.min() < 2:
-        raise ValueError("scoring needs categories with at least 2 members")
     c_obs = nbrs.out_degrees()[np.concatenate([cats.members[cat] for cat in cat_ids])]
     g_obs = _inside_counts(nbrs, cats, cat_ids)
 
@@ -285,38 +289,7 @@ def _score(nbrs: NeighborSet, cats: CategoryIndex, cat_ids: list[int],
             log_surprise=log_s,
             n_observers_used=arr.size,
         ))
-    return scores
-
-
-def conductance(cat: int, nbrs: NeighborSet, cats: CategoryIndex) -> float | None:
-    """Fraction of members' directed neighbor relationships staying inside.
-
-    Returns None when no member has any close neighbor.
-    """
-    return _score(nbrs, cats, [cat])[0].conductance
-
-
-def surprise_level(cat: int, nbrs: NeighborSet, cats: CategoryIndex,
-                   adjusted_p: bool = False) -> tuple[float, float, int]:
-    """Mean binomial-tail probability over the category's observers.
-
-    Returns ``(linear, log, n_observers_used)``.
-    """
-    s = _score(nbrs, cats, [cat], adjusted_p)[0]
-    return s.surprise, s.log_surprise, s.n_observers_used
-
-
-def score_categories(nbrs: NeighborSet, cats: CategoryIndex, min_size: int = 2,
-                     adjusted_p: bool = False) -> tuple[list[CategoryScore], int]:
-    """Score every category with at least ``min_size`` members.
-
-    Returns the scores (in category-index order) and the skipped count.
-    """
-    if min_size < 2:
-        raise ValueError("min_size must be at least 2")
-    scorable = np.flatnonzero(cats.members.lengths() >= min_size).tolist()
-    scores = _score(nbrs, cats, scorable, adjusted_p=adjusted_p)
-    return scores, cats.n_categories - len(scorable)
+    return scores, skipped
 
 
 def _check_criterion(criterion: str):

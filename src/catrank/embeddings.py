@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import EntityGraph, FeatureMatrix, text_lines
+from .data_model import EntityGraph, text_lines
 from .errors import DataError
 
 _WALK_SALT = 0x57A1C
@@ -180,24 +180,6 @@ def hs_pair_loss(vectors: np.ndarray, node_vecs: np.ndarray, tree: HuffmanTree,
     return float(np.logaddexp(0.0, -sgn * x).sum())
 
 
-def hs_pair_grads(vectors: np.ndarray, node_vecs: np.ndarray, tree: HuffmanTree,
-                  center: int, context: int):
-    """Descent gradients of the pair loss.
-
-    Returns ``(grad_center, path_node_ids, grad_node_rows)``.
-    """
-    pts = tree.points[context]
-    l2 = node_vecs[pts]
-    f = _expit(l2 @ vectors[center])
-    err = f - (1.0 - tree.codes[context])
-    return err @ l2, pts, np.outer(err, vectors[center])
-
-
-def hs_log_prob(vectors: np.ndarray, node_vecs: np.ndarray, tree: HuffmanTree,
-                center: int, target: int) -> float:
-    return -hs_pair_loss(vectors, node_vecs, tree, center, target)
-
-
 @dataclass
 class SkipGramModel:
     """What training learned; ``catrank embed`` records the settings itself."""
@@ -322,6 +304,9 @@ def train_skipgram(walks: list[np.ndarray], n_entities: int, *, dim: int = 128,
         raise ValueError(f"unknown training method {method!r}")
     if negative < 0:
         raise ValueError("negative must be nonnegative")
+    total_pairs = _count_pairs(walks, window)
+    if not total_pairs:
+        raise ValueError("no walk has two entities, so there is no (center, context) pair")
 
     freqs = np.bincount(np.concatenate(walks), minlength=n_entities)
     if method == "negative" and np.count_nonzero(freqs) < 2:
@@ -341,7 +326,6 @@ def train_skipgram(walks: list[np.ndarray], n_entities: int, *, dim: int = 128,
         ns_labels = np.r_[1.0, np.zeros(negative)]
 
     offsets = {n: _pair_offsets(n, window) for n in {len(w) for w in walks}}
-    total_pairs = _count_pairs(walks, window)
     lr_span = final_lr - initial_lr
     done = 0
     for g0 in range(0, len(walks), _GROUP):
@@ -361,21 +345,3 @@ def train_skipgram(walks: list[np.ndarray], n_entities: int, *, dim: int = 128,
                           None, alpha[lo:hi])
 
     return SkipGramModel(input_vectors=vectors, node_vectors=node_vecs, tree=tree)
-
-
-def embed(graph: EntityGraph, walk_cfg: WalkConfig, *, dim: int = 128,
-          initial_lr: float = 0.025, final_lr: float = 0.0001,
-          method: str = "hs", negative: int = 5) -> FeatureMatrix:
-    """Walk generation, Huffman coding and skip-gram training end to end.
-
-    ``walk_cfg.seed`` drives both walk sampling and weight initialization.
-    """
-    if graph.n_entities < 2:
-        raise ValueError("embedding needs at least 2 entities")
-    walks = generate_walks(graph, walk_cfg)
-    model = train_skipgram(
-        walks, graph.n_entities, dim=dim, window=walk_cfg.window,
-        seed=walk_cfg.seed, initial_lr=initial_lr, final_lr=final_lr,
-        method=method, negative=negative,
-    )
-    return FeatureMatrix(kind="point", rows=model.input_vectors)

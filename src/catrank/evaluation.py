@@ -16,20 +16,20 @@ never fails on a filtered ranking, it just scores it pessimistically.
 Every answer is scored, and every preference counted, in one array pass
 over the layout ``VoteDataset`` holds from load on: the (questions, max m)
 choice matrix padded with -1 and each answer's question and voted
-position. ``score_answer`` stays the per-answer reference.
+position. The per-answer reference, ``score_answer``, lives in
+``tests/oracles.py`` with the other loops the tests hold this pass to.
 """
 
 from __future__ import annotations
 
 import heapq
 import logging
-import math
 from dataclasses import asdict, dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .data_model import CSR, CategoryIndex, VoteDataset
+from .data_model import CSR, VoteDataset
 
 logger = logging.getLogger(__name__)
 
@@ -38,34 +38,6 @@ logger = logging.getLogger(__name__)
 _EXACT_HARD_CAP = 18
 # the name the benchmark's trace counters read
 DEFAULT_EXACT_LIMIT = _EXACT_HARD_CAP
-
-
-def ranking_positions(order: Sequence[int]) -> dict[int, int]:
-    return {cat: pos for pos, cat in enumerate(order)}
-
-
-def _position(cat: int, positions: Mapping[int, int], n_ranked: int) -> int:
-    # unranked categories sort after all ranked ones, by index
-    pos = positions.get(cat)
-    return pos if pos is not None else n_ranked + cat
-
-
-def relative_rank(voted: int, choices: Sequence[int], positions: Mapping[int, int],
-                  n_ranked: int) -> int:
-    """1-based relative rank of the voted category among its co-choices."""
-    mine = _position(voted, positions, n_ranked)
-    better = sum(
-        1 for c in choices
-        if c != voted and _position(c, positions, n_ranked) < mine
-    )
-    return 1 + better
-
-
-def score_answer(voted: int, choices: Sequence[int], positions: Mapping[int, int],
-                 n_ranked: int) -> float:
-    m = len(choices)
-    i = relative_rank(voted, choices, positions, n_ranked)
-    return (m - i) / (m - 1)
 
 
 def _require_answers(votes: VoteDataset):
@@ -94,19 +66,6 @@ def _score_votes(votes: VoteDataset, order: Sequence[int]):
     rank_counts = np.bincount(i - 1, minlength=choices.shape[1])
     unranked = (real & (ranked_at[choices] < 0)).any(axis=1)
     return total, rank_counts, int(unranked[question].sum())
-
-
-def rough_accuracy(votes: VoteDataset, order: Sequence[int]) -> float:
-    """Mean per-answer points against the given category ordering."""
-    total, _, _ = _score_votes(votes, order)
-    return total / votes.n_answers
-
-
-def agreement_histogram(votes: VoteDataset, order: Sequence[int]) -> np.ndarray:
-    """Fraction of answers whose voted category placed 1st, 2nd, ... among
-    its question's choices."""
-    _, rank_counts, _ = _score_votes(votes, order)
-    return rank_counts / votes.n_answers
 
 
 # ---------------------------------------------------------------------------
@@ -320,36 +279,6 @@ def best_cheating_score(votes: VoteDataset) -> tuple[float, list[int]]:
     else:
         score, local_order = _heuristic_best_ordering(pref.weights)
     return score, [pref.categories[x] for x in local_order]
-
-
-def improved_accuracy(votes: VoteDataset, order: Sequence[int]) -> float:
-    """Total points earned by the ordering divided by the cheating score."""
-    return evaluate(votes, order).improved_accuracy
-
-
-# ---------------------------------------------------------------------------
-# confusability of a category pair
-
-
-def co_prob(a: int, b: int, votes: VoteDataset | None = None,
-            cats: CategoryIndex | None = None) -> float | None:
-    """Geometric mean of P(a | b) and P(b | a).
-
-    Conditionals come from question co-appearance (pass ``votes``) or entity
-    co-membership (pass ``cats``). Returns None when either category has no
-    support in the chosen universe.
-    """
-    if (votes is None) == (cats is None):
-        raise ValueError("pass exactly one of votes= or cats=")
-    if votes is not None:
-        real = votes.choices >= 0
-        in_a, in_b = (np.flatnonzero((real & (votes.choices == c)).any(axis=1)) for c in (a, b))
-    else:
-        in_a, in_b = cats.members[a], cats.members[b]
-    if not len(in_a) or not len(in_b):
-        return None
-    both = len(np.intersect1d(in_a, in_b, assume_unique=True))
-    return math.sqrt((both / len(in_b)) * (both / len(in_a)))
 
 
 # ---------------------------------------------------------------------------

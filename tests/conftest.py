@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from catrank.data_model import CSR, CategoryIndex, EntityGraph
+from catrank.data_model import CSR, CategoryIndex, EntityGraph, FeatureMatrix
+from catrank.embeddings import generate_walks, train_skipgram
 from catrank.neighbors import NeighborSet
 
 
@@ -19,6 +20,14 @@ def graph_from_edges(edges, ids=None):
         ids=list(ids),
         adjacency=CSR.from_lists(sorted(s) for s in out),
     )
+
+
+def embed_graph(graph, cfg, **train):
+    """Point features as ``catrank embed`` trains them: the walks ``cfg``
+    draws, then skip-gram at its window and seed."""
+    walks = generate_walks(graph, cfg)
+    model = train_skipgram(walks, graph.n_entities, window=cfg.window, seed=cfg.seed, **train)
+    return FeatureMatrix(kind="point", rows=model.input_vectors)
 
 
 def categories_from_members(members, n_entities, names=None):

@@ -8,11 +8,15 @@ import math
 import re
 from fractions import Fraction
 from itertools import permutations
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from catrank import evaluation, metrics
+from catrank import metrics
+from catrank.coherence import CategoryScore, score_categories
+from catrank.data_model import CSR, CategoryIndex, VoteDataset
+from catrank.embeddings import HuffmanTree, _expit
 
 
 def exact_binomial_tail(c: int, g: int, p: Fraction) -> Fraction:
@@ -195,10 +199,34 @@ def answer_pairs(votes) -> list[tuple[int, int]]:
     return list(zip(votes.question.tolist(), votes.voted.tolist()))
 
 
+def _position(cat: int, positions: Mapping[int, int], n_ranked: int) -> int:
+    # unranked categories sort after all ranked ones, by index
+    pos = positions.get(cat)
+    return pos if pos is not None else n_ranked + cat
+
+
+def relative_rank(voted: int, choices: Sequence[int], positions: Mapping[int, int],
+                  n_ranked: int) -> int:
+    """1-based relative rank of the voted category among its co-choices."""
+    mine = _position(voted, positions, n_ranked)
+    better = sum(
+        1 for c in choices
+        if c != voted and _position(c, positions, n_ranked) < mine
+    )
+    return 1 + better
+
+
+def score_answer(voted: int, choices: Sequence[int], positions: Mapping[int, int],
+                 n_ranked: int) -> float:
+    m = len(choices)
+    i = relative_rank(voted, choices, positions, n_ranked)
+    return (m - i) / (m - 1)
+
+
 def score_votes_by_loop(votes, order):
     """``evaluation._score_votes`` one answer at a time through the
     per-answer reference ``relative_rank``."""
-    positions = evaluation.ranking_positions(order)
+    positions = {cat: pos for pos, cat in enumerate(order)}
     n_ranked = len(order)
     total = 0.0
     questions = question_lists(votes)
@@ -208,7 +236,7 @@ def score_votes_by_loop(votes, order):
     for qi, pos in answer_pairs(votes):
         q = questions[qi]
         voted = q[pos]
-        i = evaluation.relative_rank(voted, q, positions, n_ranked)
+        i = relative_rank(voted, q, positions, n_ranked)
         rank_counts[i - 1] += 1
         total += (len(q) - i) / (len(q) - 1)
         if any(c not in positions for c in q):
@@ -296,3 +324,46 @@ def optimal_expected_code_length(freqs) -> int:
 
     lengths(n, Fraction(1), 1, [])
     return best
+
+
+def co_prob(a: int, b: int, votes: VoteDataset | None = None,
+            cats: CategoryIndex | None = None) -> float | None:
+    """Geometric mean of P(a | b) and P(b | a).
+
+    Conditionals come from question co-appearance (pass ``votes``) or entity
+    co-membership (pass ``cats``). Returns None when either category has no
+    support in the chosen universe.
+    """
+    if (votes is None) == (cats is None):
+        raise ValueError("pass exactly one of votes= or cats=")
+    if votes is not None:
+        real = votes.choices >= 0
+        in_a, in_b = (np.flatnonzero((real & (votes.choices == c)).any(axis=1)) for c in (a, b))
+    else:
+        in_a, in_b = cats.members[a], cats.members[b]
+    if not len(in_a) or not len(in_b):
+        return None
+    both = len(np.intersect1d(in_a, in_b, assume_unique=True))
+    return math.sqrt((both / len(in_b)) * (both / len(in_a)))
+
+
+def score_alone(cat: int, nbrs, cats: CategoryIndex, adjusted_p: bool = False) -> CategoryScore:
+    """The package's ``score_categories`` of one category, over an index that
+    holds only that category, so no other category shares its pass."""
+    alone = CategoryIndex(names=[cats.names[cat]], members=CSR.from_lists([cats.members[cat]]),
+                          n_entities=cats.n_entities)
+    (score,), _ = score_categories(nbrs, alone, adjusted_p=adjusted_p)
+    return score
+
+
+def hs_pair_grads(vectors: np.ndarray, node_vecs: np.ndarray, tree: HuffmanTree,
+                  center: int, context: int):
+    """Descent gradients of the pair loss.
+
+    Returns ``(grad_center, path_node_ids, grad_node_rows)``.
+    """
+    pts = tree.points[context]
+    l2 = node_vecs[pts]
+    f = _expit(l2 @ vectors[center])
+    err = f - (1.0 - tree.codes[context])
+    return err @ l2, pts, np.outer(err, vectors[center])

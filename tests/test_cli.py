@@ -21,7 +21,7 @@ from catrank.neighbors import (
 )
 
 from conftest import categories_from_members, random_simplex
-from oracles import exact_binomial_tail
+from oracles import exact_binomial_tail, score_alone
 
 
 def make_dataset(root):
@@ -550,6 +550,36 @@ def test_evaluate_manifest_records_no_parameters(pipeline):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("key, value", [("k", "2"), ("avg-target", "1.5"), ("radius", "0.3")])
+def test_strategy_config_key_is_an_unknown_key(tmp_path, capsys, key, value):
+    # one of --k, --avg-target and --radius must be on the command line, so a
+    # config key for one of them could only override the flag given there
+    cfg = tmp_path / "catrank.conf"
+    cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+    nb = tmp_path / "nb.tsv"
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "knn", "--features", str(write_points(tmp_path / "f.tsv")),
+              "--metric", "l2", "--avg-target", "1.5", "--out", str(nb)])
+    assert exc.value.code == 1
+    assert f"unknown config keys: ['{key.replace('-', '_')}']" in capsys.readouterr().err
+    assert not nb.exists()
+
+
+@pytest.mark.parametrize("key, value", [("dim", "1.5"), ("initial-lr", "fast")])
+def test_config_value_failing_its_type_names_the_key(pipeline, capsys, key, value):
+    tmp, out = pipeline
+    cfg = tmp / "catrank.conf"
+    cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+    feats = tmp / "features.tsv"
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "embed", "--graph", str(out / "graph.json"),
+                 "--out", str(feats)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"catrank: data error: config {key.replace('-', '_')}: ")
+    assert err.rstrip().endswith(f"'{value}'")
+    assert not feats.exists()
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "catrank.conf"
     cfg.write_text("no-such-option = 1\n", encoding="utf-8")
@@ -588,6 +618,25 @@ def test_bad_worker_count_in_config_is_rejected(tmp_path, capsys):
     cfg.write_text("workers = 0\n", encoding="utf-8")
     assert main(["--config", str(cfg), "walk", "--graph", "g", "--out", "w"]) == 2
     assert "config workers: expected an integer of at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("from_walks", [False, True], ids=["graph", "walk-file"])
+def test_embed_refuses_a_corpus_without_pairs(tmp_path, capsys, from_walks):
+    # two self-loops: ingest drops them, leaving two entities and no edge
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("a\ta\nb\tb\n", encoding="utf-8")
+    out = tmp_path / "work"
+    assert main(["ingest", "--graph", str(edges), "--out-dir", str(out)]) == 0
+    walks = []
+    if from_walks:
+        (tmp_path / "walks.txt").write_text("a\nb\n", encoding="utf-8")
+        walks = ["--walks", str(tmp_path / "walks.txt")]
+    feats = tmp_path / "features.tsv"
+    capsys.readouterr()
+    assert main(["embed", "--graph", str(out / "graph.json"), *walks, "--dim", "4",
+                 "--out", str(feats)]) == 2
+    assert "no (center, context) pair" in capsys.readouterr().err
+    assert not feats.exists()
 
 
 def test_module_entry_point(tmp_path):
@@ -663,7 +712,7 @@ def test_adjusted_p_scores_and_ranks_by_the_without_replacement_p(fig4_instance,
                  for ids in (nbrs.neighbors(v)[0] for v in m) if len(ids)]
         want.append(float(sum(tails) / len(tails)))
     for c in range(2):
-        assert coherence.surprise_level(c, nbrs, cats, adjusted_p=True)[0] == \
+        assert score_alone(c, nbrs, cats, adjusted_p=True).surprise == \
             pytest.approx(want[c], rel=1e-12)
     scores, _ = coherence.score_categories(nbrs, cats, adjusted_p=True)
     assert [s.surprise for s in scores] == pytest.approx(want, rel=1e-12)
@@ -698,9 +747,33 @@ def _kl_on_points(tmp, out):
             "--k", "2", "--out", str(tmp / "nb.tsv")]
 
 
-def _universe_mismatch(tmp, out):
-    return ["coherence", "--neighbors", str(write_clique_neighbors(tmp / "nb.tsv", n=6)),
-            "--categories", str(out / "categories.json"), "--out", str(tmp / "s.csv")]
+def _universe_mismatch(tmp, out, stage="coherence"):
+    """A 6-row neighbor list or feature file against the 12-entity categories."""
+    cats = str(out / "categories.json")
+    if stage == "grid":
+        features = tmp / "f6.tsv"
+        features.write_text("6 2 point\n" + "".join(f"n{v}\t{v}.0 1.0\n" for v in range(6)),
+                            encoding="utf-8")
+        return ["grid", "--features", str(features), "--categories", cats,
+                "--votes", str(out / "votes.csv"), "--out-dir", str(tmp / "grid")]
+    nb = str(write_clique_neighbors(tmp / "nb.tsv", n=6))
+    criterion = ["--criterion", "surprise"] if stage == "rank" else []
+    return [stage, "--neighbors", nb, "--categories", cats, *criterion,
+            "--out", str(tmp / "s.csv")]
+
+
+@pytest.mark.parametrize("stage", ["coherence", "rank", "grid"])
+def test_row_count_mismatch_names_both_files(pipeline, capsys, stage):
+    tmp, out = pipeline
+    argv = _universe_mismatch(tmp, out, stage)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    rows_file = argv[argv.index("--features" if stage == "grid" else "--neighbors") + 1]
+    assert err == (f"catrank: data error: {rows_file} has 6 rows, but "
+                   f"{out / 'categories.json'} has n_entities = 12\n")
+    assert not (tmp / "s.csv").exists()
+    assert not (tmp / "grid").exists()
 
 
 def _category_only_ranking(tmp, out):

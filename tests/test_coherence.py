@@ -11,14 +11,12 @@ from catrank.coherence import (
     GridMenu,
     binomial_log_tails,
     binomial_tail,
-    conductance,
     log_gamma_table,
     logsumexp,
     p_cat,
     rank_categories,
     run_grid,
     score_categories,
-    surprise_level,
 )
 from catrank.data_model import FeatureMatrix, VoteDataset
 from catrank.neighbors import knn_by_count
@@ -29,6 +27,7 @@ from oracles import (
     exact_binomial_tails_all_g,
     inside_counts_by_product,
     log_of_fraction,
+    score_alone,
 )
 
 
@@ -190,37 +189,37 @@ def test_p_cat_adjusted():
 
 def test_conductance_fig4(fig4_instance):
     nbrs, cats = fig4_instance
-    assert conductance(0, nbrs, cats) == pytest.approx(4 / 7, abs=1e-12)
+    assert score_alone(0, nbrs, cats).conductance == pytest.approx(4 / 7, abs=1e-12)
 
 
 def test_conductance_all_inside():
     lists = [[1], [0], [], []]
     nbrs = neighbor_set_from_lists(lists)
     cats = categories_from_members([[0, 1]], 4)
-    assert conductance(0, nbrs, cats) == 1.0
+    assert score_alone(0, nbrs, cats).conductance == 1.0
 
 
 def test_conductance_none_inside():
     lists = [[2], [3], [], []]
     nbrs = neighbor_set_from_lists(lists)
     cats = categories_from_members([[0, 1]], 4)
-    assert conductance(0, nbrs, cats) == 0.0
+    assert score_alone(0, nbrs, cats).conductance == 0.0
 
 
 def test_conductance_undefined_without_relationships():
     lists = [[], [], [0], []]
     nbrs = neighbor_set_from_lists(lists)
     cats = categories_from_members([[0, 1]], 4)
-    assert conductance(0, nbrs, cats) is None
+    assert score_alone(0, nbrs, cats).conductance is None
 
 
 def test_singleton_category_rejected_by_both_criteria():
     nbrs = neighbor_set_from_lists([[1], [0]])
     cats = categories_from_members([[0]], 2)
     with pytest.raises(ValueError, match="at least 2"):
-        conductance(0, nbrs, cats)
+        rank_categories(nbrs, cats, "conductance", min_size=1)
     with pytest.raises(ValueError, match="at least 2"):
-        surprise_level(0, nbrs, cats)
+        rank_categories(nbrs, cats, "surprise", min_size=1)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +228,8 @@ def test_singleton_category_rejected_by_both_criteria():
 
 def test_surprise_fig4(fig4_instance):
     nbrs, cats = fig4_instance
-    linear, log, n_obs = surprise_level(0, nbrs, cats)
+    s = score_alone(0, nbrs, cats)
+    linear, log, n_obs = s.surprise, s.log_surprise, s.n_observers_used
     assert linear == pytest.approx(0.375, abs=1e-12)
     assert log == pytest.approx(math.log(0.375), abs=1e-12)
     assert n_obs == 3
@@ -239,7 +239,8 @@ def test_surprise_whole_universe_category():
     lists = [[1, 2], [0, 2], [0, 1]]
     nbrs = neighbor_set_from_lists(lists)
     cats = categories_from_members([[0, 1, 2]], 3)
-    linear, log, n_obs = surprise_level(0, nbrs, cats)
+    s = score_alone(0, nbrs, cats)
+    linear, log, n_obs = s.surprise, s.log_surprise, s.n_observers_used
     assert linear == 1.0
     assert log == 0.0
     assert n_obs == 3
@@ -249,7 +250,8 @@ def test_surprise_all_observers_excluded():
     lists = [[], [], [0, 1], []]
     nbrs = neighbor_set_from_lists(lists)
     cats = categories_from_members([[0, 1]], 4)
-    linear, log, n_obs = surprise_level(0, nbrs, cats)
+    s = score_alone(0, nbrs, cats)
+    linear, log, n_obs = s.surprise, s.log_surprise, s.n_observers_used
     assert (linear, log, n_obs) == (1.0, 0.0, 0)
 
 
@@ -279,7 +281,8 @@ def test_surprise_knn_category_vs_exact_oracle():
             lists.append([(v + 1) % 20, (v + 2) % 20, (v + 3) % 20, (v + 4) % 20])
     nbrs = neighbor_set_from_lists(lists)
     cats = categories_from_members([members], 20)
-    linear, _, n_obs = surprise_level(0, nbrs, cats)
+    s = score_alone(0, nbrs, cats)
+    linear, n_obs = s.surprise, s.n_observers_used
     want = exact_surprise(members, nbrs, 20)
     assert n_obs == 5
     assert linear == pytest.approx(float(want), rel=1e-9)
@@ -311,12 +314,13 @@ def test_surprise_random_instances_vs_exact_oracle():
             assert s.surprise == pytest.approx(float(want), rel=1e-9)
             assert s.log_surprise <= 0.0
             assert s.n_observers_used == sum(1 for m in members if lists[m])
-            assert surprise_level(s.category, nbrs, cats) == (
+            alone = score_alone(s.category, nbrs, cats)
+            assert (alone.surprise, alone.log_surprise, alone.n_observers_used) == (
                 s.surprise, s.log_surprise, s.n_observers_used)
             inside = sum(1 for m in members for x in lists[m] if x in members)
             total = sum(len(lists[m]) for m in members)
             assert s.conductance == (float(Fraction(inside, total)) if total else None)
-            assert conductance(s.category, nbrs, cats) == s.conductance
+            assert alone.conductance == s.conductance
 
 
 def test_inside_counts_match_sparse_product():

@@ -13,10 +13,7 @@ from catrank.embeddings import (
     _make_noise_cdf,
     _noise_targets,
     build_huffman,
-    embed,
     generate_walks,
-    hs_log_prob,
-    hs_pair_grads,
     hs_pair_loss,
     load_walks,
     save_walks,
@@ -24,8 +21,8 @@ from catrank.embeddings import (
 )
 from catrank.errors import DataError
 
-from conftest import graph_from_edges, two_cliques_graph
-from oracles import optimal_expected_code_length
+from conftest import embed_graph, graph_from_edges, two_cliques_graph
+from oracles import hs_pair_grads, optimal_expected_code_length
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +267,7 @@ def test_hs_probabilities_normalize():
     vectors, node_vecs, tree = toy_model()
     for v in range(5):
         total = sum(
-            math.exp(hs_log_prob(vectors, node_vecs, tree, v, w)) for w in range(5)
+            math.exp(-hs_pair_loss(vectors, node_vecs, tree, v, w)) for w in range(5)
         )
         assert total == pytest.approx(1.0, abs=1e-6)
 
@@ -317,7 +314,7 @@ def test_hs_gradients_match_finite_differences():
 def test_hs_loss_is_neg_log_prob():
     vectors, node_vecs, tree = toy_model()
     loss = hs_pair_loss(vectors, node_vecs, tree, 0, 3)
-    assert hs_log_prob(vectors, node_vecs, tree, 0, 3) == pytest.approx(-loss)
+    assert -hs_pair_loss(vectors, node_vecs, tree, 0, 3) == pytest.approx(-loss)
     assert loss > 0
 
 
@@ -343,8 +340,8 @@ def test_train_normalization_after_training():
     rng = np.random.default_rng(13)
     for v in rng.integers(0, graph.n_entities, size=10):
         total = sum(
-            math.exp(hs_log_prob(model.input_vectors, model.node_vectors,
-                                 model.tree, int(v), w))
+            math.exp(-hs_pair_loss(model.input_vectors, model.node_vectors,
+                                   model.tree, int(v), w))
             for w in range(graph.n_entities)
         )
         assert total == pytest.approx(1.0, abs=1e-6)
@@ -421,7 +418,7 @@ def test_noise_draws_skip_the_context():
 
 def test_embed_dim_default_128():
     graph = two_cliques_graph(3)
-    fm = embed(graph, WalkConfig(walks_per_vertex=1, walk_length=4, window=2, seed=14))
+    fm = embed_graph(graph, WalkConfig(walks_per_vertex=1, walk_length=4, window=2, seed=14))
     assert isinstance(fm, FeatureMatrix)
     assert fm.kind == "point"
     assert fm.dim == 128
@@ -431,15 +428,15 @@ def test_embed_dim_default_128():
 def test_embed_deterministic():
     graph = two_cliques_graph(4)
     cfg = WalkConfig(walks_per_vertex=2, walk_length=6, window=2, seed=15)
-    a = embed(graph, cfg, dim=16)
-    b = embed(graph, cfg, dim=16)
+    a = embed_graph(graph, cfg, dim=16)
+    b = embed_graph(graph, cfg, dim=16)
     assert np.array_equal(a.rows, b.rows)
 
 
 def test_embed_single_entity_errors():
     graph = graph_from_edges([], ids=["only"])
     with pytest.raises(ValueError):
-        embed(graph, WalkConfig(seed=16))
+        embed_graph(graph, WalkConfig(seed=16))
 
 
 def test_train_rejects_bad_args():
@@ -462,6 +459,12 @@ def test_train_rejects_bad_args():
             train_skipgram(walks, graph.n_entities, dim=4, **rates)
 
 
+def test_train_refuses_a_corpus_without_pairs():
+    one_entity_walks = [np.array([0]), np.array([1]), np.array([0])]
+    with pytest.raises(ValueError, match="no walk has two entities"):
+        train_skipgram(one_entity_walks, 2, dim=4)
+
+
 def mean_cosine(rows, pairs):
     unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
     return float(np.mean([unit[a] @ unit[b] for a, b in pairs]))
@@ -470,7 +473,7 @@ def mean_cosine(rows, pairs):
 def cliques_separate(method):
     graph = two_cliques_graph(10)
     cfg = WalkConfig(walks_per_vertex=5, walk_length=20, window=3, seed=18)
-    fm = embed(graph, cfg, dim=16, method=method)
+    fm = embed_graph(graph, cfg, dim=16, method=method)
     intra = [(a, b) for a in range(10) for b in range(10) if a != b]
     intra += [(a, b) for a in range(10, 20) for b in range(10, 20) if a != b]
     inter = [(a, b) for a in range(10) for b in range(10, 20)]
@@ -488,7 +491,7 @@ def test_two_cliques_separate_negative_sampling():
 def test_negative_sampling_variant_trains():
     graph = two_cliques_graph(5)
     cfg = WalkConfig(walks_per_vertex=3, walk_length=10, window=2, seed=19)
-    a = embed(graph, cfg, dim=8, method="negative", negative=3)
-    b = embed(graph, cfg, dim=8, method="negative", negative=3)
+    a = embed_graph(graph, cfg, dim=8, method="negative", negative=3)
+    b = embed_graph(graph, cfg, dim=8, method="negative", negative=3)
     assert np.array_equal(a.rows, b.rows)
     assert a.dim == 8

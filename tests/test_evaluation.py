@@ -8,15 +8,9 @@ from scipy.sparse.csgraph import connected_components
 from catrank import evaluation
 from catrank.data_model import VoteDataset
 from catrank.evaluation import (
-    agreement_histogram,
     best_cheating_score,
     build_preference_graph,
-    co_prob,
     evaluate,
-    improved_accuracy,
-    ranking_positions,
-    rough_accuracy,
-    score_answer,
     strong_components,
     _exact_best_ordering,
     _heuristic_best_ordering,
@@ -27,8 +21,10 @@ from catrank.evaluation import (
 from conftest import categories_from_members
 from oracles import (
     best_ordering_bruteforce,
+    co_prob,
     exact_best_ordering_by_loop,
     preference_graph_by_loop,
+    score_answer,
     score_votes_by_loop,
 )
 
@@ -52,7 +48,7 @@ def uniform_votes(rng, questions, per_question):
 
 def test_score_answer_rank_points():
     order = [0, 1, 2, 3, 4]
-    positions = ranking_positions(order)
+    positions = {cat: pos for pos, cat in enumerate(order)}
     choices = [0, 1, 2, 3, 4]
     assert score_answer(0, choices, positions, 5) == 1.0
     assert score_answer(1, choices, positions, 5) == 0.75
@@ -61,7 +57,7 @@ def test_score_answer_rank_points():
 
 def test_score_answer_unranked_fallback_order():
     # ranked: 7; unranked 3 and 5 fall after it, mutually by index
-    positions = ranking_positions([7])
+    positions = {7: 0}
     choices = [7, 3, 5]
     assert score_answer(7, choices, positions, 1) == 1.0
     assert score_answer(3, choices, positions, 1) == 0.5
@@ -69,7 +65,7 @@ def test_score_answer_unranked_fallback_order():
 
 
 def test_score_answer_step_values():
-    positions = ranking_positions([0, 1, 2])
+    positions = {0: 0, 1: 1, 2: 2}
     for m, voted, want in ((3, 0, 1.0), (3, 1, 0.5), (3, 2, 0.0)):
         assert score_answer(voted, list(range(m)), positions, 3) == want
 
@@ -79,7 +75,7 @@ def test_rough_accuracy_consistent_votes():
         [[0, 1, 2, 3, 4], [1, 2, 3, 4, 5]],
         [(0, 0)] * 10 + [(1, 0)] * 10,
     )
-    assert rough_accuracy(votes, [0, 1, 2, 3, 4, 5]) == 1.0
+    assert evaluate(votes, [0, 1, 2, 3, 4, 5]).rough_accuracy == 1.0
 
 
 def test_rough_accuracy_uniform_votes_expect_half():
@@ -88,7 +84,7 @@ def test_rough_accuracy_uniform_votes_expect_half():
     for _ in range(120):
         questions.append(sorted(rng.choice(30, size=5, replace=False).tolist()))
     votes = uniform_votes(rng, questions, 10)
-    acc = rough_accuracy(votes, list(range(30)))
+    acc = evaluate(votes, list(range(30))).rough_accuracy
     # each answer's points are uniform over {0,.25,.5,.75,1}: mean .5, sd ~.3536
     n = votes.n_answers
     assert abs(acc - 0.5) <= 3 * 0.3536 / math.sqrt(n)
@@ -98,14 +94,14 @@ def test_agreement_histogram_sums_to_one():
     rng = np.random.default_rng(32)
     questions = [sorted(rng.choice(20, size=5, replace=False).tolist()) for _ in range(40)]
     votes = uniform_votes(rng, questions, 5)
-    hist = agreement_histogram(votes, list(range(20)))
+    hist = np.asarray(evaluate(votes, list(range(20))).agreement_histogram)
     assert len(hist) == 5
     assert hist.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_agreement_histogram_consistent_votes_all_first():
     votes = make_votes([[0, 1, 2, 3, 4]], [(0, 0)] * 8)
-    hist = agreement_histogram(votes, [0, 1, 2, 3, 4])
+    hist = np.asarray(evaluate(votes, [0, 1, 2, 3, 4]).agreement_histogram)
     assert hist.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
 
 
@@ -120,7 +116,11 @@ def mixed_votes(rng):
 
 
 @pytest.mark.parametrize("call", [
-    rough_accuracy, agreement_histogram, evaluate,
+    pytest.param(lambda votes, order: evaluate(votes, order).rough_accuracy,
+                 id="rough_accuracy"),
+    pytest.param(lambda votes, order: evaluate(votes, order).agreement_histogram,
+                 id="agreement_histogram"),
+    evaluate,
     lambda votes, order: build_preference_graph(votes),
     lambda votes, order: best_cheating_score(votes),
 ])
@@ -204,7 +204,7 @@ def test_cheating_score_consistent_votes_is_total():
     )
     score, order = best_cheating_score(votes)
     assert score == pytest.approx(14.0)
-    assert rough_accuracy(votes, order) == 1.0
+    assert evaluate(votes, order).rough_accuracy == 1.0
 
 
 def test_cheating_score_three_cycle():
@@ -349,22 +349,23 @@ def test_improved_accuracy_of_cheating_order_is_one():
     rng = np.random.default_rng(36)
     votes = random_votes(rng, 6, n_questions=8, m=3, per_question=4)
     _, order = best_cheating_score(votes)
-    assert improved_accuracy(votes, order) == pytest.approx(1.0)
+    assert evaluate(votes, order).improved_accuracy == pytest.approx(1.0)
 
 
 def test_improved_accuracy_never_below_rough_when_conflicts_exist():
     rng = np.random.default_rng(37)
     votes = random_votes(rng, 8, n_questions=12, m=4, per_question=5)
     order = list(range(8))
-    assert improved_accuracy(votes, order) >= rough_accuracy(votes, order)
+    rep = evaluate(votes, order)
+    assert rep.improved_accuracy >= rep.rough_accuracy
 
 
 def test_improved_accuracy_all_fallback_is_deterministic():
     votes = make_votes([[2, 5, 9]], [(0, 0)] * 3)
     # ranking shares no category with the votes: fallback order is by index,
     # so voting 2 (lowest index) wins both comparisons
-    acc1 = improved_accuracy(votes, [100, 101])
-    acc2 = improved_accuracy(votes, [100, 101])
+    acc1 = evaluate(votes, [100, 101]).improved_accuracy
+    acc2 = evaluate(votes, [100, 101]).improved_accuracy
     assert acc1 == acc2 == pytest.approx(1.0)
 
 
