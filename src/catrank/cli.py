@@ -474,13 +474,14 @@ def _iter_parsers(parser):
 def _apply_config(parser, config):
     known = set()
     for sub in _iter_parsers(parser):
-        # a key for one of a required group's flags (knn's --k, --avg-target
-        # and --radius) would override the flag given on the command line
+        # a key for a required flag, or for one of a required group's flags
+        # (knn's --k, --avg-target and --radius), could never take effect:
+        # the command line must give that flag, and there it wins or clashes
         grouped = {action for group in sub._mutually_exclusive_groups  # noqa: SLF001
                    for action in group._group_actions}  # noqa: SLF001
         defaults = {}
         for action in sub._actions:  # noqa: SLF001
-            if action.dest in ("help", "command", "report_command") or action in grouped:
+            if action.dest == "help" or action.required or action in grouped:
                 continue
             known.add(action.dest)
             if action.dest in config:
@@ -495,6 +496,9 @@ def _apply_config(parser, config):
                         raise ValueError(f"config {action.dest}: expected one of "
                                          f"{'/'.join(_CONFIG_BOOLS)}, got {raw!r}")
                     raw = _CONFIG_BOOLS[raw.lower()]
+                if action.choices is not None and raw not in action.choices:
+                    raise ValueError(f"config {action.dest}: expected one of "
+                                     f"{'/'.join(action.choices)}, got {raw!r}")
                 defaults[action.dest] = raw
         sub.set_defaults(**defaults)
     unknown = set(config) - known

@@ -36,6 +36,7 @@ from . import evaluation, metrics
 from .data_model import (
     CRITERIA,
     DISTRIBUTION_ONLY_METRICS,
+    METRICS,
     CategoryIndex,
     FeatureMatrix,
     VoteDataset,
@@ -327,10 +328,10 @@ def rank_categories(nbrs: NeighborSet, cats: CategoryIndex, criterion: str,
 
 @dataclass
 class GridMenu:
-    metrics: tuple[str, ...] = ("l1", "l2", "cosine", "kl", "js")
+    metrics: tuple[str, ...] = METRICS
     strategies: tuple[str, ...] = ("count", "distance")
     sizes: tuple[float, ...] = (5, 10, 25, 50, 100)
-    criteria: tuple[str, ...] = ("conductance", "surprise")
+    criteria: tuple[str, ...] = CRITERIA
     min_size: int = 2
 
 

@@ -22,14 +22,13 @@ position. The per-answer reference, ``score_answer``, lives in
 
 from __future__ import annotations
 
-import heapq
 import logging
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .data_model import CSR, VoteDataset
+from .data_model import VoteDataset
 
 logger = logging.getLogger(__name__)
 
@@ -144,83 +143,51 @@ def _exact_best_ordering(weights: np.ndarray) -> tuple[float, list[int]]:
 
 def strong_components(adj: np.ndarray) -> tuple[int, np.ndarray]:
     """``(count, labels)`` of the strongly connected components of the
-    digraph with a dense adjacency matrix, by an iterative Tarjan (SIAM J.
-    Comput. 1972); labels number the components as they complete."""
+    digraph with a dense adjacency matrix; labels number the components by
+    their lowest vertex. Warshall's closure (J. ACM 1962) of ``adj | I``
+    holds k^2 booleans and takes k passes over them."""
     k = adj.shape[0]
-    succ = [np.flatnonzero(row).tolist() for row in adj]
-    index = [-1] * k
-    low = [0] * k
-    labels = [-1] * k
-    stack: list[int] = []
-    count = found = 0
-    for root in range(k):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = found
-        found += 1
-        stack.append(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, edges = work[-1]
-            for w in edges:
-                if index[w] < 0:  # tree edge: descend
-                    index[w] = low[w] = found
-                    found += 1
-                    stack.append(w)
-                    work.append((w, iter(succ[w])))
-                    break
-                if labels[w] < 0:  # w is still on the stack
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    while True:
-                        w = stack.pop()
-                        labels[w] = count
-                        if w == v:
-                            break
-                    count += 1
-    return count, np.array(labels, dtype=np.int64)
+    if k == 0:
+        return 0, np.zeros(0, dtype=np.int64)
+    reach = (adj != 0) | np.eye(k, dtype=bool)
+    for v in range(k):
+        reach |= reach[:, v, None] & reach[v]
+    # each vertex's first mutually reachable vertex is its component's lowest
+    roots, labels = np.unique((reach & reach.T).argmax(axis=1), return_inverse=True)
+    return len(roots), labels
+
+
+def _condensation_order(weights: np.ndarray) -> np.ndarray:
+    """Each category's place in Kahn's topological order of the strongly
+    connected components of the weight-majority digraph (a -> b when
+    W[a, b] > W[b, a]), ties to the component with the lowest member."""
+    adj = weights > weights.T
+    n_comp, labels = strong_components(adj)
+    src, dst = np.nonzero(adj)
+    cross = np.zeros((n_comp, n_comp), dtype=bool)
+    cross[labels[src], labels[dst]] = True
+    np.fill_diagonal(cross, False)
+    waiting = cross.sum(axis=0)
+    place = np.empty(n_comp, dtype=np.int64)
+    for p in range(n_comp):
+        c = int(np.argmin(waiting))  # a ready component waits for 0
+        place[c] = p
+        waiting[cross[c]] -= 1
+        waiting[c] = n_comp  # above any in-degree: never picked again
+    return place[labels]
 
 
 def _heuristic_best_ordering(weights: np.ndarray) -> tuple[float, list[int]]:
-    """Condensed topological order of the weight-majority digraph (a -> b
-    when W[a, b] > W[b, a]), margin-sorted inside each strongly connected
-    component, then a reinsertion hill climb."""
+    """Condensed topological order of the weight-majority digraph,
+    margin-sorted inside each strongly connected component, then a
+    reinsertion hill climb."""
     k = weights.shape[0]
-    adj = (weights > weights.T).astype(np.int8)
-    n_comp, labels = strong_components(adj)
-    comp_members = CSR.from_keys(np.sort(labels * k + np.arange(k)), n_comp, k)
-
-    # Kahn's algorithm on the condensation, ties to the lowest member index.
-    a, b = (labels[x] for x in np.nonzero(adj))
-    cross = a != b
-    comp_edges = CSR.from_keys(np.unique(a[cross] * n_comp + b[cross]), n_comp, n_comp)
-    indeg = np.bincount(comp_edges.indices, minlength=n_comp)
-    heap = [(comp_members[c][0], c) for c in range(n_comp) if indeg[c] == 0]
-    heapq.heapify(heap)
-    comp_order = []
-    while heap:
-        _, c = heapq.heappop(heap)
-        comp_order.append(c)
-        for d in comp_edges[c].tolist():
-            indeg[d] -= 1
-            if indeg[d] == 0:
-                heapq.heappush(heap, (comp_members[d][0], d))
-
     margin = weights.sum(axis=1) - weights.sum(axis=0)
-    order: list[int] = []
-    for c in comp_order:
-        order.extend(sorted(comp_members[c].tolist(), key=lambda x: (-margin[x], x)))
-
     # climb from several deterministic starts and keep the best; the extra
     # starts rescue the rare cases where the condensation start is in a
     # poor basin
     starts = [
-        order,
+        np.lexsort((np.arange(k), -margin, _condensation_order(weights))).tolist(),
         sorted(range(k), key=lambda x: (-margin[x], x)),
         list(range(k)),
         list(range(k - 1, -1, -1)),

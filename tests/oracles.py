@@ -4,6 +4,7 @@ Everything here favors obviousness over speed: exact integer arithmetic,
 full scans, exhaustive enumeration.
 """
 
+import heapq
 import math
 import re
 from fractions import Fraction
@@ -12,6 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from catrank import metrics
 from catrank.coherence import CategoryScore, score_categories
@@ -293,6 +295,34 @@ def exact_best_ordering_by_loop(weights: np.ndarray) -> tuple[float, list[int]]:
         order_rev.append(x)
         s ^= 1 << x
     return float(dp[size - 1]), order_rev[::-1]
+
+
+def condensation_start_by_heap(weights: np.ndarray) -> list[int]:
+    """The heuristic's condensation start by Kahn's algorithm with a heap:
+    scipy's strongly connected components of the weight-majority digraph
+    (a -> b when W[a, b] > W[b, a]) in topological order, ties to the lowest
+    member index, each sorted by descending margin and then index."""
+    k = weights.shape[0]
+    adj = weights > weights.T
+    n_comp, labels = connected_components(sparse.csr_matrix(adj), directed=True,
+                                          connection="strong")
+    comp_members = CSR.from_keys(np.sort(labels * k + np.arange(k)), n_comp, k)
+    a, b = (labels[x] for x in np.nonzero(adj))
+    cross = a != b
+    comp_edges = CSR.from_keys(np.unique(a[cross] * n_comp + b[cross]), n_comp, n_comp)
+    indeg = np.bincount(comp_edges.indices, minlength=n_comp)
+    heap = [(comp_members[c][0], c) for c in range(n_comp) if indeg[c] == 0]
+    heapq.heapify(heap)
+    margin = weights.sum(axis=1) - weights.sum(axis=0)
+    order: list[int] = []
+    while heap:
+        _, c = heapq.heappop(heap)
+        order.extend(sorted(comp_members[c].tolist(), key=lambda x: (-margin[x], x)))
+        for d in comp_edges[c].tolist():
+            indeg[d] -= 1
+            if indeg[d] == 0:
+                heapq.heappush(heap, (comp_members[d][0], d))
+    return order
 
 
 def optimal_expected_code_length(freqs) -> int:

@@ -565,7 +565,8 @@ def test_strategy_config_key_is_an_unknown_key(tmp_path, capsys, key, value):
     assert not nb.exists()
 
 
-@pytest.mark.parametrize("key, value", [("dim", "1.5"), ("initial-lr", "fast")])
+@pytest.mark.parametrize("key, value", [("dim", "1.5"), ("initial-lr", "fast"),
+                                        ("method", "foo")])
 def test_config_value_failing_its_type_names_the_key(pipeline, capsys, key, value):
     tmp, out = pipeline
     cfg = tmp / "catrank.conf"
@@ -578,6 +579,35 @@ def test_config_value_failing_its_type_names_the_key(pipeline, capsys, key, valu
     assert err.startswith(f"catrank: data error: config {key.replace('-', '_')}: ")
     assert err.rstrip().endswith(f"'{value}'")
     assert not feats.exists()
+
+
+@pytest.mark.parametrize("key, value, argv", [
+    ("criterion", "conductance", ["rank", "--neighbors", "nb", "--categories", "c",
+                                  "--criterion", "surprise"]),
+    ("metric", "kl", ["report", "quantiles", "--features", "f", "--metric", "l2"]),
+    ("neighbors", "nb", ["coherence", "--neighbors", "nb", "--categories", "c"]),
+    ("out", "o", ["walk", "--graph", "g"]),
+], ids=["criterion", "metric", "neighbors", "out"])
+def test_required_flag_config_key_is_an_unknown_key(tmp_path, capsys, key, value, argv):
+    # a flag the command line must give always wins over its config key
+    cfg = tmp_path / "catrank.conf"
+    cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+    out = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), *argv, "--out", str(out)])
+    assert exc.value.code == 1
+    assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_input_keys_optional_in_some_subcommand_stay_config_keys():
+    from catrank.cli import _apply_config, build_parser
+
+    parser = build_parser()
+    _apply_config(parser, {"graph": "g", "categories": "c", "features": "f", "votes": "v"})
+    args = parser.parse_args(["ingest", "--graph", "e", "--out-dir", "d"])
+    assert (args.categories, args.features, args.votes) == ("c", "f", "v")
+    assert parser.parse_args(["report", "stats", "--categories", "x", "--out", "o"]).graph == "g"
 
 
 def test_unknown_config_key_rejected(tmp_path):

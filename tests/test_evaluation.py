@@ -12,6 +12,7 @@ from catrank.evaluation import (
     build_preference_graph,
     evaluate,
     strong_components,
+    _condensation_order,
     _exact_best_ordering,
     _heuristic_best_ordering,
     _ordering_score,
@@ -22,6 +23,7 @@ from conftest import categories_from_members
 from oracles import (
     best_ordering_bruteforce,
     co_prob,
+    condensation_start_by_heap,
     exact_best_ordering_by_loop,
     preference_graph_by_loop,
     score_answer,
@@ -274,6 +276,7 @@ def _partition(labels):
 
 def _digraphs():
     rng = np.random.default_rng(4)
+    yield np.zeros((0, 0), dtype=np.int8)
     yield np.zeros((1, 1), dtype=np.int8)
     yield np.ones((1, 1), dtype=np.int8)  # a self-loop
     yield np.ones((7, 7), dtype=np.int8)  # complete: one component
@@ -293,8 +296,25 @@ def test_strong_components_partition_equals_scipy():
         want_count, want = connected_components(csr_matrix(adj), directed=True,
                                                  connection="strong")
         assert count == want_count
-        assert labels.min() == 0 and labels.max() == count - 1
+        assert count == len(labels) == 0 or labels.min() == 0 and labels.max() == count - 1
         assert _partition(labels) == _partition(want)
+        # numbered by lowest vertex: labels first appear as 0, 1, 2, ...
+        first = np.unique(labels, return_index=True)[1]
+        assert labels[np.sort(first)].tolist() == list(range(count))
+
+
+def test_condensation_order_matches_heap_kahn():
+    # floor-rounded weights tie many pairs and margins, sparse cells leave
+    # many components, and per-cell 1/(m - 1) mixes question sizes
+    rng = np.random.default_rng(22)
+    for _ in range(60):
+        k = int(rng.integers(19, 201))
+        w = np.floor(rng.random((k, k)) * rng.uniform(1, 4)) / rng.integers(1, 5, (k, k))
+        w *= rng.random((k, k)) < rng.uniform(0.005, 0.2)
+        np.fill_diagonal(w, 0.0)
+        margin = w.sum(axis=1) - w.sum(axis=0)
+        got = np.lexsort((np.arange(k), -margin, _condensation_order(w)))
+        assert got.tolist() == condensation_start_by_heap(w)
 
 
 def test_heuristic_matches_bruteforce_small_instances():
