@@ -79,19 +79,30 @@ def _workers(text: str) -> int:
     return value
 
 
-_WORKERS_HELP = ("threads for neighbor search and threshold calibration; outputs do "
-                "not depend on it")
-
-
-def _add_workers(p):
-    p.add_argument("--workers", type=_workers,
-                   default=os.environ.get("CATRANK_WORKERS") or "1", help=_WORKERS_HELP)
-
-
 def build_parser() -> _Parser:
-    # the paper's default menu, as the grid and quantile flags spell it
+    # the paper's default menu and walk settings, as the flags spell them
     menu = coherence.GridMenu()
+    walk = embeddings.WalkConfig()
     sizes = ",".join(f"{size:g}" for size in menu.sizes)
+    # option groups that several subcommands take, each declared once
+    calibration = argparse.ArgumentParser(add_help=False)
+    calibration.add_argument("--exact-limit", type=int, default=neighbors.DEFAULT_EXACT_LIMIT)
+    calibration.add_argument("--sample-pairs", type=int,
+                             default=neighbors.DEFAULT_SAMPLE_PAIRS)
+    calibration.add_argument("--seed", type=int, default=0)
+    calibration.add_argument("--workers", type=_workers,
+                             default=os.environ.get("CATRANK_WORKERS") or "1",
+                             help="threads for neighbor search and threshold "
+                             "calibration; outputs do not depend on it")
+    walking = argparse.ArgumentParser(add_help=False)
+    walking.add_argument("--walks-per-vertex", type=int, default=walk.walks_per_vertex)
+    walking.add_argument("--walk-length", type=int, default=walk.walk_length)
+    walking.add_argument("--seed", type=int, default=0)
+    scoring = argparse.ArgumentParser(add_help=False)
+    scoring.add_argument("--neighbors", required=True)
+    scoring.add_argument("--categories", required=True, help="native categories JSON")
+    scoring.add_argument("--min-size", type=int, default=menu.min_size)
+    scoring.add_argument("--adjusted-p", action="store_true")
     parser = _Parser(prog="catrank", description=__doc__)
     parser.add_argument("--config", help="key = value defaults file")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -104,21 +115,15 @@ def build_parser() -> _Parser:
     p.add_argument("--votes", help="vote CSV")
     p.add_argument("--out-dir", required=True)
 
-    p = sub.add_parser("walk", help="generate the random-walk corpus")
+    p = sub.add_parser("walk", parents=[walking], help="generate the random-walk corpus")
     p.add_argument("--graph", required=True, help="native graph JSON")
-    p.add_argument("--walks-per-vertex", type=int, default=10)
-    p.add_argument("--walk-length", type=int, default=40)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("embed", help="train skip-gram embeddings")
+    p = sub.add_parser("embed", parents=[walking], help="train skip-gram embeddings")
     p.add_argument("--graph", required=True, help="native graph JSON")
     p.add_argument("--walks", help="reuse a persisted walk corpus")
-    p.add_argument("--walks-per-vertex", type=int, default=10)
-    p.add_argument("--walk-length", type=int, default=40)
-    p.add_argument("--window", type=int, default=5)
+    p.add_argument("--window", type=int, default=walk.window)
     p.add_argument("--dim", type=int, default=128)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--initial-lr", type=float, default=0.025)
     p.add_argument("--final-lr", type=float, default=0.0001)
     p.add_argument("--method", choices=["hs", "negative"], default="hs")
@@ -126,7 +131,7 @@ def build_parser() -> _Parser:
     p.add_argument("--binary", action="store_true", help="write float32 binary features")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("knn", help="build the close-neighbor relation")
+    p = sub.add_parser("knn", parents=[calibration], help="build the close-neighbor relation")
     p.add_argument("--features", required=True)
     p.add_argument("--metric", choices=METRICS, required=True)
     group = p.add_mutually_exclusive_group(required=True)
@@ -134,28 +139,18 @@ def build_parser() -> _Parser:
     group.add_argument("--avg-target", type=float,
                        help="distance strategy: calibrate threshold to this average")
     group.add_argument("--radius", type=float, help="distance strategy: explicit threshold")
-    p.add_argument("--exact-limit", type=int, default=neighbors.DEFAULT_EXACT_LIMIT)
-    p.add_argument("--sample-pairs", type=int, default=neighbors.DEFAULT_SAMPLE_PAIRS)
-    p.add_argument("--seed", type=int, default=0)
-    _add_workers(p)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("coherence", help="score all categories (both criteria)")
-    p.add_argument("--neighbors", required=True)
-    p.add_argument("--categories", required=True, help="native categories JSON")
-    p.add_argument("--min-size", type=int, default=2)
-    p.add_argument("--adjusted-p", action="store_true")
+    p = sub.add_parser("coherence", parents=[scoring],
+                       help="score all categories (both criteria)")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("rank", help="order categories by a criterion")
-    p.add_argument("--neighbors", required=True)
-    p.add_argument("--categories", required=True)
+    p = sub.add_parser("rank", parents=[scoring], help="order categories by a criterion")
     p.add_argument("--criterion", choices=CRITERIA, required=True)
-    p.add_argument("--min-size", type=int, default=2)
-    p.add_argument("--adjusted-p", action="store_true")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("grid", help="run the full menu of configurations")
+    p = sub.add_parser("grid", parents=[calibration],
+                       help="run the full menu of configurations")
     p.add_argument("--features", required=True)
     p.add_argument("--features-name", default="features")
     p.add_argument("--categories", required=True)
@@ -164,11 +159,7 @@ def build_parser() -> _Parser:
     p.add_argument("--strategies", default=",".join(menu.strategies))
     p.add_argument("--sizes", default=sizes)
     p.add_argument("--criteria", default=",".join(menu.criteria))
-    p.add_argument("--min-size", type=int, default=2)
-    p.add_argument("--exact-limit", type=int, default=neighbors.DEFAULT_EXACT_LIMIT)
-    p.add_argument("--sample-pairs", type=int, default=neighbors.DEFAULT_SAMPLE_PAIRS)
-    p.add_argument("--seed", type=int, default=0)
-    _add_workers(p)
+    p.add_argument("--min-size", type=int, default=menu.min_size)
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("evaluate", help="score a ranking against votes")
@@ -186,14 +177,10 @@ def build_parser() -> _Parser:
     rp.add_argument("--subset", help="file of entity ids, one per line")
     rp.add_argument("--bucket-width", type=int, default=1)
     rp.add_argument("--out", required=True)
-    rp = rsub.add_parser("quantiles")
+    rp = rsub.add_parser("quantiles", parents=[calibration])
     rp.add_argument("--features", required=True)
     rp.add_argument("--metric", choices=METRICS, required=True)
     rp.add_argument("--targets", default=sizes)
-    rp.add_argument("--exact-limit", type=int, default=neighbors.DEFAULT_EXACT_LIMIT)
-    rp.add_argument("--sample-pairs", type=int, default=neighbors.DEFAULT_SAMPLE_PAIRS)
-    rp.add_argument("--seed", type=int, default=0)
-    _add_workers(rp)
     rp.add_argument("--out", required=True)
     rp = rsub.add_parser("top")
     rp.add_argument("--ranking", required=True)
@@ -271,7 +258,6 @@ def _run_embed(args):
     cfg = embeddings.WalkConfig(
         walks_per_vertex=args.walks_per_vertex,
         walk_length=args.walk_length,
-        window=args.window,
         seed=args.seed,
     )
     if args.walks:
@@ -298,18 +284,17 @@ def _run_embed(args):
 def _run_knn(args):
     fm = load_features(args.features, None, None)
     computed = {}
-    if args.k is not None:
-        nbrs = neighbors.knn_by_count(fm, args.metric, args.k, workers=args.workers)
-    elif args.avg_target is not None:
-        d, = neighbors.calibrate_thresholds(
-            fm, args.metric, [args.avg_target], exact_limit=args.exact_limit,
-            sample_pairs=args.sample_pairs, seed=args.seed, workers=args.workers)
-        nbrs = neighbors.neighbors_by_distance(fm, args.metric, d, workers=args.workers)
-        computed["threshold"] = d
-        print(f"calibrated threshold: {d!r}")
-    else:
+    if args.radius is not None:
         nbrs = neighbors.neighbors_by_distance(fm, args.metric, args.radius,
                                                workers=args.workers)
+    else:
+        strategy, size = ("distance", args.avg_target) if args.k is None else ("count", args.k)
+        (_, d, nbrs), = coherence.neighbor_sets(
+            fm, args.metric, strategy, [size], args.workers, args.seed, args.exact_limit,
+            args.sample_pairs)
+        if d is not None:
+            computed["threshold"] = d
+            print(f"calibrated threshold: {d!r}")
     nbrs.save(args.out)
     degs = nbrs.out_degrees()
     print(f"neighbors: {nbrs.n} entities, mean out-degree {degs.mean():.3f}")

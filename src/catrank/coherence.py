@@ -397,8 +397,8 @@ def run_grid(features: dict[str, FeatureMatrix], cats: CategoryIndex, menu: Grid
 
     for fname, fm, metric in pairs:
         for strategy in menu.strategies:
-            per_size = _neighbor_sets(fm, metric, strategy, menu.sizes, workers,
-                                      seed, exact_limit, sample_pairs)
+            per_size = neighbor_sets(fm, metric, strategy, menu.sizes, workers,
+                                     seed, exact_limit, sample_pairs)
             for size, threshold, nbrs in per_size:
                 scores, n_skipped = score_categories(nbrs, cats, menu.min_size)
                 if not scores:
@@ -440,7 +440,7 @@ def run_grid(features: dict[str, FeatureMatrix], cats: CategoryIndex, menu: Grid
     return GridResult(rows=rows, rankings=rankings, skipped_configs=skipped)
 
 
-def _neighbor_sets(fm, metric, strategy, sizes, workers, seed, exact_limit, sample_pairs):
+def neighbor_sets(fm, metric, strategy, sizes, workers, seed, exact_limit, sample_pairs):
     """``(size, threshold, neighbor set)`` for each distinct size, the
     threshold being the calibrated distance, or None for the count strategy."""
     if strategy == "count":

@@ -526,6 +526,37 @@ def test_limit_config_keys_reach_only_their_subcommands():
     assert not [dest for dest in args if "exact_limit" in dest]
 
 
+_MINIMAL_ARGV = {
+    "walk": ["walk", "--graph", "g", "--out", "o"],
+    "embed": ["embed", "--graph", "g", "--out", "o"],
+    "knn": ["knn", "--features", "f", "--metric", "l2", "--k", "3", "--out", "o"],
+    "coherence": ["coherence", "--neighbors", "n", "--categories", "c", "--out", "o"],
+    "rank": ["rank", "--neighbors", "n", "--categories", "c", "--criterion", "surprise",
+             "--out", "o"],
+    "grid": ["grid", "--features", "f", "--categories", "c", "--out-dir", "d"],
+    "evaluate": ["evaluate", "--ranking", "r", "--votes", "v", "--categories", "c",
+                 "--out", "o"],
+    "report quantiles": ["report", "quantiles", "--features", "f", "--metric", "l2",
+                         "--out", "o"],
+}
+
+
+@pytest.mark.parametrize("key, raw, value, takers, other", [
+    ("walk_length", "7", 7, ["walk", "embed"], "knn"),
+    ("min_size", "4", 4, ["coherence", "rank", "grid"], "evaluate"),
+    ("adjusted_p", "yes", True, ["coherence", "rank"], "grid"),
+    ("seed", "5", 5, ["walk", "embed", "knn", "grid", "report quantiles"], "rank"),
+])
+def test_group_config_keys_reach_exactly_their_subcommands(key, raw, value, takers, other):
+    from catrank.cli import _apply_config, build_parser
+
+    parser = build_parser()
+    _apply_config(parser, {key: raw})
+    for name in takers:
+        assert getattr(parser.parse_args(_MINIMAL_ARGV[name]), key) == value, name
+    assert key not in vars(parser.parse_args(_MINIMAL_ARGV[other]))
+
+
 def test_workers_flag_only_on_stages_that_take_it():
     from catrank.cli import _iter_parsers, build_parser
 
