@@ -254,6 +254,9 @@ def _run_walk(args):
 
 
 def _run_embed(args):
+    training = dict(dim=args.dim, window=args.window, initial_lr=args.initial_lr,
+                    final_lr=args.final_lr, method=args.method, negative=args.negative)
+    embeddings.check_training(**training)
     graph = EntityGraph.load(args.graph)
     cfg = embeddings.WalkConfig(
         walks_per_vertex=args.walks_per_vertex,
@@ -264,11 +267,7 @@ def _run_embed(args):
         walks = embeddings.load_walks(args.walks, graph)
     else:
         walks = embeddings.generate_walks(graph, cfg)
-    model = embeddings.train_skipgram(
-        walks, graph.n_entities, dim=args.dim, window=args.window, seed=args.seed,
-        initial_lr=args.initial_lr, final_lr=args.final_lr, method=args.method,
-        negative=args.negative,
-    )
+    model = embeddings.train_skipgram(walks, graph.n_entities, seed=args.seed, **training)
     fm = FeatureMatrix(kind="point", rows=model.input_vectors)
     outputs = [args.out]
     if args.binary:

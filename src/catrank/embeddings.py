@@ -279,6 +279,22 @@ def _noise_targets(contexts: np.ndarray, negative: int, noise_cdf: np.ndarray, r
     return targets
 
 
+def check_training(*, dim: int, window: int, initial_lr: float, final_lr: float,
+                   method: str, negative: int):
+    """ValueError unless ``train_skipgram`` can train with these settings;
+    a caller checks them before it builds a corpus."""
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
+    if window < 1:
+        raise ValueError("window must be at least 1")
+    if not (np.isfinite([initial_lr, final_lr]).all() and min(initial_lr, final_lr) >= 0):
+        raise ValueError("learning rates must be finite and nonnegative")
+    if method not in ("hs", "negative"):
+        raise ValueError(f"unknown training method {method!r}")
+    if negative < 0:
+        raise ValueError("negative must be nonnegative")
+
+
 def train_skipgram(walks: list[np.ndarray], n_entities: int, *, dim: int = 128,
                    window: int = 5, seed: int = 0, initial_lr: float = 0.025,
                    final_lr: float = 0.0001, method: str = "hs",
@@ -290,20 +306,12 @@ def train_skipgram(walks: list[np.ndarray], n_entities: int, *, dim: int = 128,
     Walks train in lockstep groups of ``_GROUP`` (see the module docstring);
     the result is bitwise reproducible and ``workers`` is ignored.
     """
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    if window < 1:
-        raise ValueError("window must be at least 1")
-    if not (np.isfinite([initial_lr, final_lr]).all() and min(initial_lr, final_lr) >= 0):
-        raise ValueError("learning rates must be finite and nonnegative")
+    check_training(dim=dim, window=window, initial_lr=initial_lr, final_lr=final_lr,
+                   method=method, negative=negative)
     if n_entities < 2:
         raise ValueError("need at least 2 entities to train")
     if not walks:
         raise ValueError("empty walk corpus")
-    if method not in ("hs", "negative"):
-        raise ValueError(f"unknown training method {method!r}")
-    if negative < 0:
-        raise ValueError("negative must be nonnegative")
     total_pairs = _count_pairs(walks, window)
     if not total_pairs:
         raise ValueError("no walk has two entities, so there is no (center, context) pair")

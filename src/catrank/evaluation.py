@@ -187,10 +187,10 @@ def _heuristic_best_ordering(weights: np.ndarray) -> tuple[float, list[int]]:
     # starts rescue the rare cases where the condensation start is in a
     # poor basin
     starts = [
-        np.lexsort((np.arange(k), -margin, _condensation_order(weights))).tolist(),
-        sorted(range(k), key=lambda x: (-margin[x], x)),
-        list(range(k)),
-        list(range(k - 1, -1, -1)),
+        np.lexsort((np.arange(k), -margin, _condensation_order(weights))),
+        np.argsort(-margin, kind="stable"),
+        np.arange(k),
+        np.arange(k)[::-1],
     ]
     best_score = -np.inf
     best_order = list(range(k))
@@ -203,34 +203,49 @@ def _heuristic_best_ordering(weights: np.ndarray) -> tuple[float, list[int]]:
     return best_score, best_order
 
 
-def _climb_reinsertions(weights: np.ndarray, order: list[int]) -> list[int]:
+def _climb_reinsertions(weights: np.ndarray, order: Sequence[int]) -> list[int]:
     """Move single elements to their best position until nothing improves.
 
     Reinsertion moves subsume adjacent swaps (a swap is a distance-1 move)
     and escape the plateaus that swap-only climbing gets stuck on. Every
     accepted move strictly increases the total, so this terminates; ties
     keep the current position, keeping the result deterministic.
+
+    Positions are visited in turn, wrapping around, on the order held as
+    one array. W[x, x] is 0 (a question never repeats a choice), so prefix
+    sums over the whole order, x still in place, are those over the others
+    with slots i and i + 1 equal: slot t > i stands for the others' slot
+    t - 1. Once k visits in a row have moved nothing, every later visit
+    would repeat one of them on the same order, so the climb stops.
     """
-    order = list(order)
+    order = np.array(order, dtype=np.int64)
     k = len(order)
-    improved = True
-    while improved:
-        improved = False
-        for i in range(k):
-            x = order[i]
-            rest = order[:i] + order[i + 1:]
-            ra = np.asarray(rest, dtype=np.int64)
-            won_before = weights[ra, x]  # a placed before x contributes W[a, x]
-            won_after = weights[x, ra]   # b placed after x contributes W[x, b]
-            cum_before = np.concatenate(([0.0], np.cumsum(won_before)))
-            cum_after = np.concatenate(([0.0], np.cumsum(won_after)))
-            contribution = cum_before + (won_after.sum() - cum_after)
-            j = int(np.argmax(contribution))
-            if contribution[j] > contribution[i] + 1e-12:
-                rest.insert(j, x)
-                order = rest
-                improved = True
-    return order
+    columns = np.ascontiguousarray(weights.T)
+    cum_before = np.zeros(k + 1)
+    cum_after = np.zeros(k + 1)
+    i = idle = 0
+    while idle < k:
+        x = order[i]
+        won_after = weights[x][order]  # b placed after x contributes W[x, b]
+        # np.cumsum's sums, without the cost of its wrapper at every visit
+        np.add.accumulate(columns[x][order], out=cum_before[1:])  # a before x: W[a, x]
+        np.add.accumulate(won_after, out=cum_after[1:])
+        # np.sum adds in pairs by position, so W[x, x] leaves before it sums
+        others = np.concatenate((won_after[:i], won_after[i + 1:])).sum()
+        contribution = cum_before + (others - cum_after)
+        t = int(contribution.argmax())
+        if contribution.item(t) > contribution.item(i) + 1e-12:
+            if t <= i:
+                order[t + 1:i + 1] = order[t:i]
+                order[t] = x
+            else:
+                order[i:t - 1] = order[i + 1:t]
+                order[t - 1] = x
+            idle = 0
+        else:
+            idle += 1
+        i = i + 1 if i + 1 < k else 0
+    return order.tolist()
 
 
 def best_cheating_score(votes: VoteDataset) -> tuple[float, list[int]]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import logging
 import math
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -163,12 +162,12 @@ def _parse_rows(rows: list[str], first: int) -> tuple[np.ndarray, np.ndarray] | 
     if (skeleton.translate(None, b".eE+-") != (b":," * n_cells)[:-1]
             or skeleton.count(b",:") + skeleton.startswith(b":") != n_cells):
         return None
+    if not cells:  # loadtxt warns on text without data
+        return degrees, np.zeros(0)
     try:
-        with warnings.catch_warnings():
-            # numpy warns, and stops, where a token is not a whole number
-            warnings.simplefilter("error", DeprecationWarning)
-            values = np.fromstring(cells.replace(b":", b","), sep=",")
-    except (ValueError, DeprecationWarning):
+        values = np.loadtxt([cells.replace(b":", b",").decode()], delimiter=",",
+                            dtype=np.float64, ndmin=1)
+    except ValueError:  # a token that is not a whole number
         return None
     return (degrees, values) if len(values) == 2 * n_cells else None
 

@@ -325,6 +325,31 @@ def condensation_start_by_heap(weights: np.ndarray) -> list[int]:
     return order
 
 
+def climb_reinsertions_by_list(weights: np.ndarray, order: list[int]) -> list[int]:
+    """``evaluation._climb_reinsertions`` on a Python list: each visit builds
+    the order without x, and full passes repeat until one moves nothing."""
+    order = list(order)
+    k = len(order)
+    improved = True
+    while improved:
+        improved = False
+        for i in range(k):
+            x = order[i]
+            rest = order[:i] + order[i + 1:]
+            ra = np.asarray(rest, dtype=np.int64)
+            won_before = weights[ra, x]  # a placed before x contributes W[a, x]
+            won_after = weights[x, ra]   # b placed after x contributes W[x, b]
+            cum_before = np.concatenate(([0.0], np.cumsum(won_before)))
+            cum_after = np.concatenate(([0.0], np.cumsum(won_after)))
+            contribution = cum_before + (won_after.sum() - cum_after)
+            j = int(np.argmax(contribution))
+            if contribution[j] > contribution[i] + 1e-12:
+                rest.insert(j, x)
+                order = rest
+                improved = True
+    return order
+
+
 def optimal_expected_code_length(freqs) -> int:
     """Minimum sum of freq * code-length over all prefix codes.
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import catrank
-from catrank import coherence
+from catrank import coherence, embeddings
 from catrank.cli import main
 from catrank.data_model import FeatureMatrix, load_features, save_features_text
 from catrank.neighbors import (
@@ -899,6 +899,31 @@ def test_rejected_input_exits_2_without_traceback(pipeline, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("catrank: data error: ")
     assert "Traceback" not in err
+
+
+_LR_ERROR = "learning rates must be finite and nonnegative"
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--window", "0"], "window must be at least 1"), (["--dim", "0"], "dim must be at least 1"),
+    (["--initial-lr", "-1"], _LR_ERROR), (["--final-lr", "inf"], _LR_ERROR),
+    (["--negative", "-1"], "negative must be nonnegative")])
+@pytest.mark.parametrize("corpus", [[], ["--walks", "walks.txt"]])
+def test_embed_refuses_training_settings_before_any_walk(pipeline, capsys, monkeypatch,
+                                                         option, message, corpus):
+    tmp, out = pipeline
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the corpus was built before the settings were checked")
+
+    monkeypatch.setattr(embeddings, "generate_walks", unreachable)
+    monkeypatch.setattr(embeddings, "load_walks", unreachable)
+    corpus = [str(tmp / c) if c.endswith(".txt") else c for c in corpus]
+    capsys.readouterr()
+    assert main(["embed", "--graph", str(out / "graph.json"), *corpus, *option,
+                 "--out", str(tmp / "f.tsv")]) == 2
+    assert capsys.readouterr().err == f"catrank: data error: {message}\n"
+    assert not (tmp / "f.tsv").exists()
 
 
 def test_grid_summary_quotes_feature_name(pipeline):

@@ -22,6 +22,7 @@ from catrank.evaluation import (
 from conftest import categories_from_members
 from oracles import (
     best_ordering_bruteforce,
+    climb_reinsertions_by_list,
     co_prob,
     condensation_start_by_heap,
     exact_best_ordering_by_loop,
@@ -315,6 +316,37 @@ def test_condensation_order_matches_heap_kahn():
         margin = w.sum(axis=1) - w.sum(axis=0)
         got = np.lexsort((np.arange(k), -margin, _condensation_order(w)))
         assert got.tolist() == condensation_start_by_heap(w)
+
+
+def _climb_weights(rng, kind: str, k: int) -> np.ndarray:
+    if kind == "float":
+        w = rng.random((k, k))
+    elif kind == "sparse":
+        w = rng.random((k, k)) * (rng.random((k, k)) < rng.uniform(0.02, 0.3))
+    else:  # whole thirds: exact ties between moves, their sums rounded
+        w = rng.integers(0, 4, (k, k)) / 3
+    np.fill_diagonal(w, 0.0)  # a question never repeats a choice
+    return w
+
+
+@pytest.mark.parametrize("kind", ["float", "sparse", "thirds"])
+def test_climb_matches_list_climb_from_every_start(monkeypatch, kind):
+    # the array-held climb against the list-rebuilding reference, from each
+    # of the heuristic's four starts
+    climbs = []
+    real = evaluation._climb_reinsertions
+
+    def recorded(weights, start):
+        climbs.append((weights, np.array(start).tolist(), real(weights, start)))
+        return climbs[-1][2]
+
+    monkeypatch.setattr(evaluation, "_climb_reinsertions", recorded)
+    rng = np.random.default_rng(["float", "sparse", "thirds"].index(kind))
+    for k in [1, 2, 3] * 4 + rng.integers(4, 61, 78).tolist():
+        _heuristic_best_ordering(_climb_weights(rng, kind, k))
+    assert len(climbs) == 4 * 90
+    for weights, start, got in climbs:
+        assert got == [int(x) for x in climb_reinsertions_by_list(weights, start)]
 
 
 def test_heuristic_matches_bruteforce_small_instances():

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catrank import metrics, neighbors
 from catrank.data_model import CSR, FeatureMatrix, open_text
@@ -368,6 +370,34 @@ def test_neighbor_set_load_outcomes(monkeypatch, tmp_path, text, expected, block
     path.write_bytes(text.encode("utf-8"))
     assert parse_neighbor_list(text) == expected
     check_load(path, expected)
+
+
+# -0.0, the smallest subnormal, the smallest normal, the largest finite and inf
+_EDGE_DISTANCES = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, math.inf]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_neighbor_set_round_trip_is_bit_exact(tmp_path_factory, data):
+    # save writes each distance as its shortest repr; load must read back the
+    # same bits, and ids of up to five digits exactly
+    n = data.draw(st.one_of(st.integers(2, 50), st.integers(10**4, 10**5)), label="n")
+    rows = data.draw(st.dictionaries(st.integers(0, n - 1),
+                                     st.lists(st.integers(0, n - 1), max_size=6, unique=True),
+                                     max_size=8), label="rows")
+    lists = [[i for i in rows.get(v, []) if i != v] for v in range(n)]
+    indices = np.array([i for row in lists for i in row], dtype=np.int64)
+    distances = np.array(data.draw(st.lists(
+        st.sampled_from(_EDGE_DISTANCES) | st.floats(allow_nan=False, allow_infinity=False),
+        min_size=len(indices), max_size=len(indices)), label="distances"), dtype=np.float64)
+    nbrs = NeighborSet(indptr=np.cumsum([0] + [len(row) for row in lists]),
+                       indices=indices, distances=distances)
+    path = str(tmp_path_factory.mktemp("round_trip") / "nb.tsv")
+    nbrs.save(path)
+    back = NeighborSet.load(path)
+    assert back.indptr.tolist() == nbrs.indptr.tolist()
+    assert back.indices.dtype == np.int64 and back.indices.tolist() == indices.tolist()
+    assert back.distances.view(np.int64).tolist() == distances.view(np.int64).tolist()
 
 
 def test_neighbor_set_load_in_blocks_matches_one_block(monkeypatch, tmp_path):
