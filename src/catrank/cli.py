@@ -54,7 +54,10 @@ def _read_config(path: str) -> dict:
         key, sep, value = line.partition("=")
         if not sep:
             raise DataError(f"{path}:{lineno}: expected 'key = value'")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in values:
+            raise DataError(f"{path}:{lineno}: config key {key!r} is set twice")
+        values[key] = value.strip()
     return values
 
 

@@ -25,6 +25,7 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -102,11 +103,11 @@ def write_json(path: str, payload, compact: bool = False):
     """Every JSON file the package writes: ``compact`` without spaces and in
     the payload's key order, otherwise indented by 2 with sorted keys and a
     final newline."""
+    # json.dump would stream through the pure-Python encoder, not the C one
+    text = (json.dumps(payload, separators=(",", ":")) if compact
+            else json.dumps(payload, indent=2, sort_keys=True) + "\n")
     with open(path, "w", encoding="utf-8") as f:
-        if compact:
-            json.dump(payload, f, separators=(",", ":"))
-        else:
-            f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        f.write(text)
 
 
 def read_json_object(path: str, keys: tuple[str, ...] = ()) -> dict:
@@ -155,19 +156,21 @@ def _is_name_list(value) -> bool:
 
 
 def _index_lists(raw, count: int, where: str) -> "CSR":
-    """``count`` JSON lists of integers as the rows of a CSR."""
+    """``count`` JSON lists of int64 integers, not booleans, as CSR rows."""
     if not isinstance(raw, list) or len(raw) != count:
         raise DataError(f"{where}: expected {count} lists")
-    arrays = []
-    for i, values in enumerate(raw):
+    if all(type(values) is list for values in raw):
+        flat = list(chain.from_iterable(raw))
         try:
-            arr = np.asarray(values)
-        except ValueError:
-            arr = None
-        if arr is None or arr.ndim != 1 or (arr.size and arr.dtype.kind != "i"):
-            raise DataError(f"{where}[{i}]: expected a list of integers")
-        arrays.append(arr)
-    return CSR.from_lists(arrays)
+            if set(map(type, flat)) <= {int}:
+                lengths = np.fromiter(map(len, raw), dtype=np.int64, count=count)
+                return CSR(indptr=np.concatenate(([0], np.cumsum(lengths))),
+                           indices=np.fromiter(flat, dtype=np.int64, count=len(flat)))
+        except OverflowError:  # an id past int64
+            pass
+    i = next(i for i, values in enumerate(raw) if type(values) is not list
+             or not all(type(v) is int and -2**63 <= v < 2**63 for v in values))
+    raise DataError(f"{where}[{i}]: expected a list of integers")
 
 
 def _read_pairs(path: str, form: str) -> tuple[list[str], list[str]]:
@@ -605,9 +608,9 @@ class VoteDataset:
     held as arrays.
 
     Question q is ``qids[q]`` with the category ids ``choices[q]``: a
-    (questions, max m) matrix whose rows are padded with -1 past their
-    question's m. Answer a voted the choice at position ``voted[a]`` of
-    question ``question[a]``, both 0-based.
+    (questions, m) matrix, since a vote file's header fixes one choice count
+    m for every question. Answer a voted the choice at position ``voted[a]``
+    of question ``question[a]``, both 0-based.
     """
 
     qids: list[str]
@@ -617,19 +620,18 @@ class VoteDataset:
 
     @classmethod
     def from_lists(cls, qids: list[str], choice_lists, answers) -> "VoteDataset":
-        """The layout of one choice list per question and ``(question
-        position, voted position)`` answers."""
-        m = np.array([len(c) for c in choice_lists], dtype=np.int64)
-        width = m.max(initial=0)
-        choices = np.full((len(m), width), -1, dtype=np.int64)
-        choices[np.arange(width) < m[:, None]] = [c for row in choice_lists for c in row]
+        """The layout of one choice list per question, all of one length, and
+        ``(question position, voted position)`` answers."""
+        if len({len(c) for c in choice_lists}) != 1:
+            raise ValueError("every question of a vote set needs the same number of choices")
         answers = np.array(answers, dtype=np.int64).reshape(-1, 2)
-        return cls(qids=list(qids), choices=choices, question=answers[:, 0], voted=answers[:, 1])
+        return cls(qids=list(qids), choices=np.array(choice_lists, dtype=np.int64),
+                   question=answers[:, 0], voted=answers[:, 1])
 
     @property
-    def m(self) -> np.ndarray:
-        """Each question's choice count."""
-        return (self.choices >= 0).sum(axis=1)
+    def m(self) -> int:
+        """The choice count of every question."""
+        return self.choices.shape[1]
 
     @property
     def n_answers(self) -> int:
@@ -671,12 +673,9 @@ def load_votes(path: str, cats: CategoryIndex) -> VoteDataset:
 
 
 def save_votes(votes: VoteDataset, cats: CategoryIndex, path: str):
-    if (votes.choices < 0).any():
-        raise ValueError("CSV vote format requires a uniform choice count per file")
-    m = votes.choices.shape[1]
     names = [[cats.names[c] for c in row] for row in votes.choices.tolist()]
     text = csv_text(
-        ["question_id"] + [f"choice_{i + 1}" for i in range(m)] + ["voted_index"],
+        ["question_id"] + [f"choice_{i + 1}" for i in range(votes.m)] + ["voted_index"],
         ([votes.qids[qi]] + names[qi] + [pos + 1]
          for qi, pos in zip(votes.question.tolist(), votes.voted.tolist())))
     with open(path, "w", encoding="utf-8", newline="") as f:

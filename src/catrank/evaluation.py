@@ -14,10 +14,10 @@ ranked category, mutually ordered by category index; evaluation therefore
 never fails on a filtered ranking, it just scores it pessimistically.
 
 Every answer is scored, and every preference counted, in one array pass
-over the layout ``VoteDataset`` holds from load on: the (questions, max m)
-choice matrix padded with -1 and each answer's question and voted
-position. The per-answer reference, ``score_answer``, lives in
-``tests/oracles.py`` with the other loops the tests hold this pass to.
+over the layout ``VoteDataset`` holds from load on: the (questions, m)
+choice matrix and each answer's question and voted position. The
+per-answer reference, ``score_answer``, lives in ``tests/oracles.py``
+with the other loops the tests hold this pass to.
 """
 
 from __future__ import annotations
@@ -55,15 +55,13 @@ def _score_votes(votes: VoteDataset, order: Sequence[int]):
     ranked_at = np.full(n_ids, -1, dtype=np.int64)
     np.maximum.at(ranked_at, ids[at], at)  # a repeated id keeps its last place
     position = np.where(ranked_at >= 0, ranked_at, len(ids) + np.arange(n_ids))
-    real = choices >= 0
-    # padding sorts after every choice, so it never places ahead of one
-    pos = np.where(real, position[choices], np.iinfo(np.int64).max)
+    pos = position[choices]
     rank = 1 + (pos[:, None, :] < pos[:, :, None]).sum(axis=2)
-    i, m = rank[question, voted], votes.m[question]
+    i, m = rank[question, voted], votes.m
     # a running sum, as a loop of += adds; np.sum's pairwise sum would differ
     total = float(np.add.accumulate(np.append(0.0, (m - i) / (m - 1)))[-1])
-    rank_counts = np.bincount(i - 1, minlength=choices.shape[1])
-    unranked = (real & (ranked_at[choices] < 0)).any(axis=1)
+    rank_counts = np.bincount(i - 1, minlength=m)
+    unranked = (ranked_at[choices] < 0).any(axis=1)
     return total, rank_counts, int(unranked[question].sum())
 
 
@@ -88,16 +86,14 @@ class PreferenceGraph:
 def build_preference_graph(votes: VoteDataset) -> PreferenceGraph:
     _require_answers(votes)
     choices, question, voted = votes.choices, votes.question, votes.voted
-    m = votes.m[question]
-    cats = np.unique(choices[choices >= 0])
+    cats = np.unique(choices)
     k = len(cats)
     local = np.searchsorted(cats, choices)[question]
     winner = local[np.arange(len(question)), voted]
     # every (voted, other choice) cell, answer by answer
-    other = (choices[question] >= 0) & (np.arange(choices.shape[1]) != voted[:, None])
-    cells = (winner[:, None] * k + local)[other]
+    cells = (winner[:, None] * k + local)[np.arange(votes.m) != voted[:, None]]
     weights = np.zeros(k * k)
-    np.add.at(weights, cells, np.repeat(1.0 / (m - 1), m - 1))
+    np.add.at(weights, cells, 1.0 / (votes.m - 1))
     return PreferenceGraph(categories=cats.tolist(), weights=weights.reshape(k, k))
 
 

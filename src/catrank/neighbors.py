@@ -83,7 +83,7 @@ class NeighborSet(CSR):
             meta = read_json_object(path + ".meta.json")
         degrees, ids, distances, linenos = _parse(path)
         n = len(degrees)
-        if "n" in meta and meta["n"] != n:
+        if "n" in meta and (type(meta["n"]) is not int or meta["n"] != n):
             raise DataError(f"{path}: {n} rows, but {path}.meta.json says n = {meta['n']!r}")
         indptr = np.concatenate(([0], np.cumsum(degrees)))
         # ids are still float64, so an id too long for int64 reads as out of range

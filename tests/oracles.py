@@ -191,11 +191,6 @@ def best_ordering_bruteforce(weights: np.ndarray) -> tuple[float, tuple[int, ...
     return best, best_order
 
 
-def question_lists(votes) -> list[list[int]]:
-    """Each question's choices as a list, the -1 padding dropped."""
-    return [[c for c in row if c >= 0] for row in votes.choices.tolist()]
-
-
 def answer_pairs(votes) -> list[tuple[int, int]]:
     """Each answer as a ``(question position, voted position)`` pair."""
     return list(zip(votes.question.tolist(), votes.voted.tolist()))
@@ -231,7 +226,7 @@ def score_votes_by_loop(votes, order):
     positions = {cat: pos for pos, cat in enumerate(order)}
     n_ranked = len(order)
     total = 0.0
-    questions = question_lists(votes)
+    questions = votes.choices.tolist()
     max_m = max(len(q) for q in questions)
     rank_counts = np.zeros(max_m, dtype=np.int64)
     fallback_answers = 0
@@ -249,7 +244,7 @@ def score_votes_by_loop(votes, order):
 def preference_graph_by_loop(votes):
     """(categories, weights) of ``evaluation.build_preference_graph``,
     one answer and one choice at a time."""
-    questions = question_lists(votes)
+    questions = votes.choices.tolist()
     cats = sorted({c for q in questions for c in q})
     local = {c: i for i, c in enumerate(cats)}
     k = len(cats)
@@ -392,8 +387,7 @@ def co_prob(a: int, b: int, votes: VoteDataset | None = None,
     if (votes is None) == (cats is None):
         raise ValueError("pass exactly one of votes= or cats=")
     if votes is not None:
-        real = votes.choices >= 0
-        in_a, in_b = (np.flatnonzero((real & (votes.choices == c)).any(axis=1)) for c in (a, b))
+        in_a, in_b = (np.flatnonzero((votes.choices == c).any(axis=1)) for c in (a, b))
     else:
         in_a, in_b = cats.members[a], cats.members[b]
     if not len(in_a) or not len(in_b):

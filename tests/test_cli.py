@@ -649,6 +649,15 @@ def test_unknown_config_key_rejected(tmp_path):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("second", ["walk_length", "walk-length"])
+def test_repeated_config_key_is_rejected(tmp_path, capsys, second):
+    cfg = tmp_path / "catrank.conf"
+    cfg.write_text(f"walk-length = 3\n# the same key again\n{second} = 7\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "walk", "--graph", "g", "--out", "w"]) == 2
+    assert capsys.readouterr().err == (f"catrank: data error: {cfg}:3: config key "
+                                       "'walk_length' is set twice\n")
+
+
 def test_workers_env_default(tmp_path, monkeypatch):
     monkeypatch.setenv("CATRANK_WORKERS", "3")
     from catrank.cli import build_parser

@@ -329,14 +329,15 @@ def test_load_votes_basic(tmp_path, vote_cats):
     assert (votes.question[1], votes.voted[1]) == (0, 2)
 
 
-def test_vote_layout_pads_short_questions(tmp_path, vote_cats):
-    votes = VoteDataset.from_lists(["a", "b"], [[3, 1, 4], [0, 2]], [(1, 1), (0, 2)])
-    assert votes.choices.tolist() == [[3, 1, 4], [0, 2, -1]]
-    assert votes.m.tolist() == [3, 2]
+def test_vote_layout_is_one_choice_count():
+    with pytest.raises(ValueError, match="same number of choices"):
+        VoteDataset.from_lists(["a", "b"], [[3, 1, 4], [0, 2]], [(1, 1), (0, 2)])
+    votes = VoteDataset.from_lists(["a", "b"], [[3, 1, 4], [0, 2, 5]], [(1, 1), (0, 2)])
+    assert votes.choices.dtype == np.int64
+    assert votes.choices.tolist() == [[3, 1, 4], [0, 2, 5]]
+    assert type(votes.m) is int and votes.m == 3
     assert (votes.question.tolist(), votes.voted.tolist()) == ([1, 0], [1, 2])
     assert votes.n_answers == 2
-    with pytest.raises(ValueError, match="uniform choice count"):
-        save_votes(votes, vote_cats, str(tmp_path / "v.csv"))
 
 
 def test_load_votes_bulk_counts(tmp_path, vote_cats):
@@ -427,6 +428,15 @@ def test_votes_round_trip(tmp_path, vote_cats):
      r"adjacency\[0\]: entity ids are not sorted and unique"),
     ("graph.json", '{"ids": ["a", "b", "c"], "adjacency": [[1], [2, 0], []]}',
      r"adjacency\[1\]: entity ids are not sorted and unique"),
+    # numpy reads booleans among integers as 0 and 1, and JSON holds ids past int64
+    ("categories.json", '{"n_entities": 2, "names": ["c"], "members": [[false, 1]]}',
+     r"members\[0\]: expected a list of integers"),
+    ("graph.json", '{"ids": ["a", "b", "c"], "adjacency": [[true, 2], [0], [0]]}',
+     r"adjacency\[0\]: expected a list of integers"),
+    ("graph.json", '{"ids": ["a", "b"], "adjacency": [[1], [18446744073709551616]]}',
+     r"adjacency\[1\]: expected a list of integers"),
+    ("graph.json", '{"ids": ["a", "b"], "adjacency": [[1], 0]}',
+     r"adjacency\[1\]: expected a list of integers"),
 ])
 def test_native_json_artifacts_validated(tmp_path, name, text, message):
     path = write(tmp_path / name, text)
@@ -560,10 +570,13 @@ def test_every_reader_points_at_the_bad_line(tmp_path, native, reader):
 
 
 def test_write_json_has_two_fixed_forms(tmp_path):
-    payload = {"b": [1, 2], "a": {"d": 1.5, "c": None}}
+    # names outside ASCII are written as \uXXXX escapes in both forms
+    payload = {"b": [1, 2], "a": {"d": 1.5, "c": None}, "ids": ["G\u00f6del"]}
     path = tmp_path / "x.json"
     write_json(str(path), payload, compact=True)
-    assert path.read_bytes() == b'{"b":[1,2],"a":{"d":1.5,"c":null}}'
+    assert path.read_bytes() == (b'{"b":[1,2],"a":{"d":1.5,"c":null},'
+                                 b'"ids":["G\\u00f6del"]}')
     write_json(str(path), payload)
     assert path.read_bytes() == (b'{\n  "a": {\n    "c": null,\n    "d": 1.5\n  },\n'
-                                 b'  "b": [\n    1,\n    2\n  ]\n}\n')
+                                 b'  "b": [\n    1,\n    2\n  ],\n'
+                                 b'  "ids": [\n    "G\\u00f6del"\n  ]\n}\n')

@@ -289,6 +289,18 @@ def test_neighbor_set_load_checks_sidecar_row_count(tmp_path):
         NeighborSet.load(path)
 
 
+@pytest.mark.parametrize("n", ["true", "1.0"])
+def test_neighbor_set_load_refuses_a_non_integer_sidecar_count(tmp_path, n):
+    # true == 1 and 1.0 == 1 in Python, so only the type tells them from a count
+    path = tmp_path / "nb.tsv"
+    path.write_text("0\t\n", encoding="utf-8")
+    (tmp_path / "nb.tsv.meta.json").write_text('{"n": 1}', encoding="utf-8")
+    assert NeighborSet.load(str(path)).n == 1
+    (tmp_path / "nb.tsv.meta.json").write_text(f'{{"n": {n}}}', encoding="utf-8")
+    with pytest.raises(DataError, match=r"nb\.tsv: 1 rows, but .*nb\.tsv\.meta\.json says n = "):
+        NeighborSet.load(str(path))
+
+
 def test_neighbor_set_load_ignores_other_sidecar_keys(tmp_path):
     # the keys earlier versions of knn wrote, which the benchmark's planted lists still carry
     path = tmp_path / "nb.tsv"
