@@ -65,6 +65,16 @@ def _float_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip()]
 
 
+def _numbers(text: str) -> str:
+    """A checked ``--sizes`` or ``--targets`` list, kept as text for the manifest."""
+    try:
+        _float_list(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+    return text
+
+
 def _str_list(text: str) -> list[str]:
     return [x.strip() for x in text.split(",") if x.strip()]
 
@@ -160,7 +170,7 @@ def build_parser() -> _Parser:
     p.add_argument("--votes")
     p.add_argument("--metrics", default=",".join(menu.metrics))
     p.add_argument("--strategies", default=",".join(menu.strategies))
-    p.add_argument("--sizes", default=sizes)
+    p.add_argument("--sizes", type=_numbers, default=sizes)
     p.add_argument("--criteria", default=",".join(menu.criteria))
     p.add_argument("--min-size", type=int, default=menu.min_size)
     p.add_argument("--out-dir", required=True)
@@ -183,7 +193,7 @@ def build_parser() -> _Parser:
     rp = rsub.add_parser("quantiles", parents=[calibration])
     rp.add_argument("--features", required=True)
     rp.add_argument("--metric", choices=METRICS, required=True)
-    rp.add_argument("--targets", default=sizes)
+    rp.add_argument("--targets", type=_numbers, default=sizes)
     rp.add_argument("--out", required=True)
     rp = rsub.add_parser("top")
     rp.add_argument("--ranking", required=True)

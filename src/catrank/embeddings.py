@@ -5,7 +5,9 @@ model with a hierarchical softmax output layer over a Huffman tree of
 entity frequencies (or, optionally, negative sampling). Every
 (center, context) pair within the window updates the parameters along the
 context entity's tree path; the learning rate decays linearly over the
-total number of trained pairs, in the order the pairs are trained.
+total number of trained pairs, in the order the pairs are trained. The tree
+is one set of padded (entities x longest path) arrays, ``HuffmanTree``, which
+the trainer and ``hs_pair_loss`` both read.
 
 Update order: walks train in consecutive groups of ``_GROUP``, in corpus
 order. Step j of a group updates pair j of every walk in it at once, from
@@ -107,22 +109,15 @@ def load_walks(path: str, graph: EntityGraph) -> list[np.ndarray]:
 
 @dataclass
 class HuffmanTree:
-    """Prefix code over entities; leaf i's root-to-leaf path has internal
-    node ids ``points[i]`` and branch bits ``codes[i]``."""
+    """Prefix code over n entities, as the padded arrays the trainer reads:
+    leaf i's root-to-leaf path has ``lengths[i]`` internal nodes, with ids
+    ``points[i, :lengths[i]]`` and branch bits ``codes[i, :lengths[i]]``. Past
+    its length a row holds the root's id, n - 2, and code 0; the root is on
+    every path, so padding adds no row to an update."""
 
-    points: list[np.ndarray]
-    codes: list[np.ndarray]
-
-    @property
-    def n_leaves(self) -> int:
-        return len(self.points)
-
-    @property
-    def n_internal(self) -> int:
-        return self.n_leaves - 1
-
-    def code_lengths(self) -> list[int]:
-        return [len(c) for c in self.codes]
+    points: np.ndarray
+    codes: np.ndarray
+    lengths: np.ndarray
 
 
 def build_huffman(frequencies) -> HuffmanTree:
@@ -133,33 +128,32 @@ def build_huffman(frequencies) -> HuffmanTree:
         raise ValueError("Huffman tree needs at least 2 entities")
     if np.any(freqs < 0):
         raise ValueError("frequencies must be nonnegative")
-    # heap ids: leaves are 0..n-1, internal nodes n..2n-2 by creation order
+    # heap ids: leaves are 0..n-1, internal nodes n..2n-2 by creation order,
+    # so the root is 2n-2 and every parent's id is above its children's
     heap = [(int(f), i) for i, f in enumerate(freqs)]
     heapq.heapify(heap)
-    left = {}
-    right = {}
-    for t in range(n - 1):
+    parent = [0] * (2 * n - 1)
+    bit = [0] * (2 * n - 1)
+    for node in range(n, 2 * n - 1):
         f1, a = heapq.heappop(heap)
         f2, b = heapq.heappop(heap)
-        node = n + t
-        left[node] = a
-        right[node] = b
+        parent[a] = parent[b] = node
+        bit[b] = 1
         heapq.heappush(heap, (f1 + f2, node))
-    root = heap[0][1]
-
-    points: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    codes: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    stack = [(root, [], [])]
-    while stack:
-        node, path, bits = stack.pop()
-        if node < n:
-            points[node] = np.array(path, dtype=np.int64)
-            codes[node] = np.array(bits, dtype=np.float64)
-        else:
-            internal = node - n
-            stack.append((left[node], path + [internal], bits + [0.0]))
-            stack.append((right[node], path + [internal], bits + [1.0]))
-    return HuffmanTree(points=points, codes=codes)
+    depth = [0] * (2 * n - 1)
+    for node in range(2 * n - 3, -1, -1):
+        depth[node] = depth[parent[node]] + 1
+    parent, bit, lengths = np.array(parent), np.array(bit, dtype=np.int8), np.array(depth[:n])
+    points = np.full((n, lengths.max()), n - 2, dtype=np.int64)
+    codes = np.zeros(points.shape, dtype=np.int8)
+    # fill every row from its leaf end, all leaves one level up per pass
+    rows, node, col = np.arange(n), np.arange(n), lengths - 1
+    while len(rows):
+        points[rows, col] = parent[node] - n
+        codes[rows, col] = bit[node]
+        up = col > 0
+        rows, node, col = rows[up], parent[node[up]], col[up] - 1
+    return HuffmanTree(points=points, codes=codes, lengths=lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +169,9 @@ def _expit(x: np.ndarray) -> np.ndarray:
 def hs_pair_loss(vectors: np.ndarray, node_vecs: np.ndarray, tree: HuffmanTree,
                  center: int, context: int) -> float:
     """Negative log probability of the context entity given the center."""
-    x = node_vecs[tree.points[context]] @ vectors[center]
-    sgn = 1.0 - 2.0 * tree.codes[context]
+    length = tree.lengths[context]
+    x = node_vecs[tree.points[context, :length]] @ vectors[center]
+    sgn = 1.0 - 2.0 * tree.codes[context, :length]
     return float(np.logaddexp(0.0, -sgn * x).sum())
 
 
@@ -210,19 +205,6 @@ def _count_pairs(walks, window: int) -> int:
     """(center, context) pairs in a walk corpus, as ``_pair_offsets`` lists them."""
     lengths = Counter(len(w) for w in walks)
     return sum(k * len(_pair_offsets(n, window)[0]) for n, k in lengths.items())
-
-
-def _padded_paths(tree: HuffmanTree):
-    """Huffman paths as ``(n, max_len)`` arrays: node ids, labels 1 - code
-    and a mask, both bool. Padding points at the root, which is on every path,
-    so it adds no row to an update."""
-    lens = np.array(tree.code_lengths())
-    points = np.full((tree.n_leaves, lens.max()), tree.n_internal - 1, dtype=np.int64)
-    mask = np.arange(points.shape[1]) < lens[:, None]
-    points[mask] = np.concatenate(tree.points)
-    labels = np.zeros(points.shape, dtype=bool)
-    labels[mask] = np.concatenate(tree.codes) == 0
-    return points, labels, mask, lens
 
 
 def _sgd_step(in_vecs, out_vecs, centers, targets, labels, mask, alpha):
@@ -293,6 +275,8 @@ def check_training(*, dim: int, window: int, initial_lr: float, final_lr: float,
         raise ValueError(f"unknown training method {method!r}")
     if negative < 0:
         raise ValueError("negative must be nonnegative")
+    if method == "negative" and negative < 1:
+        raise ValueError("negative sampling needs negative of at least 1")
 
 
 def train_skipgram(walks: list[np.ndarray], n_entities: int, *, dim: int = 128,
@@ -326,7 +310,8 @@ def train_skipgram(walks: list[np.ndarray], n_entities: int, *, dim: int = 128,
     node_vecs = np.zeros((n_entities - 1, dim))
     if method == "hs":
         out_vecs = node_vecs
-        points, path_labels, path_mask, path_lens = _padded_paths(tree)
+        path_mask = np.arange(tree.points.shape[1]) < tree.lengths[:, None]
+        path_labels = (tree.codes == 0) & path_mask  # masked padding errors stay +0.0
     else:
         out_vecs = np.zeros((n_entities, dim))
         noise_cdf = _make_noise_cdf(freqs)
@@ -345,8 +330,8 @@ def train_skipgram(walks: list[np.ndarray], n_entities: int, *, dim: int = 128,
         for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
             if method == "hs":
                 ctx = contexts[lo:hi]
-                width = int(path_lens[ctx].max())
-                _sgd_step(vectors, out_vecs, centers[lo:hi], points[ctx, :width],
+                width = int(tree.lengths[ctx].max())
+                _sgd_step(vectors, out_vecs, centers[lo:hi], tree.points[ctx, :width],
                           path_labels[ctx, :width], path_mask[ctx, :width], alpha[lo:hi])
             else:
                 _sgd_step(vectors, out_vecs, centers[lo:hi], targets[lo:hi], ns_labels,

@@ -376,6 +376,41 @@ def optimal_expected_code_length(freqs) -> int:
     return best
 
 
+def huffman_paths_by_stack(frequencies) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-leaf Huffman paths by a walk down from the root: the same heap
+    merges as ``build_huffman``, then a stack of (node, path, bits) that
+    hands each leaf its internal node ids and branch bits."""
+    freqs = np.asarray(frequencies)
+    n = len(freqs)
+    # heap ids: leaves are 0..n-1, internal nodes n..2n-2 by creation order
+    heap = [(int(f), i) for i, f in enumerate(freqs)]
+    heapq.heapify(heap)
+    left = {}
+    right = {}
+    for t in range(n - 1):
+        f1, a = heapq.heappop(heap)
+        f2, b = heapq.heappop(heap)
+        node = n + t
+        left[node] = a
+        right[node] = b
+        heapq.heappush(heap, (f1 + f2, node))
+    root = heap[0][1]
+
+    points: list[np.ndarray] = [None] * n  # type: ignore[list-item]
+    codes: list[np.ndarray] = [None] * n  # type: ignore[list-item]
+    stack = [(root, [], [])]
+    while stack:
+        node, path, bits = stack.pop()
+        if node < n:
+            points[node] = np.array(path, dtype=np.int64)
+            codes[node] = np.array(bits, dtype=np.float64)
+        else:
+            internal = node - n
+            stack.append((left[node], path + [internal], bits + [0.0]))
+            stack.append((right[node], path + [internal], bits + [1.0]))
+    return points, codes
+
+
 def co_prob(a: int, b: int, votes: VoteDataset | None = None,
             cats: CategoryIndex | None = None) -> float | None:
     """Geometric mean of P(a | b) and P(b | a).
@@ -411,8 +446,9 @@ def hs_pair_grads(vectors: np.ndarray, node_vecs: np.ndarray, tree: HuffmanTree,
 
     Returns ``(grad_center, path_node_ids, grad_node_rows)``.
     """
-    pts = tree.points[context]
+    length = tree.lengths[context]
+    pts = tree.points[context, :length]
     l2 = node_vecs[pts]
     f = _expit(l2 @ vectors[center])
-    err = f - (1.0 - tree.codes[context])
+    err = f - (1.0 - tree.codes[context, :length])
     return err @ l2, pts, np.outer(err, vectors[center])

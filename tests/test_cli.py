@@ -597,7 +597,8 @@ def test_strategy_config_key_is_an_unknown_key(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize("key, value", [("dim", "1.5"), ("initial-lr", "fast"),
-                                        ("method", "foo")])
+                                        ("method", "foo"), ("sizes", "1,abc"),
+                                        ("targets", "1,abc")])
 def test_config_value_failing_its_type_names_the_key(pipeline, capsys, key, value):
     tmp, out = pipeline
     cfg = tmp / "catrank.conf"
@@ -916,7 +917,9 @@ _LR_ERROR = "learning rates must be finite and nonnegative"
 @pytest.mark.parametrize("option, message", [
     (["--window", "0"], "window must be at least 1"), (["--dim", "0"], "dim must be at least 1"),
     (["--initial-lr", "-1"], _LR_ERROR), (["--final-lr", "inf"], _LR_ERROR),
-    (["--negative", "-1"], "negative must be nonnegative")])
+    (["--negative", "-1"], "negative must be nonnegative"),
+    (["--method", "negative", "--negative", "0"],
+     "negative sampling needs negative of at least 1")])
 @pytest.mark.parametrize("corpus", [[], ["--walks", "walks.txt"]])
 def test_embed_refuses_training_settings_before_any_walk(pipeline, capsys, monkeypatch,
                                                          option, message, corpus):
@@ -1047,6 +1050,22 @@ def test_manifest_parameters_tell_apart_runs_that_differ_in_one_option(
     key = flag[2:].replace("-", "_")
     assert a[key] != parsed
     assert b == {**a, key: parsed}
+
+
+@pytest.mark.parametrize("argv, flag", [(_grid_argv, "--sizes"), (_quantiles_argv, "--targets")])
+def test_number_list_flag_is_checked_and_recorded_as_given(pipeline, capsys, argv, flag):
+    tmp, out = pipeline
+    kept = argv(tmp, out, "kept") + [flag, "1.5, 3"]
+    assert main(kept) == 0
+    assert _manifest(kept)["parameters"][flag[2:]] == "1.5, 3"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv(tmp, out, "refused") + [flag, "1,abc"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected comma-separated numbers, got '1,abc'" in err
+    assert "Traceback" not in err
+    assert not (tmp / "refused").exists()
 
 
 def _normalized_manifest(path, root):

@@ -22,7 +22,7 @@ from catrank.embeddings import (
 from catrank.errors import DataError
 
 from conftest import embed_graph, graph_from_edges, two_cliques_graph
-from oracles import hs_pair_grads, optimal_expected_code_length
+from oracles import hs_pair_grads, huffman_paths_by_stack, optimal_expected_code_length
 
 
 # ---------------------------------------------------------------------------
@@ -203,26 +203,26 @@ def test_walk_config_validation():
 
 def test_huffman_classic_hand_trace():
     tree = build_huffman([4, 2, 1, 1])
-    assert tree.code_lengths() == [1, 2, 3, 3]
+    assert tree.lengths.tolist() == [1, 2, 3, 3]
 
 
 def test_huffman_two_symbols():
     tree = build_huffman([1, 1])
-    assert tree.code_lengths() == [1, 1]
+    assert tree.lengths.tolist() == [1, 1]
 
 
 def test_huffman_balanced():
     tree = build_huffman([1, 1, 1, 1])
-    assert tree.code_lengths() == [2, 2, 2, 2]
+    assert tree.lengths.tolist() == [2, 2, 2, 2]
 
 
 def test_huffman_structure():
     rng = np.random.default_rng(8)
     freqs = rng.integers(1, 50, size=17).tolist()
     tree = build_huffman(freqs)
-    assert tree.n_leaves == 17
-    assert tree.n_internal == 16
-    codes = {tuple(c.tolist()) for c in tree.codes}
+    assert len(tree.lengths) == 17
+    assert len(np.unique(tree.points)) == 16
+    codes = {tuple(c[:length].tolist()) for c, length in zip(tree.codes, tree.lengths)}
     assert len(codes) == 17  # every leaf code unique
     for code in codes:  # prefix-free
         for other in codes:
@@ -236,7 +236,7 @@ def test_huffman_optimal_vs_kraft_enumeration():
         n = int(rng.integers(2, 9))
         freqs = rng.integers(1, 20, size=n).tolist()
         tree = build_huffman(freqs)
-        cost = sum(f * l for f, l in zip(freqs, tree.code_lengths()))
+        cost = sum(f * l for f, l in zip(freqs, tree.lengths.tolist()))
         assert cost == optimal_expected_code_length(freqs)
 
 
@@ -249,6 +249,25 @@ def test_huffman_deterministic_ties():
     a = build_huffman([3, 3, 3, 3, 3])
     b = build_huffman([3, 3, 3, 3, 3])
     assert [c.tolist() for c in a.codes] == [c.tolist() for c in b.codes]
+
+
+def test_huffman_rows_match_the_stack_traversal():
+    # small frequency ranges give many zeros and ties, large ones skewed trees
+    rng = np.random.default_rng(26)
+    for trial in range(200):
+        n = int(rng.integers(2, 61))
+        freqs = rng.integers(0, (3, 8, 1000)[trial % 3], size=n)
+        tree = build_huffman(freqs)
+        points, codes = huffman_paths_by_stack(freqs)
+        assert tree.lengths.tolist() == [len(p) for p in points]
+        for i, length in enumerate(tree.lengths.tolist()):
+            assert tree.points[i, :length].tolist() == points[i].tolist()
+            assert tree.codes[i, :length].tolist() == codes[i].tolist()
+        padding = np.arange(tree.points.shape[1]) >= tree.lengths[:, None]
+        assert tree.points.shape[1] == tree.lengths.max()
+        assert (tree.points[padding] == n - 2).all()
+        assert (tree.codes[padding] == 0).all()
+        assert np.array_equal(np.unique(tree.points), np.arange(n - 1))
 
 
 # ---------------------------------------------------------------------------
