@@ -16,6 +16,7 @@ search splits its work the same way at any worker count.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -31,6 +32,7 @@ from .data_model import (
     load_features,
     load_graph,
     load_votes,
+    read_json_object,
     save_features_binary,
     save_features_text,
     save_votes,
@@ -38,7 +40,7 @@ from .data_model import (
     write_json,
 )
 from .errors import DataError
-from .manifest import write_manifest
+from .manifest import file_digest, write_manifest
 
 
 class _Parser(argparse.ArgumentParser):
@@ -216,6 +218,42 @@ def _check_universe(path: str, n: int, rows: str, cats_path: str, cats: Category
                         f"n_entities = {cats.n_entities}")
 
 
+_VOTES_META_KEYS = ("votes_sha256", "categories_sha256", "search", "cheating_score")
+
+
+def _save_votes_meta(votes_path: str, cats_path: str, search: str, score: float) -> str:
+    """``<votes>.meta.json``: the cheating score of the written vote set, the
+    search that found it and the digests of the two files it depends on."""
+    path = votes_path + ".meta.json"
+    write_json(path, {"votes_sha256": file_digest(votes_path),
+                      "categories_sha256": file_digest(cats_path),
+                      "search": search, "cheating_score": score}, compact=True)
+    return path
+
+
+def _recorded_cheating_score(args, votes) -> float | None:
+    """The score ``<votes>.meta.json`` records, if its digests are those of
+    ``--votes`` and ``--categories`` and its search is the one
+    ``best_cheating_score`` runs on ``votes``; a score it used puts the
+    sidecar among the manifest's inputs (``args.votes_meta``)."""
+    path = args.votes + ".meta.json"
+    if not os.path.exists(path):
+        return None
+    meta = read_json_object(path, _VOTES_META_KEYS)
+    score = meta["cheating_score"]
+    if type(score) is not float or not 0 < score < math.inf:
+        raise DataError(f"{path}: cheating_score must be a finite positive float, "
+                        f"got {score!r}")
+    recorded = tuple(meta[key] for key in _VOTES_META_KEYS[:3])
+    if not all(isinstance(value, str) for value in recorded):
+        raise DataError(f"{path}: {', '.join(_VOTES_META_KEYS[:3])} must be strings")
+    if recorded != (file_digest(args.votes), file_digest(args.categories),
+                    evaluation.cheating_search(votes)):
+        return None
+    args.votes_meta = path
+    return score
+
+
 # ---------------------------------------------------------------------------
 # stage runners: each returns (output paths, values it computed); main writes
 # the manifest's parameters and inputs from the parsed options
@@ -230,6 +268,8 @@ def _run_ingest(args):
         fm = load_features(args.features, None, graph)
     if args.votes:
         votes = load_votes(args.votes, cats)
+        cheat, _ = evaluation.best_cheating_score(votes)
+        search = evaluation.cheating_search(votes)
     os.makedirs(args.out_dir, exist_ok=True)
     outputs = [os.path.join(args.out_dir, "graph.json")]
     graph.save(outputs[-1])
@@ -249,7 +289,10 @@ def _run_ingest(args):
     if args.votes:
         outputs.append(os.path.join(args.out_dir, "votes.csv"))
         save_votes(votes, cats, outputs[-1])
-        print(f"votes: {len(votes.qids)} questions, {votes.n_answers} answers")
+        outputs.append(_save_votes_meta(
+            outputs[-1], os.path.join(args.out_dir, "categories.json"), search, cheat))
+        print(f"votes: {len(votes.qids)} questions, {votes.n_answers} answers, "
+              f"cheating score {cheat:g} ({search})")
     return outputs, {}
 
 
@@ -375,7 +418,8 @@ def _run_evaluate(args):
     cats = CategoryIndex.load(args.categories)
     votes = load_votes(args.votes, cats)
     order = report.read_ranking_csv(args.ranking, cats).ordered_categories
-    rep = evaluation.evaluate(votes, order)
+    rep = evaluation.evaluate(votes, order,
+                              cheating_score=_recorded_cheating_score(args, votes))
     write_json(args.out, rep.to_dict())
     print(f"rough accuracy:    {rep.rough_accuracy:.4f}")
     print(f"improved accuracy: {rep.improved_accuracy:.4f} "
@@ -439,9 +483,10 @@ _RUNNERS = {
 }
 
 
-# options naming a file a stage reads: the manifest digests them as inputs
+# options naming a file a stage reads, and the votes sidecar evaluate read its
+# cheating score from: the manifest digests them as inputs
 _INPUT_OPTIONS = {"graph", "walks", "categories", "features", "votes", "neighbors",
-                  "ranking", "subset"}
+                  "ranking", "subset", "votes_meta"}
 # parsed values that are not parameters: the subcommand names, output paths,
 # the seed (its own manifest field), the config file (resolved into the other
 # options) and the worker count (no output depends on it)

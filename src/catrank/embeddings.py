@@ -7,7 +7,8 @@ entity frequencies (or, optionally, negative sampling). Every
 context entity's tree path; the learning rate decays linearly over the
 total number of trained pairs, in the order the pairs are trained. The tree
 is one set of padded (entities x longest path) arrays, ``HuffmanTree``, which
-the trainer and ``hs_pair_loss`` both read.
+the trainer and ``hs_pair_loss`` both read. Negative sampling builds no tree,
+and its model holds no node vectors.
 
 Update order: walks train in consecutive groups of ``_GROUP``, in corpus
 order. Step j of a group updates pair j of every walk in it at once, from
@@ -177,11 +178,12 @@ def hs_pair_loss(vectors: np.ndarray, node_vecs: np.ndarray, tree: HuffmanTree,
 
 @dataclass
 class SkipGramModel:
-    """What training learned; ``catrank embed`` records the settings itself."""
+    """What training learned; ``catrank embed`` records the settings itself.
+    A negative-sampling model has no tree and no node vectors (``None``)."""
 
     input_vectors: np.ndarray
-    node_vectors: np.ndarray
-    tree: HuffmanTree
+    node_vectors: np.ndarray | None
+    tree: HuffmanTree | None
 
 
 def _make_noise_cdf(freqs: np.ndarray) -> np.ndarray:
@@ -303,13 +305,13 @@ def train_skipgram(walks: list[np.ndarray], n_entities: int, *, dim: int = 128,
     freqs = np.bincount(np.concatenate(walks), minlength=n_entities)
     if method == "negative" and np.count_nonzero(freqs) < 2:
         raise ValueError("negative sampling needs at least 2 distinct entities in the walks")
-    tree = build_huffman(freqs)
 
     rng = np.random.default_rng([seed, _INIT_SALT])
     vectors = (rng.random((n_entities, dim)) - 0.5) / dim
-    node_vecs = np.zeros((n_entities - 1, dim))
+    tree = node_vecs = None
     if method == "hs":
-        out_vecs = node_vecs
+        tree = build_huffman(freqs)
+        out_vecs = node_vecs = np.zeros((n_entities - 1, dim))
         path_mask = np.arange(tree.points.shape[1]) < tree.lengths[:, None]
         path_labels = (tree.codes == 0) & path_mask  # masked padding errors stay +0.0
     else:

@@ -7,7 +7,14 @@ divides by the best "cheating" score: the most points any single total
 ordering of the vote categories could earn, which caps what a ranking can
 achieve when answers conflict. The vote set alone decides how it is found:
 exactly, by a subset DP, for up to 18 vote categories, and by a heuristic
-above that.
+above that; ``cheating_search`` names the search a vote set gets.
+
+The score depends on the votes alone, so ``catrank ingest`` computes it
+once per vote set and records it in ``votes.csv.meta.json`` beside the
+digests of the ``votes.csv`` and ``categories.json`` it wrote and the
+search's name. ``catrank evaluate`` passes the recorded score to
+``evaluate`` only while both digests and the search still match, and
+computes it otherwise.
 
 Categories missing from a ranking fall back to positions after every
 ranked category, mutually ordered by category index; evaluation therefore
@@ -245,6 +252,13 @@ def _climb_reinsertions(weights: np.ndarray, order: Sequence[int]) -> list[int]:
     return order.tolist()
 
 
+def cheating_search(votes: VoteDataset) -> str:
+    """The name of the search ``best_cheating_score`` runs on ``votes``: the
+    subset DP up to ``_EXACT_HARD_CAP`` distinct categories, the climb above."""
+    exact = len(np.unique(votes.choices)) <= _EXACT_HARD_CAP
+    return "subset_dp" if exact else "reinsertion_climb"
+
+
 def best_cheating_score(votes: VoteDataset) -> tuple[float, list[int]]:
     """Maximum points any total ordering of the vote categories can earn.
 
@@ -253,7 +267,7 @@ def best_cheating_score(votes: VoteDataset) -> tuple[float, list[int]]:
     general).
     """
     pref = build_preference_graph(votes)
-    if len(pref.categories) <= _EXACT_HARD_CAP:
+    if cheating_search(votes) == "subset_dp":
         score, local_order = _exact_best_ordering(pref.weights)
     else:
         score, local_order = _heuristic_best_ordering(pref.weights)
@@ -283,14 +297,15 @@ def evaluate(votes: VoteDataset, order: Sequence[int],
     """Score an ordered category list against a vote dataset.
 
     ``cheating_score`` accepts a precomputed value so callers evaluating
-    many rankings against the same votes pay for it once.
+    many rankings against the same votes pay for it once; it must be finite
+    and positive.
     """
     total, rank_counts, fallback = _score_votes(votes, order)
     cheat = cheating_score
     if cheat is None:
         cheat, _ = best_cheating_score(votes)
-    if cheat <= 0:
-        raise ValueError("cheating score is zero; cannot normalize")
+    if not 0 < cheat < np.inf:
+        raise ValueError(f"cheating score must be finite and positive, got {cheat!r}")
     acc = total / cheat
     if acc > 1.0 + 1e-12:
         logger.warning(

@@ -12,7 +12,15 @@ import pytest
 import catrank
 from catrank import coherence, embeddings
 from catrank.cli import main
-from catrank.data_model import FeatureMatrix, load_features, save_features_text
+from catrank.data_model import (
+    CategoryIndex,
+    FeatureMatrix,
+    load_features,
+    load_votes,
+    save_features_text,
+)
+from catrank.evaluation import best_cheating_score
+from catrank.manifest import file_digest
 from catrank.neighbors import (
     NeighborSet,
     calibrate_thresholds,
@@ -77,7 +85,8 @@ def pipeline(tmp_path):
 
 def test_ingest_outputs_and_manifest(pipeline):
     _, out = pipeline
-    for name in ("graph.json", "categories.json", "votes.csv", "manifest.json"):
+    for name in ("graph.json", "categories.json", "votes.csv", "votes.csv.meta.json",
+                 "manifest.json"):
         assert (out / name).exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "ingest"
@@ -1153,7 +1162,7 @@ def test_manifest_inputs_are_the_input_options_given(pipeline):
           "--metrics", "l2", "--strategies", "count", "--sizes", "3", "--criteria", "surprise",
           "--out-dir", str(tmp / "grid_votes")], [feats, cats, votes]),
         (["evaluate", "--ranking", ranking, "--votes", votes, "--categories", cats,
-          "--out", str(tmp / "eval.json")], [ranking, votes, cats]),
+          "--out", str(tmp / "eval.json")], [ranking, votes, cats, votes + ".meta.json"]),
         (["report", "stats", "--categories", cats, "--out", str(tmp / "stats.txt")], [cats]),
         (["report", "stats", "--categories", cats, "--graph", graph, "--subset", str(subset),
           "--out", str(tmp / "stats_subset.txt")], [cats, graph, str(subset)]),
@@ -1169,3 +1178,127 @@ def test_manifest_inputs_are_the_input_options_given(pipeline):
         assert not {"out", "out_dir", "text", "seed", "workers", "config"} \
             & set(manifest["parameters"]), argv
         assert not {f[2:] for f in _INPUT_FLAGS} & set(manifest["parameters"]), argv
+
+
+# ---------------------------------------------------------------------------
+# the cheating score ingest records beside votes.csv
+
+
+def write_vote_set(root, n_cats, seed):
+    """A ring of 2 * n_cats entities, categories c00, c01, ... of two members
+    each, and 40 three-choice questions drawn from ``seed``, three answers
+    each. ``cats_reversed.tsv`` lists the same assignments bottom up, so
+    ingest numbers the categories the other way round."""
+    rng = np.random.default_rng(seed)
+    n = 2 * n_cats
+    (root / "edges.tsv").write_text("".join(f"e{i}\te{(i + 1) % n}\n" for i in range(n)),
+                                    encoding="utf-8")
+    lines = [f"e{e}\tc{e // 2:02d}\n" for e in range(n)]
+    (root / "cats.tsv").write_text("".join(lines), encoding="utf-8")
+    (root / "cats_reversed.tsv").write_text("".join(lines[::-1]), encoding="utf-8")
+    rows = ["question_id,choice_1,choice_2,choice_3,voted_index\n"]
+    for q in range(40):
+        names = ",".join(f"c{c:02d}" for c in rng.choice(n_cats, size=3, replace=False))
+        rows += [f"q{q},{names},{int(rng.integers(1, 4))}\n" for _ in range(3)]
+    (root / "votes.csv").write_text("".join(rows), encoding="utf-8")
+    (root / "ranking.csv").write_text(
+        "rank,category,criterion_value,conductance,log_surprise,n_members,n_observers_used\n"
+        + "".join(f"{r + 1},c{c:02d},0.0,0.0,0.0,2,0\n"
+                  for r, c in enumerate(rng.permutation(n_cats))), encoding="utf-8")
+
+
+def _ingest_vote_set(root, cats="cats.tsv", out="work"):
+    assert main(["ingest", "--graph", str(root / "edges.tsv"), "--categories", str(root / cats),
+                 "--votes", str(root / "votes.csv"), "--out-dir", str(root / out)]) == 0
+    return root / out
+
+
+def _evaluate(root, votes, cats, out):
+    assert main(["evaluate", "--ranking", str(root / "ranking.csv"), "--votes", str(votes),
+                 "--categories", str(cats), "--out", str(root / out)]) == 0
+    return root / out
+
+
+@pytest.mark.parametrize("n_cats, search", [(12, "subset_dp"), (24, "reinsertion_climb")])
+def test_ingest_records_the_cheating_score_bit_for_bit(tmp_path, n_cats, search):
+    write_vote_set(tmp_path, n_cats, seed=5)
+    out = _ingest_vote_set(tmp_path)
+    votes, cats, meta = out / "votes.csv", out / "categories.json", out / "votes.csv.meta.json"
+    recorded = json.loads(meta.read_text(encoding="utf-8"))
+    score, _ = best_cheating_score(load_votes(str(votes), CategoryIndex.load(str(cats))))
+    assert recorded == {"votes_sha256": file_digest(str(votes)),
+                        "categories_sha256": file_digest(str(cats)),
+                        "search": search, "cheating_score": score}
+    assert recorded["cheating_score"].hex() == score.hex()
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["outputs"][str(meta)] == file_digest(str(meta))
+
+
+@pytest.mark.parametrize("case", ["as ingested", "votes edited", "other categories",
+                                  "other search"])
+def test_evaluation_is_the_same_with_or_without_the_sidecar(tmp_path, case):
+    write_vote_set(tmp_path, 24, seed=5)
+    out = _ingest_vote_set(tmp_path)
+    votes, cats, meta = out / "votes.csv", out / "categories.json", out / "votes.csv.meta.json"
+    recorded = json.loads(meta.read_text(encoding="utf-8"))
+    if case == "votes edited":
+        votes.write_text("".join(votes.read_text(encoding="utf-8").splitlines(True)[:-9]),
+                         encoding="utf-8")
+    elif case == "other categories":
+        # the climb's score follows category ids, and this file numbers them backwards
+        cats = _ingest_vote_set(tmp_path, "cats_reversed.tsv", "reversed") / "categories.json"
+    elif case == "other search":
+        recorded = {**recorded, "search": "iterated_local_search", "cheating_score": 1.0}
+        meta.write_text(json.dumps(recorded), encoding="utf-8")
+    with_meta = _evaluate(tmp_path, votes, cats, "with.json")
+    inputs = json.loads((tmp_path / "with.json.manifest.json").read_text())["inputs"]
+    used = case == "as ingested"
+    assert inputs.get(str(meta)) == (file_digest(str(meta)) if used else None)
+    meta.unlink()
+    without = _evaluate(tmp_path, votes, cats, "without.json")
+    assert with_meta.read_bytes() == without.read_bytes()
+    # a sidecar read where it should not be would have changed the score
+    score = json.loads(without.read_text(encoding="utf-8"))["cheating_score"]
+    assert (score == recorded["cheating_score"]) is used
+
+
+def test_evaluate_takes_the_score_of_a_matching_sidecar(tmp_path):
+    write_vote_set(tmp_path, 12, seed=5)
+    out = _ingest_vote_set(tmp_path)
+    meta = out / "votes.csv.meta.json"
+    recorded = json.loads(meta.read_text(encoding="utf-8"))
+    meta.write_text(json.dumps({**recorded, "cheating_score": 1000.0}), encoding="utf-8")
+    path = _evaluate(tmp_path, out / "votes.csv", out / "categories.json", "eval.json")
+    rep = json.loads(path.read_text(encoding="utf-8"))
+    assert rep["cheating_score"] == 1000.0
+    assert rep["improved_accuracy"] == rep["total_points"] / 1000.0
+
+
+# each turns the sidecar ingest wrote into one that is not a valid sidecar
+_MALFORMED = {
+    "invalid JSON": lambda meta: "{",
+    "not an object": lambda meta: "[]",
+    "missing key": lambda meta: json.dumps({k: v for k, v in meta.items() if k != "search"}),
+    "bool score": lambda meta: json.dumps({**meta, "cheating_score": True}),
+    "string score": lambda meta: json.dumps({**meta, "cheating_score": "190.0"}),
+    "NaN score": lambda meta: json.dumps({**meta, "cheating_score": math.nan}),
+    "Infinity score": lambda meta: json.dumps({**meta, "cheating_score": math.inf}),
+    "zero score": lambda meta: json.dumps({**meta, "cheating_score": 0.0}),
+    "digest not a string": lambda meta: json.dumps({**meta, "votes_sha256": 5}),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_malformed_votes_sidecar_is_a_data_error(tmp_path, capsys, case):
+    write_vote_set(tmp_path, 12, seed=5)
+    out = _ingest_vote_set(tmp_path)
+    meta = out / "votes.csv.meta.json"
+    meta.write_text(_MALFORMED[case](json.loads(meta.read_text(encoding="utf-8"))),
+                    encoding="utf-8")
+    capsys.readouterr()
+    assert main(["evaluate", "--ranking", str(tmp_path / "ranking.csv"),
+                 "--votes", str(out / "votes.csv"), "--categories", str(out / "categories.json"),
+                 "--out", str(tmp_path / "eval.json")]) == 2
+    err = capsys.readouterr().err
+    assert "votes.csv.meta.json" in err and "Traceback" not in err
+    assert not (tmp_path / "eval.json").exists()

@@ -507,6 +507,16 @@ def test_two_cliques_separate_negative_sampling():
     assert cliques_separate("negative")
 
 
+def test_negative_sampling_model_has_no_tree_or_node_vectors():
+    # an untrained all-zero node matrix would give hs_pair_loss a loss to compute
+    graph = two_cliques_graph(5)
+    walks = generate_walks(graph, WalkConfig(walks_per_vertex=3, walk_length=10, seed=19))
+    model = train_skipgram(walks, graph.n_entities, dim=8, window=2, seed=19,
+                           method="negative", negative=3)
+    assert model.tree is None and model.node_vectors is None
+    assert np.isfinite(model.input_vectors).all()
+
+
 def test_negative_sampling_variant_trains():
     graph = two_cliques_graph(5)
     cfg = WalkConfig(walks_per_vertex=3, walk_length=10, window=2, seed=19)

@@ -444,6 +444,21 @@ def test_evaluate_counts_fallback_answers():
     assert rep.unranked_fallback_count == 1
 
 
+@pytest.mark.parametrize("cheat", [math.nan, math.inf, 0.0, -2.0])
+def test_evaluate_refuses_a_cheating_score_not_finite_and_positive(cheat):
+    # a given score can come from a file; NaN would reach the report as JSON NaN
+    votes = make_votes([[0, 1, 2]], [(0, 0)] * 3)
+    with pytest.raises(ValueError, match="finite and positive"):
+        evaluate(votes, [0, 1, 2], cheating_score=cheat)
+
+
+@pytest.mark.parametrize("k, search", [(18, "subset_dp"), (19, "reinsertion_climb")])
+def test_cheating_search_names_the_search_the_hard_cap_picks(k, search):
+    votes = uniform_votes(np.random.default_rng(k),
+                          [[i, (i + 1) % k, (i + 3) % k] for i in range(k)], 3)
+    assert evaluation.cheating_search(votes) == search
+
+
 # ---------------------------------------------------------------------------
 # co-prob
 
