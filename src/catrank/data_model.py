@@ -25,7 +25,7 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -39,6 +39,9 @@ DISTRIBUTION_SUM_TOLERANCE = 1e-3
 # Rows already normalized this tightly are left untouched so that
 # save/load round trips are bit-identical.
 _RENORMALIZE_GATE = 1e-12
+# Vote records checked per array pass: only this many hold their cells as
+# text at once.
+_VOTE_CHUNK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +642,52 @@ class VoteDataset:
 
 
 def load_votes(path: str, cats: CategoryIndex) -> VoteDataset:
-    """Ingest the vote CSV; choice columns carry category names."""
+    """Ingest the vote CSV; choice columns carry category names. The records
+    are read once and checked in array passes; a file that fails any of them
+    is read again and checked one record at a time, which reports its first
+    bad line, or loads it where the record checks accept a cell the array
+    checks do not (a voted index written ``+2``, a name with spaces around)."""
+    votes = _votes_as_arrays(path, cats)
+    return votes if votes is not None else _votes_by_record(path, cats)
+
+
+def _votes_as_arrays(path: str, cats: CategoryIndex) -> VoteDataset | None:
+    """The votes of the CSV, or None unless it reads without error, every
+    voted index is written 1 to m, every choice is a category's exact name,
+    no record repeats a choice and each question keeps the choices of its
+    first record."""
+    number: dict[str, int] = {}
+    parts = []
+    try:
+        records = csv_records(path, "vote file")
+        m = len(next(records)) - 2
+        if m < 2:
+            return None
+        positions = {str(i + 1): i for i in range(m)}
+        while rows := [row for _, row in islice(records, _VOTE_CHUNK)]:
+            parts.append((
+                np.fromiter((number.setdefault(row[0].strip(), len(number)) for row in rows),
+                            np.int64, len(rows)),
+                _codes(list(chain.from_iterable(row[1:-1] for row in rows)),
+                       cats.index).reshape(-1, m),
+                _codes([row[-1] for row in rows], positions)))
+    except (DataError, KeyError):
+        return None
+    if not parts:
+        return None
+    question, choices, voted = (np.concatenate(part) for part in zip(*parts))
+    ordered = np.sort(choices, axis=1)
+    if (ordered[:, 1:] == ordered[:, :-1]).any():
+        return None
+    first = np.unique(question, return_index=True)[1]  # each question's first record
+    if (choices != choices[first][question]).any():
+        return None
+    return VoteDataset(qids=list(number), choices=choices[first], question=question, voted=voted)
+
+
+def _votes_by_record(path: str, cats: CategoryIndex) -> VoteDataset:
+    """The vote CSV checked one record at a time: DataError at the first bad
+    line, in file order."""
     choice_lists: list[list[int]] = []
     by_id: dict[str, int] = {}
     answers: list[tuple[int, int]] = []

@@ -17,7 +17,6 @@ import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,13 +44,56 @@ _SAMPLE_BATCH_ELEMENTS = 4_000_000
 # whole file at once.
 _TEXT_BLOCK_CHARS = 2**20
 
+# The neighbor-list grammar, checked over the bytes of a block that are not
+# digits: each such byte has a class, and each class may follow only the
+# classes listed here, with digits right before it ("1"), without ("0") or
+# either ("*"). A sign right after an exponent is the exponent's own sign.
+_TAB, _LF, _COLON, _COMMA, _DOT, _EXP, _SIGN, _EXP_SIGN, _INF, _OTHER = range(10)
+_FOLLOWS = {
+    _LF: {_LF: "0", _TAB: "1"},  # a blank line, or the entity of a row
+    _TAB: {_LF: "0", _COLON: "1"},  # an empty list, or the first id
+    _COMMA: {_COLON: "1"},
+    _COLON: {_SIGN: "0", _INF: "0", _DOT: "*", _EXP: "1", _COMMA: "1", _LF: "1"},
+    _SIGN: {_DOT: "*", _EXP: "1", _COMMA: "1", _LF: "1"},
+    _DOT: {_EXP: "*", _COMMA: "*", _LF: "*"},  # with a digit on at least one side
+    _EXP: {_EXP_SIGN: "0", _COMMA: "1", _LF: "1"},
+    _EXP_SIGN: {_COMMA: "1", _LF: "1"},
+    _INF: {_COMMA: "0", _LF: "0"},
+}
+_ALLOWED = np.zeros((_OTHER + 1, _OTHER + 1, 2), dtype=bool)
+for _prev, _follows in _FOLLOWS.items():
+    for _cls, _digits in _follows.items():
+        _ALLOWED[_prev, _cls] = (_digits != "1", _digits != "0")
+_CLASS = np.full(256, _OTHER, dtype=np.int8)
+for _chars, _cls in (("\t", _TAB), ("\n", _LF), (":", _COLON), (",", _COMMA), (".", _DOT),
+                     ("eE", _EXP), ("+-", _SIGN)):
+    _CLASS[list(_chars.encode())] = _cls
+# ':inf' is checked as ':' and this byte, which UTF-8 text never holds
+_INF_BYTE = 0xFF
+_CLASS[_INF_BYTE] = _INF
+_POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)
+# the most digits whose value int64 always holds
+_INT64_DIGITS = 18
 
-@dataclass
+
 class NeighborSet(CSR):
     """Directed close-neighbor lists: rows of neighbor ids, each with the
-    distance at the same position of ``distances``."""
+    distance at the same position of ``distances``. A loaded set keeps its
+    distances as its checked text until they are first read: coherence
+    scores read only the ids."""
 
-    distances: np.ndarray
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, distances: np.ndarray):
+        super().__init__(indptr=indptr, indices=indices)
+        self._distances = distances
+        self._text: list[str] | None = None  # a loaded set's blocks, until converted
+
+    @property
+    def distances(self) -> np.ndarray:
+        # threads that race here each convert the same text to equal arrays
+        if (text := self._text) is not None:
+            self._distances = _convert_distances(text)
+            self._text = None
+        return self._distances
 
     @property
     def n(self) -> int:
@@ -76,12 +118,12 @@ class NeighborSet(CSR):
 
     @classmethod
     def load(cls, path: str) -> "NeighborSet":
-        """Rows in the grammar ``_parse_rows`` takes. A ``<path>.meta.json``
+        """Rows in the grammar ``_parse_block`` checks. A ``<path>.meta.json``
         sidecar, where present, must agree on ``n``; other keys are ignored."""
         meta = {}
         if os.path.exists(path + ".meta.json"):
             meta = read_json_object(path + ".meta.json")
-        degrees, ids, distances, linenos = _parse(path)
+        degrees, ids, texts, linenos = _parse(path)
         n = len(degrees)
         if "n" in meta and (type(meta["n"]) is not int or meta["n"] != n):
             raise DataError(f"{path}: {n} rows, but {path}.meta.json says n = {meta['n']!r}")
@@ -101,75 +143,106 @@ class NeighborSet(CSR):
             why = (f"outside [0, {n})" if ids[at] >= n else
                    "is the entity itself" if ids[at] == owner[at] else "is repeated")
             raise DataError(f"{path}:{linenos[owner[at]]}: neighbor index {ids[at]:.0f} {why}")
-        return cls(indptr=indptr, indices=indices, distances=distances)
+        nbrs = cls(indptr=indptr, indices=indices, distances=None)
+        nbrs._text = texts
+        return nbrs
+
+
+def _convert_distances(blocks: list[str]) -> np.ndarray:
+    """The distances of the checked blocks of lines ``_parse`` keeps: each
+    block's cells, ids and distances alike, go through one ``np.loadtxt``
+    call, which rounds every token correctly."""
+    values = [np.zeros(0)]
+    for text in blocks:
+        cells = ",".join(filter(None, (line.partition("\t")[2] for line in text.split("\n"))))
+        if cells:  # loadtxt warns on text without data
+            values.append(np.loadtxt([cells.replace(":", ",")], delimiter=",",
+                                     dtype=np.float64, ndmin=1)[1::2])
+    return np.concatenate(values)
 
 
 def _parse(path: str):
-    """Out-degrees, neighbor ids (as float64), distances and the line number
-    of each row of a neighbor list, in the format ``_parse_rows`` takes;
-    blank lines are skipped. Read in blocks of whole lines of about
-    ``_TEXT_BLOCK_CHARS`` characters, each parsed by one ``_parse_rows``
-    call. A block that fails is parsed again line by line, and its first bad
-    line raises DataError."""
+    """Out-degrees, neighbor ids (as float64), the text of each block and
+    the line number of each row of a neighbor list, in the grammar
+    ``_parse_block`` checks; blank lines are skipped. Read in blocks of
+    whole lines of about ``_TEXT_BLOCK_CHARS`` characters, each checked by
+    one ``_parse_block`` call. A block that fails is checked again line by
+    line, and its first bad line raises DataError."""
     degrees = [np.zeros(0, dtype=np.int64)]
-    values = [np.zeros(0)]
-    linenos: list[int] = []
-    lineno = 0
+    ids = [np.zeros(0)]
+    texts = []
+    linenos = [np.zeros(0, dtype=np.int64)]
+    lines_before = rows_before = 0
     with open_text(path) as f:
         while lines := f.readlines(_TEXT_BLOCK_CHARS):
-            first = len(linenos)
-            rows = []
-            for raw in lines:
-                lineno += 1
-                if line := raw.rstrip("\n"):
-                    rows.append(line)
-                    linenos.append(lineno)
-            block = _parse_rows(rows, first)
+            text = "".join(lines)
+            block = _parse_block(text if text[-1] == "\n" else text + "\n", rows_before)
             if block is None:
-                for v, row in enumerate(rows, first):
-                    if _parse_rows([row], v) is None:
-                        raise DataError(f"{path}:{linenos[v]}: expected row {v} as "
+                v = rows_before
+                for lineno, line in enumerate(lines, lines_before + 1):
+                    if (row := _parse_block(line.rstrip("\n") + "\n", v)) is None:
+                        raise DataError(f"{path}:{lineno}: expected row {v} as "
                                         f"'{v}<TAB>id:distance,...'")
+                    v += len(row[0])
             degrees.append(block[0])
-            values.append(block[1])
-    values = np.concatenate(values)
-    return np.concatenate(degrees), values[0::2], values[1::2].copy(), linenos
+            ids.append(block[1])
+            texts.append(text)
+            linenos.append(lines_before + 1 + block[2])
+            lines_before += len(lines)
+            rows_before += len(block[0])
+    return np.concatenate(degrees), np.concatenate(ids), texts, np.concatenate(linenos)
 
 
-def _parse_rows(rows: list[str], first: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Out-degrees and the id, distance, id, distance, ... values of
-    ``rows``, numbered from ``first``; None unless each row is its number, a
-    TAB and comma-separated ``id:distance`` cells, each id digits only and
-    each distance a whole float token over 0-9 . e E + -, or inf."""
-    rests = []
-    for v, row in enumerate(rows, first):
-        ent, tab, rest = row.partition("\t")
-        if not tab or ent != str(v):
-            return None
-        rests.append(rest)
-    degrees = np.array([rest.count(":") for rest in rests], dtype=np.int64)
-    n_cells = int(degrees.sum())
-    cells = ",".join(filter(None, rests)).encode()
+def _parse_block(text: str, first: int):
+    """Out-degrees, neighbor ids (as float64) and the line of each row,
+    counted from 0, of lines ``text`` that each end in LF, their rows
+    numbered from ``first``; None unless each line is blank or its row's
+    number in plain decimal, a TAB and comma-separated ``id:distance``
+    cells, each id digits only and each distance a float token over
+    0-9 . e E + -, or inf.
+
+    One pass over the bytes: the classes of those that are not digits, with
+    the count of digits right before each, must follow ``_FOLLOWS``; then
+    the digit runs give the entities and ids."""
+    raw = text.encode()
     # inf, right after its ':', is the one token with letters; most blocks
     # have none, and a memchr for 'i' is cheaper than the search
-    text = cells.replace(b":inf", b":") if b"i" in cells else cells
-    if text.translate(None, b"0123456789.eE+-,:"):
+    if b"i" in raw:
+        raw = raw.replace(b":inf", b":" + bytes([_INF_BYTE]))
+    a = np.frombuffer(raw, dtype=np.uint8)
+    at = np.flatnonzero(a - np.uint8(48) > 9)
+    cls = _CLASS[a[at]]
+    digits = np.diff(at, prepend=-1) - 1
+    cls[1:][(cls[1:] == _SIGN) & (cls[:-1] == _EXP) & (digits[1:] == 0)] = _EXP_SIGN
+    some = digits > 0
+    prev = np.concatenate(([_LF], cls[:-1]))
+    if not _ALLOWED[prev, cls, some.view(np.int8)].all():
         return None
-    # With the digits gone, the separators must alternate ':' ',' (one ':'
-    # per cell, no cell list that is only ','), and every ':' must follow a
-    # ',' or the start, so that each id is digits only.
-    skeleton = text.translate(None, b"0123456789")
-    if (skeleton.translate(None, b".eE+-") != (b":," * n_cells)[:-1]
-            or skeleton.count(b",:") + skeleton.startswith(b":") != n_cells):
+    if ((cls[:-1] == _DOT) & ~some[:-1] & ~some[1:]).any():
         return None
-    if not cells:  # loadtxt warns on text without data
-        return degrees, np.zeros(0)
-    try:
-        values = np.loadtxt([cells.replace(b":", b",").decode()], delimiter=",",
-                            dtype=np.float64, ndmin=1)
-    except ValueError:  # a token that is not a whole number
+    tabs = np.flatnonzero(cls == _TAB)
+    rows = np.arange(first, first + len(tabs))
+    width = np.maximum(1, np.searchsorted(_POWERS_OF_TEN, rows, side="right"))
+    if (digits[tabs] != width).any() or (_run_values(a, at[tabs], width) != rows).any():
         return None
-    return (degrees, values) if len(values) == 2 * n_cells else None
+    colons = np.flatnonzero(cls == _COLON)
+    ends, lengths = at[colons], digits[colons]
+    ids = _run_values(a, ends, np.minimum(lengths, _INT64_DIGITS)).astype(np.float64)
+    for i in np.flatnonzero(lengths > _INT64_DIGITS).tolist():
+        ids[i] = float(raw[ends[i] - lengths[i]:ends[i]])
+    degrees = np.diff(np.searchsorted(colons, tabs), append=len(colons))
+    lines = np.searchsorted(np.flatnonzero(cls == _LF), tabs)
+    return degrees, ids, lines
+
+
+def _run_values(a: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The int64 values of the decimal digit runs of bytes ``a`` that end
+    before positions ``ends`` and are ``lengths`` (at most 18) long."""
+    values = np.zeros(len(ends), dtype=np.int64)
+    for back in range(int(lengths.max(initial=0)), 0, -1):
+        digit = a[np.maximum(ends - back, 0)] - np.uint8(48)
+        values = values * 10 + np.where(lengths >= back, digit, 0)
+    return values
 
 
 def _query_chunks(n: int, rows: int):

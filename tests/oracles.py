@@ -17,8 +17,9 @@ from scipy.sparse.csgraph import connected_components
 
 from catrank import metrics
 from catrank.coherence import CategoryScore, score_categories
-from catrank.data_model import CSR, CategoryIndex, VoteDataset
+from catrank.data_model import CSR, CategoryIndex, VoteDataset, csv_records
 from catrank.embeddings import HuffmanTree, _expit
+from catrank.errors import DataError
 
 
 def exact_binomial_tail(c: int, g: int, p: Fraction) -> Fraction:
@@ -120,6 +121,76 @@ def parse_neighbor_list(text: str):
         if any(i >= len(rows) or i == v for i in ids) or len(set(ids)) < len(ids):
             return linenos[v]
     return rows
+
+
+def parse_rows(rows: list[str], first: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Out-degrees and the id, distance, id, distance, ... values of
+    ``rows``, numbered from ``first``; None unless each row is its number, a
+    TAB and comma-separated ``id:distance`` cells, each id digits only and
+    each distance a whole float token over 0-9 . e E + -, or inf."""
+    rests = []
+    for v, row in enumerate(rows, first):
+        ent, tab, rest = row.partition("\t")
+        if not tab or ent != str(v):
+            return None
+        rests.append(rest)
+    degrees = np.array([rest.count(":") for rest in rests], dtype=np.int64)
+    n_cells = int(degrees.sum())
+    cells = ",".join(filter(None, rests)).encode()
+    # inf, right after its ':', is the one token with letters; most blocks
+    # have none, and a memchr for 'i' is cheaper than the search
+    text = cells.replace(b":inf", b":") if b"i" in cells else cells
+    if text.translate(None, b"0123456789.eE+-,:"):
+        return None
+    # With the digits gone, the separators must alternate ':' ',' (one ':'
+    # per cell, no cell list that is only ','), and every ':' must follow a
+    # ',' or the start, so that each id is digits only.
+    skeleton = text.translate(None, b"0123456789")
+    if (skeleton.translate(None, b".eE+-") != (b":," * n_cells)[:-1]
+            or skeleton.count(b",:") + skeleton.startswith(b":") != n_cells):
+        return None
+    if not cells:  # loadtxt warns on text without data
+        return degrees, np.zeros(0)
+    try:
+        values = np.loadtxt([cells.replace(b":", b",").decode()], delimiter=",",
+                            dtype=np.float64, ndmin=1)
+    except ValueError:  # a token that is not a whole number
+        return None
+    return (degrees, values) if len(values) == 2 * n_cells else None
+
+
+def load_votes_by_row(path: str, cats: CategoryIndex) -> VoteDataset:
+    """Ingest the vote CSV; choice columns carry category names."""
+    choice_lists: list[list[int]] = []
+    by_id: dict[str, int] = {}
+    answers: list[tuple[int, int]] = []
+    records = csv_records(path, "vote file")
+    m = len(next(records)) - 2
+    if m < 2:
+        raise DataError(f"{path}: header must carry at least 2 choice columns")
+    for lineno, row in records:
+        qid = row[0].strip()
+        try:
+            voted = int(row[-1])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: voted index is not an integer") from None
+        if not 1 <= voted <= m:
+            raise DataError(f"{path}:{lineno}: voted index {voted} outside [1, {m}]")
+        try:
+            choices = [cats.index[c.strip()] for c in row[1:-1]]
+        except KeyError as e:
+            raise DataError(f"{path}:{lineno}: unknown category {e.args[0]!r}") from None
+        if len(set(choices)) != m:
+            raise DataError(f"{path}:{lineno}: duplicate categories in choices")
+        qi = by_id.setdefault(qid, len(by_id))
+        if qi == len(choice_lists):
+            choice_lists.append(choices)
+        elif choice_lists[qi] != choices:
+            raise DataError(f"{path}:{lineno}: question {qid!r} repeats with different choices")
+        answers.append((qi, voted - 1))
+    if not answers:
+        raise DataError(f"{path}: no answers")
+    return VoteDataset.from_lists(list(by_id), choice_lists, answers)
 
 
 def _tsv_pairs(path: str):

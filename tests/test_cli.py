@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import catrank
-from catrank import coherence, embeddings
+from catrank import coherence, embeddings, neighbors
 from catrank.cli import main
 from catrank.data_model import (
+    CRITERIA,
     CategoryIndex,
     FeatureMatrix,
     load_features,
@@ -750,6 +751,44 @@ def write_clique_neighbors(path, n=12):
         lines.append(f"{v}\t{cells}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def _scoring_stages(nb, cats, out):
+    """coherence, then rank by each criterion, on one neighbor list."""
+    inputs = ["--neighbors", nb, "--categories", cats]
+    return [["coherence", *inputs, "--out", f"{out}/scores.csv"]] + [
+        ["rank", *inputs, "--criterion", criterion, "--out", f"{out}/ranking_{criterion}.csv"]
+        for criterion in CRITERIA]
+
+
+def test_coherence_and_rank_never_convert_distances(pipeline, monkeypatch, capsys):
+    tmp, work = pipeline
+    nb = write_clique_neighbors(tmp / "nb.tsv")
+    cats = str(work / "categories.json")
+    (tmp / "read").mkdir()
+    (tmp / "unread").mkdir()
+    for argv in _scoring_stages(str(nb), cats, tmp / "read"):
+        assert main(argv) == 0
+
+    def refuse(blocks):
+        raise AssertionError("distances converted")
+
+    monkeypatch.setattr(neighbors, "_convert_distances", refuse)
+    for argv in _scoring_stages(str(nb), cats, tmp / "unread"):
+        assert main(argv) == 0
+    for name in ["scores.csv"] + [f"ranking_{c}.csv" for c in CRITERIA]:
+        assert (tmp / "unread" / name).read_bytes() == (tmp / "read" / name).read_bytes()
+    # a distance no stage reads is still checked against the grammar
+    lines = nb.read_text(encoding="utf-8").splitlines(keepends=True)
+    for token in ("1.2.3", "1e", ".", "--1", "e5"):
+        bad = tmp / "nb_bad.tsv"
+        bad.write_text("".join(lines[:4] + [lines[4].replace(":2.0,", f":{token},")]
+                               + lines[5:]), encoding="utf-8")
+        assert f":{token}," in bad.read_text(encoding="utf-8")
+        capsys.readouterr()
+        for argv in _scoring_stages(str(bad), cats, tmp / "unread"):
+            assert main(argv) == 2
+            assert f"{bad}:5: expected row 4 as" in capsys.readouterr().err
 
 
 def test_report_top_on_conductance_ranking(pipeline):

@@ -1,9 +1,13 @@
+import csv
+import io
 import json
 import os
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catrank import cli, embeddings, report
 from catrank.data_model import (
@@ -23,7 +27,7 @@ from catrank.data_model import (
 )
 from catrank.errors import DataError
 
-from oracles import ingest_categories, ingest_graph
+from oracles import ingest_categories, ingest_graph, load_votes_by_row
 
 
 def write(path, text):
@@ -401,6 +405,67 @@ def test_votes_round_trip(tmp_path, vote_cats):
     assert back.qids == votes.qids
     for name in ("choices", "question", "voted"):
         assert np.array_equal(getattr(back, name), getattr(votes, name))
+
+
+_VOTE_CATS = CategoryIndex(names=["c1", "c2", "c3", "c4"],
+                           members=CSR.from_lists([[0], [1], [0], [1]]), n_entities=2)
+# cells the per-record checks refuse or take in an odd form: spaces, signs,
+# other digits, a line break inside a quoted cell
+_ODD_VOTE_CELLS = st.sampled_from([
+    "", " ", "0", "5", "-1", "+1", " 2", "02", "1.0", "1_0", "٣", "x", "nope", " c1", "c2 ",
+    "c\n1", "q\n1", "c1,c2", '"'])
+
+
+@st.composite
+def _vote_texts(draw):
+    """A valid vote CSV with up to two faults: an odd cell, an odd voted
+    index, a record whose choices differ from its question's first (maybe
+    naming one twice), a record a cell short, or a stray quote."""
+    m = draw(st.integers(2, 3))
+    names = _VOTE_CATS.names
+    first = {q: draw(st.permutations(names))[:m] for q in ("q1", "q2", "q3")}
+    qids = draw(st.lists(st.sampled_from(list(first)), min_size=1, max_size=8))
+    rows = [[q, *first[q], str(draw(st.integers(1, m)))] for q in qids]
+    for _ in range(draw(st.integers(0, 2))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        fault = draw(st.sampled_from(["cell", "voted", "choices", "short"]))
+        if fault == "cell":
+            row[draw(st.integers(0, len(row) - 1))] = draw(_ODD_VOTE_CELLS)
+        elif fault == "voted":
+            row[-1] = draw(st.sampled_from(["0", str(m + 1), "-1", "+1", " 2", "02", "1.0", "x"]))
+        elif fault == "choices":
+            row[1:m + 1] = draw(st.permutations(names).map(lambda p: p[:m])
+                                | st.lists(st.sampled_from(names), min_size=m, max_size=m))
+        else:
+            del row[draw(st.integers(0, len(row) - 1))]
+    if draw(st.integers(0, 19)) == 10:
+        rows = []  # no answers
+    out = io.StringIO()
+    csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(
+        [["question_id"] + [f"choice_{i + 1}" for i in range(m)] + ["voted_index"]] + rows)
+    text = out.getvalue()
+    if draw(st.integers(0, 9)) == 5:  # a stray quote, which may open a cell
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + '"' + text[at:]
+    return text
+
+
+def _votes_or_error(load, path):
+    try:
+        votes = load(path, _VOTE_CATS)
+    except DataError as e:
+        return str(e)
+    return votes.qids, [(a.dtype, a.shape, a.tolist())
+                        for a in (votes.choices, votes.question, votes.voted)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=_vote_texts())
+def test_load_votes_matches_the_record_by_record_loader(tmp_path_factory, text):
+    path = str(tmp_path_factory.mktemp("votes") / "v.csv")
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(text)
+    assert _votes_or_error(load_votes, path) == _votes_or_error(load_votes_by_row, path)
 
 
 # ---------------------------------------------------------------------------

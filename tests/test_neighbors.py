@@ -21,7 +21,7 @@ from catrank.neighbors import (
 )
 
 from conftest import random_simplex
-from oracles import knn_by_stable_sort, naive_knn, parse_neighbor_list
+from oracles import knn_by_stable_sort, naive_knn, parse_neighbor_list, parse_rows
 
 def test_neighbor_set_is_csr():
     nbrs = NeighborSet(indptr=np.array([0, 1, 1]), indices=np.array([1]),
@@ -423,6 +423,105 @@ def test_neighbor_set_load_in_blocks_matches_one_block(monkeypatch, tmp_path):
         for a, b in ((back.indptr, nbrs.indptr), (back.indices, nbrs.indices),
                      (back.distances, nbrs.distances)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# tokens a field of a neighbor list may be replaced by: what the grammar
+# refuses next to what it takes in an odd form (leading zeros, 19 or more
+# digits, exponents, signs)
+_ODD_TOKENS = [
+    "inf", "-inf", "+inf", "nan", "1.2.3", "1e", ".", "--1", "e5", "+.5", "5.", "-.", "1e+5",
+    "1E-05", "+3", " 3", "3 ", "1_0", "٣", "0x1p3", "", "00", "007", "0" * 18 + "1",
+    "9" * 19, str(2**63), "9" * 30]
+
+
+@st.composite
+def _neighbor_list_texts(draw):
+    """A valid list, its ids sometimes in odd forms, with up to two of its
+    fields (entity, TAB, id, ':', distance, ',') replaced by an odd token or
+    a few grammar characters."""
+    n = draw(st.integers(1, 6))
+    rows = []
+    for v in range(n):
+        others = [i for i in range(n) if i != v]
+        ids = draw(st.lists(st.sampled_from(others), max_size=3, unique=True)) if others else []
+        fields = [str(v), "\t"]
+        for i in ids:
+            fields += [draw(st.sampled_from([str(i)] * 6 + ["0" + str(i), "0" * 18 + str(i),
+                                                           "9" * 19, str(2**63)])),
+                       ":", repr(draw(st.floats(allow_nan=False))), ","]
+        rows.append(fields[:-1] if ids else fields)
+    for _ in range(draw(st.integers(0, 2))):
+        fields = rows[draw(st.integers(0, n - 1))]
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(
+            st.sampled_from(_ODD_TOKENS) | st.text(alphabet="0123456789.eE+-:,\t _i٣", max_size=6))
+    lines = ["".join(fields) for fields in rows]
+    for at in draw(st.lists(st.integers(0, n), max_size=2)):
+        lines.insert(at, "")
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def _check_against_translate(path, text):
+    """``NeighborSet.load`` on ``path``, holding ``text``, refuses it with the
+    byte-translate checker's DataError at its first bad line, or reads the
+    out-degrees, ids (as float64), distances and row lines that checker
+    reads in one block; the regular-expression oracle agrees, through the id
+    checks."""
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8") as f:
+        numbered = [(lineno, raw.rstrip("\n")) for lineno, raw in enumerate(f, 1)]
+    linenos = [lineno for lineno, line in numbered if line]
+    rows = [line for _, line in numbered if line]
+    block = parse_rows(rows, 0)
+    if block is None:
+        v = next(v for v, row in enumerate(rows) if parse_rows([row], v) is None)
+        with pytest.raises(DataError) as refused:
+            NeighborSet.load(str(path))
+        assert str(refused.value) == (f"{path}:{linenos[v]}: expected row {v} as "
+                                      f"'{v}<TAB>id:distance,...'")
+    else:
+        degrees, ids, texts, lines = neighbors._parse(str(path))
+        distances = neighbors._convert_distances(texts)
+        for got, want in zip((degrees, ids, distances),
+                             (block[0], block[1][0::2], block[1][1::2])):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert lines.tolist() == linenos
+    check_load(path, parse_neighbor_list(text))
+
+
+@pytest.mark.parametrize("block_chars", [neighbors._TEXT_BLOCK_CHARS, 20, 1])
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(text=_neighbor_list_texts())
+def test_neighbor_list_grammar_matches_the_translate_checker(tmp_path_factory, block_chars,
+                                                             text):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(neighbors, "_TEXT_BLOCK_CHARS", block_chars)
+        _check_against_translate(tmp_path_factory.mktemp("grammar") / "nb.tsv", text)
+
+
+@pytest.mark.parametrize("token", _ODD_TOKENS)
+@pytest.mark.parametrize("field", ["entity", "id", "distance"])
+def test_each_odd_token_matches_the_translate_checker(tmp_path, token, field):
+    cells = {"entity": "1", "id": "0", "distance": "0.5", field: token}
+    text = f"0\t1:0.25\n{cells['entity']}\t{cells['id']}:{cells['distance']}\n"
+    _check_against_translate(tmp_path / "nb.tsv", text)
+
+
+def test_loaded_distances_convert_once_on_first_read(monkeypatch, tmp_path):
+    nbrs = neighbors_by_distance(points(np.arange(6.0)[:, None]), "l1", 2.0)
+    path = str(tmp_path / "nb.tsv")
+    nbrs.save(path)
+    calls = []
+    convert = neighbors._convert_distances
+    monkeypatch.setattr(neighbors, "_convert_distances",
+                        lambda blocks: calls.append(1) or convert(blocks))
+    back = NeighborSet.load(path)
+    assert not calls
+    first = back.distances
+    assert back.distances is first and len(calls) == 1
+    assert first.tobytes() == nbrs.distances.tobytes()
 
 
 def test_knn_never_lists_the_entity_itself(tmp_path):
