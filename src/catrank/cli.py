@@ -344,8 +344,8 @@ def _run_knn(args):
                                                workers=args.workers)
     else:
         strategy, size = ("distance", args.avg_target) if args.k is None else ("count", args.k)
-        (_, d, nbrs), = coherence.neighbor_sets(
-            fm, args.metric, strategy, [size], args.workers, args.seed, args.exact_limit,
+        (_, _, d, nbrs), = coherence.neighbor_sets(
+            fm, args.metric, [strategy], [size], args.workers, args.seed, args.exact_limit,
             args.sample_pairs)
         if d is not None:
             computed["threshold"] = d

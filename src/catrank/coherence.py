@@ -47,9 +47,11 @@ from .neighbors import (
     _BLOCK_ELEMENTS,
     NeighborSet,
     calibrate_thresholds,
+    check_targets,
     filter_by_distance,
     knn_by_count,
     neighbors_by_distance,
+    shared_sweep,
     slice_knn,
 )
 
@@ -355,7 +357,8 @@ def run_grid(features: dict[str, FeatureMatrix], cats: CategoryIndex, menu: Grid
 
     Neighbor sets are shared between the two criteria; count-strategy lists
     are computed once at the largest K and sliced; distance-strategy lists
-    are computed once at the largest threshold and filtered.
+    are computed once at the largest threshold and filtered; both
+    strategies share one distance sweep per feature matrix and metric.
     """
     # the whole menu is checked before any neighbor search or cheating score
     for axis in ("metrics", "strategies", "sizes", "criteria"):
@@ -391,64 +394,75 @@ def run_grid(features: dict[str, FeatureMatrix], cats: CategoryIndex, menu: Grid
     if "count" in menu.strategies and not all(float(s).is_integer() and s >= 1
                                               for s in menu.sizes):
         raise ValueError("count sizes must be integers of at least 1")
+    if "distance" in menu.strategies:
+        targets = sorted({float(s) for s in menu.sizes})
+        for _, fm, _ in pairs:
+            check_targets(targets, fm.n_entities)
     cheat = None
     if votes is not None:
         cheat, _ = evaluation.best_cheating_score(votes)
 
     for fname, fm, metric in pairs:
-        for strategy in menu.strategies:
-            per_size = neighbor_sets(fm, metric, strategy, menu.sizes, workers,
-                                     seed, exact_limit, sample_pairs)
-            for size, threshold, nbrs in per_size:
-                scores, n_skipped = score_categories(nbrs, cats, menu.min_size)
-                if not scores:
-                    skipped.append({"feature": fname, "metric": metric,
-                                    "strategy": strategy, "size": size,
-                                    "reason": "no scorable category"})
-                    continue
-                for criterion in menu.criteria:
-                    ranking = CoherenceRanking(
-                        criterion=criterion,
-                        scores=_order_scores(scores, criterion),
-                        n_skipped=n_skipped,
-                    )
-                    key = _config_key(fname, metric, strategy, size, criterion)
-                    rankings[key] = ranking
-                    row = {
-                        "feature": fname,
-                        "metric": metric,
-                        "strategy": strategy,
-                        "size": size,
-                        "criterion": criterion,
-                        "n_scored": len(ranking),
-                        "n_skipped": n_skipped,
-                    }
-                    if strategy == "distance":
-                        row["threshold"] = threshold
-                    if votes is not None:
-                        rep = evaluation.evaluate(votes, ranking.ordered_categories,
-                                                  cheating_score=cheat)
-                        row.update({
-                            "total_points": rep.total_points,
-                            "rough_accuracy": rep.rough_accuracy,
-                            "cheating_score": rep.cheating_score,
-                            "improved_accuracy": rep.improved_accuracy,
-                        })
-                        for i, frac in enumerate(rep.agreement_histogram, 1):
-                            row[f"agreement_{i}"] = frac
-                    rows.append(row)
+        per_config = neighbor_sets(fm, metric, menu.strategies, menu.sizes, workers,
+                                   seed, exact_limit, sample_pairs)
+        for strategy, size, threshold, nbrs in per_config:
+            scores, n_skipped = score_categories(nbrs, cats, menu.min_size)
+            if not scores:
+                skipped.append({"feature": fname, "metric": metric,
+                                "strategy": strategy, "size": size,
+                                "reason": "no scorable category"})
+                continue
+            for criterion in menu.criteria:
+                ranking = CoherenceRanking(
+                    criterion=criterion,
+                    scores=_order_scores(scores, criterion),
+                    n_skipped=n_skipped,
+                )
+                key = _config_key(fname, metric, strategy, size, criterion)
+                rankings[key] = ranking
+                row = {
+                    "feature": fname,
+                    "metric": metric,
+                    "strategy": strategy,
+                    "size": size,
+                    "criterion": criterion,
+                    "n_scored": len(ranking),
+                    "n_skipped": n_skipped,
+                }
+                if strategy == "distance":
+                    row["threshold"] = threshold
+                if votes is not None:
+                    rep = evaluation.evaluate(votes, ranking.ordered_categories,
+                                              cheating_score=cheat)
+                    row.update({
+                        "total_points": rep.total_points,
+                        "rough_accuracy": rep.rough_accuracy,
+                        "cheating_score": rep.cheating_score,
+                        "improved_accuracy": rep.improved_accuracy,
+                    })
+                    for i, frac in enumerate(rep.agreement_histogram, 1):
+                        row[f"agreement_{i}"] = frac
+                rows.append(row)
     return GridResult(rows=rows, rankings=rankings, skipped_configs=skipped)
 
 
-def neighbor_sets(fm, metric, strategy, sizes, workers, seed, exact_limit, sample_pairs):
-    """``(size, threshold, neighbor set)`` for each distinct size, the
-    threshold being the calibrated distance, or None for the count strategy."""
-    if strategy == "count":
-        ks = sorted({int(s) for s in sizes})
-        full = knn_by_count(fm, metric, max(ks), workers=workers)
-        return [(k, None, slice_knn(full, k)) for k in ks]
-    targets = sorted({float(s) for s in sizes})
-    ds = calibrate_thresholds(fm, metric, targets, exact_limit=exact_limit,
-                              sample_pairs=sample_pairs, seed=seed, workers=workers)
-    widest = neighbors_by_distance(fm, metric, max(ds), workers=workers)
-    return [(t, d, filter_by_distance(widest, d)) for t, d in zip(targets, ds)]
+def neighbor_sets(fm, metric, strategies, sizes, workers, seed, exact_limit, sample_pairs):
+    """``(strategy, size, threshold, neighbor set)`` for each strategy in
+    order and each distinct size, the threshold being the calibrated
+    distance, or None for the count strategy. kNN, calibration and the
+    distance lists share one distance sweep (``shared_sweep``)."""
+    out = []
+    with shared_sweep(fm, metric):
+        for strategy in strategies:
+            if strategy == "count":
+                ks = sorted({int(s) for s in sizes})
+                full = knn_by_count(fm, metric, max(ks), workers=workers)
+                out += [(strategy, k, None, slice_knn(full, k)) for k in ks]
+                continue
+            targets = sorted({float(s) for s in sizes})
+            ds = calibrate_thresholds(fm, metric, targets, exact_limit=exact_limit,
+                                      sample_pairs=sample_pairs, seed=seed, workers=workers)
+            widest = neighbors_by_distance(fm, metric, max(ds), workers=workers)
+            out += [(strategy, t, d, filter_by_distance(widest, d))
+                    for t, d in zip(targets, ds)]
+    return out

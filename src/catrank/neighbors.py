@@ -9,10 +9,17 @@ Distances come in blocks of query rows. Under l1, l2 and js, whose
 distances are the same bytes from either side, a block is a strip from the
 chunk's first row on, so kNN, exact calibration and distance lists each
 compute every unordered pair once; cosine and kl blocks span full rows.
+Inside ``shared_sweep`` the three share their strips: the first to need a
+strip keeps it and the others read it, so ``grid`` and ``knn --avg-target``
+compute each pair once per metric. Kept strips hold at most
+``_KEPT_STRIP_ELEMENTS`` values (32 MB); at n = 800 and dim 64 all 80
+strips are kept, 324,000 values (2.6 MB).
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import logging
 import math
 import os
@@ -35,6 +42,9 @@ DEFAULT_SAMPLE_PAIRS = 10_000_000
 # it; those keep 32 MB.
 _BLOCK_ELEMENTS = 2**19
 _GEMM_BLOCK_ELEMENTS = 4_000_000
+# The strips one shared sweep keeps hold at most this many float64 values
+# (32 MB) together; a strip past that is computed again for each use.
+_KEPT_STRIP_ELEMENTS = 2**22
 # Sampled calibration draws its pairs in batches of this many elements // dim.
 # The batch size fixes which pairs a seed draws, so it stays apart from the
 # block budget, which only sets how many of them one kernel call takes.
@@ -74,6 +84,8 @@ _CLASS[_INF_BYTE] = _INF
 _POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)
 # the most digits whose value int64 always holds
 _INT64_DIGITS = 18
+# (features, metric, kept strips) of the open shared sweep
+_SWEEP = contextvars.ContextVar("_SWEEP", default=None)
 
 
 class NeighborSet(CSR):
@@ -266,18 +278,75 @@ def _run_chunks(fn, chunks, workers: int):
             yield from pool.map(fn, chunks[s:s + workers])
 
 
+@contextlib.contextmanager
+def shared_sweep(features: FeatureMatrix, metric: str):
+    """Inside the ``with`` statement, calls on ``features`` (this very
+    object) under ``metric`` share their l1, l2 or js strips: the worker
+    thread that computes a strip first keeps it, and later calls read it.
+    The first strips in chunk order whose sizes sum to at most
+    ``_KEPT_STRIP_ELEMENTS`` are kept; the rest are computed for each use.
+    Kept strips are read-only, and none outlives the statement."""
+    token = _SWEEP.set((features, metric, {}))
+    try:
+        yield
+    finally:
+        _SWEEP.reset(token)
+
+
 def _blocks(features: FeatureMatrix, metric: str, workers: int, fn, strips: bool = False):
     """``fn(chunk, d)`` for each query chunk and its distance block ``d``, a
-    writable matrix of distances from the chunk to every row, or with
-    ``strips`` to the rows from ``chunk[0]`` on, yielded in chunk order."""
+    matrix of distances from the chunk to every row, or with ``strips`` to
+    the rows from ``chunk[0]`` on, yielded in chunk order. Blocks are
+    writable, except strips that a ``shared_sweep`` keeps."""
     n = features.n_entities
     rows = features.rows
     prep = metrics.prepare(metric, rows)
     budget = _GEMM_BLOCK_ELEMENTS if metric in metrics.GEMM_METRICS else _BLOCK_ELEMENTS
     chunks = _query_chunks(n, budget // (n * metrics.block_width(metric, features.dim)))
-    return _run_chunks(
-        lambda c: fn(c, metrics.block(metric, rows, c, prep, int(c[0]) if strips else 0)),
-        chunks, workers)
+
+    def block(c):
+        return metrics.block(metric, rows, c, prep, int(c[0]) if strips else 0)
+
+    sweep = _SWEEP.get()
+    if strips and sweep is not None and sweep[0] is features and sweep[1] == metric:
+        block, replay = _keeping(block, chunks, n, sweep[2])
+        if replay:  # reading kept strips is too little work per chunk to pay for threads
+            workers = 1
+    return _run_chunks(lambda c: fn(c, block(c)), chunks, workers)
+
+
+def _keeping(compute, chunks, n: int, kept: dict):
+    """``compute(chunk)`` for the strips of ``chunks``, keeping those of the
+    first chunks whose strips hold at most ``_KEPT_STRIP_ELEMENTS`` values
+    together, and whether every strip is kept already. A kept strip is
+    copied into one buffer, shared through ``kept`` with the sweep's later
+    calls (their chunks are the same: they depend only on n, dim and the
+    metric), and read from there as a read-only view. One buffer, not an
+    array per strip, leaves no holes in the threads' heaps once the sweep
+    ends."""
+    sizes = np.array([len(c) * (n - int(c[0])) for c in chunks])
+    ends = np.cumsum(sizes)
+    fit = int(np.searchsorted(ends, _KEPT_STRIP_ELEMENTS, side="right"))
+    if "buffer" not in kept:
+        kept["buffer"] = np.empty(int(ends[fit - 1]) if fit else 0)
+        kept["filled"] = set()
+    buffer, filled = kept["buffer"], kept["filled"]
+    offsets = {int(c[0]): int(end - size)
+               for c, size, end in zip(chunks[:fit], sizes.tolist(), ends.tolist())}
+
+    def strip(c):
+        start = int(c[0])
+        if start not in offsets:
+            return compute(c)
+        lo = offsets[start]
+        d = buffer[lo:lo + len(c) * (n - start)].reshape(len(c), n - start)
+        if start not in filled:
+            d[...] = compute(c)
+            filled.add(start)
+        d.flags.writeable = False
+        return d
+
+    return strip, len(filled) == len(chunks)
 
 
 def _upper(d: np.ndarray) -> np.ndarray:
@@ -382,10 +451,15 @@ def knn_by_count(features: FeatureMatrix, metric: str, k: int, workers: int = 1)
 
 def neighbors_by_distance(features: FeatureMatrix, metric: str, d: float,
                           workers: int = 1) -> NeighborSet:
-    """All other entities within distance <= d; symmetric by construction.
+    """All other entities within distance <= d.
 
     Under l1, l2 and js, whose distances are the same bytes from either
-    side, each unordered pair is computed once and listed from both sides."""
+    side, each unordered pair is computed once and listed from both sides
+    with the same distance, so the lists are symmetric bit for bit. Cosine
+    and kl compute each side in its own row's block: kl is asymmetric, so
+    j may be within d of i but not i of j; cosine is symmetric only up to
+    the last bit of its GEMM sums, so a pair at the threshold may be listed
+    from one side only."""
     metrics.check_metric(metric, features)
     if not d >= 0:  # also rejects NaN
         raise ValueError("distance threshold must be nonnegative")
@@ -474,6 +548,16 @@ def _sampled_pair_distances(features: FeatureMatrix, metric: str, sample_pairs: 
         remaining -= s
 
 
+def check_targets(targets: list, n: int):
+    """Raise ValueError unless there are targets and each lies in (0, n-1)."""
+    if not targets:
+        raise ValueError("no calibration targets given")
+    for t in targets:
+        if not 0 < t < n - 1:  # also rejects NaN
+            raise ValueError(f"target average neighbor count {t} must be positive and "
+                             f"below n-1 = {n - 1}")
+
+
 def calibrate_thresholds(features: FeatureMatrix, metric: str, targets,
                          exact_limit: int = DEFAULT_EXACT_LIMIT,
                          sample_pairs: int = DEFAULT_SAMPLE_PAIRS,
@@ -499,12 +583,7 @@ def calibrate_thresholds(features: FeatureMatrix, metric: str, targets,
     metrics.check_metric(metric, features)
     n = features.n_entities
     targets = list(targets)
-    if not targets:
-        raise ValueError("no calibration targets given")
-    for t in targets:
-        if not 0 < t < n - 1:  # also rejects NaN
-            raise ValueError(f"target average neighbor count {t} must be positive and "
-                             f"below n-1 = {n - 1}")
+    check_targets(targets, n)
 
     if n > exact_limit:
         if sample_pairs < 1:

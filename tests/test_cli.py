@@ -1131,11 +1131,16 @@ def _worker_chain(root, features, cats, workers):
          "--out", str(root / "nb_k.tsv")],
         ["knn", "--features", features, "--metric", "l1", "--avg-target", "5", *sampled, *w,
          "--out", str(root / "nb_avg.tsv")],
+        ["knn", "--features", features, "--metric", "l2", "--avg-target", "5", *w,
+         "--out", str(root / "nb_avg_exact.tsv")],
         ["knn", "--features", features, "--metric", "cosine", "--radius", "0.05", *w,
          "--out", str(root / "nb_radius.tsv")],
         ["grid", "--features", features, "--categories", cats, "--metrics", "l1,js,cosine",
          "--sizes", "3,5", "--criteria", "surprise", *sampled, *w,
          "--out-dir", str(root / "grid")],
+        ["grid", "--features", features, "--categories", cats, "--metrics", "l2,js",
+         "--strategies", "count,distance", "--sizes", "3,5", "--criteria", "surprise", *w,
+         "--out-dir", str(root / "grid_exact")],
         ["report", "quantiles", "--features", features, "--metric", "kl", "--targets", "2,5",
          *sampled, *w, "--out", str(root / "quantiles.csv")],
     ):

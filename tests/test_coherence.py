@@ -1,4 +1,6 @@
 import math
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from scipy.special import gammaln
 from scipy.special import logsumexp as scipy_logsumexp
 
-from catrank import coherence, evaluation
+from catrank import coherence, evaluation, metrics, neighbors
 from catrank.coherence import (
     GridMenu,
     binomial_log_tails,
@@ -19,7 +21,15 @@ from catrank.coherence import (
     score_categories,
 )
 from catrank.data_model import FeatureMatrix, VoteDataset
-from catrank.neighbors import knn_by_count
+from catrank.neighbors import (
+    DEFAULT_EXACT_LIMIT,
+    DEFAULT_SAMPLE_PAIRS,
+    calibrate_thresholds,
+    filter_by_distance,
+    knn_by_count,
+    neighbors_by_distance,
+    slice_knn,
+)
 
 from conftest import categories_from_members, neighbor_set_from_lists, random_simplex
 from oracles import (
@@ -514,6 +524,101 @@ def test_grid_reuses_neighbor_sets_consistently():
     assert result.rankings[key].ordered_categories == ranking.ordered_categories
 
 
+def _record_blocks(monkeypatch) -> list:
+    """(metric, first query row, query rows, first column) of every
+    ``metrics.block`` call from here on."""
+    calls = []
+    block = metrics.block
+
+    def recording(metric, rows, q, prep, start=0):
+        calls.append((metric, int(q[0]), len(q), start))
+        return block(metric, rows, q, prep, start)
+
+    monkeypatch.setattr(metrics, "block", recording)
+    return calls
+
+
+def _sets(fm, metric, workers):
+    return coherence.neighbor_sets(fm, metric, ("count", "distance"), (3, 7.5), workers,
+                                   0, DEFAULT_EXACT_LIMIT, DEFAULT_SAMPLE_PAIRS)
+
+
+def _direct_sets(fm, metric, workers):
+    """What ``_sets`` gives, from the three searches called on their own."""
+    full = knn_by_count(fm, metric, 7, workers=workers)
+    ds = calibrate_thresholds(fm, metric, [3.0, 7.5], workers=workers)
+    widest = neighbors_by_distance(fm, metric, ds[-1], workers=workers)
+    return ([("count", k, None, slice_knn(full, k)) for k in (3, 7)]
+            + [("distance", t, d, filter_by_distance(widest, d))
+               for t, d in zip((3.0, 7.5), ds)])
+
+
+def _as_bytes(sets):
+    return [(strategy, size, threshold, nbrs.indptr.tobytes(), nbrs.indices.tobytes(),
+             nbrs.distances.tobytes()) for strategy, size, threshold, nbrs in sets]
+
+
+@pytest.mark.parametrize("metric", ["l1", "l2", "cosine", "kl", "js"])
+def test_neighbor_sets_compute_each_strip_once(monkeypatch, metric):
+    # n = 90 at dim 6 splits the queries into 8 chunks
+    fm, _ = grid_fixture(np.random.default_rng(40), n=90)
+    calls = _record_blocks(monkeypatch)
+    _direct_sets(fm, metric, workers=2)
+    direct = Counter(calls)
+    calls.clear()
+    _sets(fm, metric, workers=2)
+    shared = Counter(calls)
+    # kNN, exact calibration and the distance lists each take every block
+    assert len(direct) == 8 and set(direct.values()) == {3}
+    if metric in metrics.GEMM_METRICS:
+        assert shared == direct
+    else:
+        assert shared == Counter(set(direct))
+
+
+@pytest.mark.parametrize("metric", ["l1", "l2", "js"])
+def test_neighbor_sets_bytes_do_not_depend_on_kept_strips(monkeypatch, metric):
+    fm, _ = grid_fixture(np.random.default_rng(41), n=90)
+    expected = _as_bytes(_direct_sets(fm, metric, workers=1))
+    calls = _record_blocks(monkeypatch)
+    # every strip fits the default budget; 1,080 + 972 values fit the first two
+    # strips (12 rows each, from column 0 and 12); 0 keeps none
+    for budget, kept in ((neighbors._KEPT_STRIP_ELEMENTS, 8), (12 * 90 + 12 * 78, 2), (0, 0)):
+        monkeypatch.setattr(neighbors, "_KEPT_STRIP_ELEMENTS", budget)
+        for workers in (1, 2):
+            calls.clear()
+            assert _as_bytes(_sets(fm, metric, workers)) == expected, (budget, workers)
+            counts = Counter(calls)
+            assert len(counts) == 8 and sum(n == 1 for n in counts.values()) == kept
+            assert set(counts.values()) <= {1, 3}
+
+
+def test_neighbor_sets_threads_fill_kept_strips_without_loss():
+    # more workers than cores and a short switch interval: a strip lost or
+    # read before its thread filled it would change the bytes
+    fm, _ = grid_fixture(np.random.default_rng(43), n=90)
+    expected = _as_bytes(_direct_sets(fm, "js", workers=1))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert _as_bytes(_sets(fm, "js", workers=5)) == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_grid_keeps_no_strip_between_calls(monkeypatch):
+    fm, cats = grid_fixture(np.random.default_rng(42), n=90)
+    menu = GridMenu(metrics=("l2", "cosine", "js"), sizes=(3, 7), criteria=("surprise",))
+    calls = _record_blocks(monkeypatch)
+    first = run_grid({"f": fm}, cats, menu, workers=2)
+    once = list(calls)
+    calls.clear()
+    second = run_grid({"f": fm}, cats, menu, workers=2)
+    assert once and sorted(calls) == sorted(once)
+    assert first.rows == second.rows
+
+
 @pytest.mark.parametrize("size", [2.5, 0, -1.0, math.inf, math.nan])
 def test_grid_rejects_count_size_that_is_not_a_positive_integer(size):
     rng = np.random.default_rng(28)
@@ -546,6 +651,8 @@ def test_grid_takes_integral_float_count_size_as_k():
     ({"strategies": ("count", "count")}, "grid menu axis 'strategies' repeats 'count'"),
     ({"criteria": ("surprise", "conductance", "surprise")},
      "grid menu axis 'criteria' repeats 'surprise'"),
+    ({"sizes": (3, 40)},
+     r"target average neighbor count 40\.0 must be positive and below n-1 = 29"),
 ])
 def test_grid_rejects_bad_menu_before_any_work(monkeypatch, bad, message):
     def no_work(*args, **kwargs):
