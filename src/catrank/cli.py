@@ -81,17 +81,27 @@ def _str_list(text: str) -> list[str]:
     return [x.strip() for x in text.split(",") if x.strip()]
 
 
-def _workers(text: str) -> int:
-    """A worker count from ``--workers`` or ``CATRANK_WORKERS``, which argparse
-    converts when the flag is absent: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer of at least 1 (the flag or CATRANK_WORKERS), got {text!r}")
-    return value
+def _int_at_least(low: int, source: str = ""):
+    """An argparse type for integers of at least ``low``; ``source``, when
+    given, tells in the usage error where the value came from."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer of at least {low}{source}, got {text!r}")
+        return value
+
+    return convert
+
+
+# argparse also converts the CATRANK_WORKERS default when the flag is absent
+_workers = _int_at_least(1, " (the flag or CATRANK_WORKERS)")
+# a surprise level and a conductance relate members to each other
+_min_size = _int_at_least(2)
 
 
 def build_parser() -> _Parser:
@@ -116,7 +126,7 @@ def build_parser() -> _Parser:
     scoring = argparse.ArgumentParser(add_help=False)
     scoring.add_argument("--neighbors", required=True)
     scoring.add_argument("--categories", required=True, help="native categories JSON")
-    scoring.add_argument("--min-size", type=int, default=menu.min_size)
+    scoring.add_argument("--min-size", type=_min_size, default=menu.min_size)
     scoring.add_argument("--adjusted-p", action="store_true")
     parser = _Parser(prog="catrank", description=__doc__)
     parser.add_argument("--config", help="key = value defaults file")
@@ -174,7 +184,7 @@ def build_parser() -> _Parser:
     p.add_argument("--strategies", default=",".join(menu.strategies))
     p.add_argument("--sizes", type=_numbers, default=sizes)
     p.add_argument("--criteria", default=",".join(menu.criteria))
-    p.add_argument("--min-size", type=int, default=menu.min_size)
+    p.add_argument("--min-size", type=_min_size, default=menu.min_size)
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("evaluate", help="score a ranking against votes")
@@ -356,14 +366,20 @@ def _run_knn(args):
     return [args.out, args.out + ".meta.json"], computed
 
 
+def _check_scoring_inputs(args, nbrs: neighbors.NeighborSet, cats: CategoryIndex):
+    """DataError unless the neighbor list and the categories cover one
+    universe and some category has at least ``--min-size`` members."""
+    _check_universe(args.neighbors, nbrs.n, "rows", args.categories, cats)
+    if not (cats.members.lengths() >= args.min_size).any():
+        raise DataError("no scorable category (all below --min-size)")
+
+
 def _run_coherence(args):
     nbrs = neighbors.NeighborSet.load(args.neighbors)
     cats = CategoryIndex.load(args.categories)
-    _check_universe(args.neighbors, nbrs.n, "rows", args.categories, cats)
+    _check_scoring_inputs(args, nbrs, cats)
     scores, skipped = coherence.score_categories(
         nbrs, cats, min_size=args.min_size, adjusted_p=args.adjusted_p)
-    if not scores:
-        raise DataError("no scorable category (all below min-size)")
     _write(args.out, report.scores_csv(scores, cats))
     print(f"coherence: scored {len(scores)} categories, skipped {skipped}")
     return [args.out], {}
@@ -372,7 +388,7 @@ def _run_coherence(args):
 def _run_rank(args):
     nbrs = neighbors.NeighborSet.load(args.neighbors)
     cats = CategoryIndex.load(args.categories)
-    _check_universe(args.neighbors, nbrs.n, "rows", args.categories, cats)
+    _check_scoring_inputs(args, nbrs, cats)
     ranking = coherence.rank_categories(
         nbrs, cats, args.criterion, min_size=args.min_size, adjusted_p=args.adjusted_p)
     _write(args.out, report.ranking_csv(ranking, cats))

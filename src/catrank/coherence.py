@@ -17,12 +17,17 @@ Two criteria quantify how descriptive a category is:
 Tails are computed in log space (log-gamma + log-sum-exp) so that values
 far below double-precision underflow still rank correctly. Both steps are
 numpy copies of scipy 1.17's ``gammaln`` (on integers) and ``logsumexp``
-that return the same bits; the tests hold them to scipy. A scoring pass
-needs one tail per distinct (size, C, G) key, and computes them all at once:
-keys with the same tail length C - G + 1 share a 2-D array of log-pmf rows,
-sliced so that one block holds at most the neighbor search's block budget of
-elements (or one row, when a single tail is longer). Each batched tail equals
-``binomial_tail(C, G, p)`` bit for bit, which stays the reference routine.
+that return the same bits; the tests hold them to scipy.
+
+A scoring pass works in array passes, not one pass per category: inside
+counts by blocks of whole categories through a (block categories × n)
+membership table, every distinct (size, C, G) tail at once with the log-pmf
+elements of runs of keys end to end, and per-category sums as prefix sums at
+category bounds. Every float sum over one tail's or one category's values is
+a row sum of a 2-D array, which numpy adds up as it adds up the same values
+in 1-D (``np.add.reduceat`` and zero padding do not). So each tail equals
+``binomial_tail(C, G, p)`` bit for bit, which stays the reference routine,
+and each score is the one the category gets when scored alone.
 """
 
 from __future__ import annotations
@@ -58,6 +63,11 @@ from .neighbors import (
 # Above this log value the observer tails are averaged in plain linear
 # space; below it exp() would underflow and the mean moves to log space.
 _LINEAR_MEAN_FLOOR = -700.0
+
+# The inside counts of a block of categories touch at most this many
+# membership table cells and neighbor entries together (1 MB per int64
+# temporary), or one category's.
+_INSIDE_ELEMENTS = 2**17
 
 # cephes lgam: log(sqrt(2 pi)) and the Stirling-series coefficients it uses
 # from 13 up to 1,000 (highest power first)
@@ -133,8 +143,9 @@ def binomial_tail(c: int, g: int, p: float) -> tuple[float, float]:
 def binomial_log_tails(c: np.ndarray, g: np.ndarray, p: np.ndarray) -> np.ndarray:
     """``binomial_tail(c[i], g[i], p[i])[1]`` for every i, bit for bit.
 
-    The same formula runs on 2-D blocks of keys that share a tail length;
-    ``logsumexp`` reduces each row as it reduces one tail alone.
+    The live keys, ordered by tail length, go in runs of at most
+    ``_BLOCK_ELEMENTS`` tail elements (or one key, when a single tail is
+    longer); ``_log_tails_block`` computes each run's tails at once.
     """
     bad = (g < 0) | (g > c) | ~((p >= 0.0) & (p <= 1.0))
     if bad.any():
@@ -144,26 +155,63 @@ def binomial_log_tails(c: np.ndarray, g: np.ndarray, p: np.ndarray) -> np.ndarra
     out[(g > 0) & (p == 0.0)] = -math.inf
     live = np.flatnonzero((g > 0) & (p > 0.0) & (p < 1.0))
     live = live[np.argsort((c - g)[live], kind="stable")]  # grouped by tail length
-    lengths = (c - g + 1)[live]
     p_values, p_at = np.unique(p[live], return_inverse=True)
-    log_p = np.array([math.log(q) for q in p_values.tolist()])[p_at, None]
-    log_q = np.array([math.log1p(-q) for q in p_values.tolist()])[p_at, None]
-    starts = np.flatnonzero(np.diff(lengths, prepend=0))
+    log_p = np.array([math.log(q) for q in p_values.tolist()])[p_at]
+    log_q = np.array([math.log1p(-q) for q in p_values.tolist()])[p_at]
     lgam = log_gamma_table(int(c[live].max()) + 1 if len(live) else 0)
-    for lo, hi in zip(starts.tolist(), np.append(starts[1:], len(live)).tolist()):
-        length = int(lengths[lo])
-        step = max(1, _BLOCK_ELEMENTS // length)
-        for rows in (slice(s, min(s + step, hi)) for s in range(lo, hi, step)):
-            keys = live[rows]
-            cs = c[keys, None]
-            xs = g[keys, None] + np.arange(length)
-            log_pmf = (
-                lgam[cs + 1] - lgam[xs + 1] - lgam[cs - xs + 1]
-                + xs * log_p[rows] + (cs - xs) * log_q[rows]
-            )
-            tails = logsumexp(log_pmf, axis=1)
-            out[keys] = np.where(tails < 0.0, tails, 0.0)  # min(0.0, tail), as binomial_tail
+    for lo, hi in _runs((c - g + 1)[live], _BLOCK_ELEMENTS):
+        keys = live[lo:hi]
+        out[keys] = _log_tails_block(c[keys], g[keys], log_p[lo:hi], log_q[lo:hi], lgam)
     return out
+
+
+def _log_tails_block(c, g, log_p, log_q, lgam) -> np.ndarray:
+    """The log tails of keys ordered by tail length, given log p and
+    log(1 - p) per key: ``logsumexp``'s steps run on all the keys' log-pmf
+    values end to end, and only the sums of the shifted exponentials go by
+    tail length, as row sums of (keys, length) views, which give the bits of
+    one tail's 1-D sum."""
+    lengths = c - g + 1
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    key = np.repeat(np.arange(len(c)), lengths)
+    cs = c[key]
+    xs = g[key] + (np.arange(ends[-1]) - starts[key])
+    log_pmf = (
+        lgam[cs + 1] - lgam[xs + 1] - lgam[cs - xs + 1]
+        + xs * log_p[key] + (cs - xs) * log_q[key]
+    )
+    top = np.maximum.reduceat(log_pmf, starts)
+    tied = log_pmf == top[key]
+    m = np.add.reduceat(tied, starts, dtype=np.float64)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    shifted = np.exp(np.where(tied, -np.inf, log_pmf) - shift[key])
+    s = np.empty(len(c), dtype=np.float64)
+    for lo, hi in _equal_runs(lengths):
+        s[lo:hi] = shifted[starts[lo]:ends[hi - 1]].reshape(hi - lo, -1).sum(axis=1)
+    s = np.where(s == 0, s, s / m)
+    tails = np.log1p(s) + np.log(m) + top
+    return np.where(tails < 0.0, tails, 0.0)  # min(0.0, tail), as binomial_tail
+
+
+def _runs(sizes: np.ndarray, budget: int) -> list[tuple[int, int]]:
+    """Bounds of consecutive items whose sizes add up to at most ``budget``,
+    or of one item that alone exceeds it."""
+    ends = np.cumsum(sizes)
+    bounds = []
+    lo = 0
+    while lo < len(ends):
+        before = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, before + budget, side="right")))
+        bounds.append((lo, hi))
+        lo = hi
+    return bounds
+
+
+def _equal_runs(values: np.ndarray) -> list[tuple[int, int]]:
+    """Bounds of the runs of equal adjacent values."""
+    starts = np.flatnonzero(np.diff(values, prepend=values[:1] - 1))
+    return list(zip(starts.tolist(), np.append(starts[1:], len(values)).tolist()))
 
 
 def p_cat(cats: CategoryIndex, cat: int, adjusted: bool = False) -> float:
@@ -209,26 +257,55 @@ class CoherenceRanking:
         return len(self.scores)
 
 
+def _memberships(cats: CategoryIndex, cat_ids: np.ndarray) -> np.ndarray:
+    """The members of the listed categories, category after category."""
+    sizes = cats.members.lengths()[cat_ids]
+    ends = np.cumsum(sizes)
+    at = np.repeat(cats.members.indptr[cat_ids] - (ends - sizes), sizes)
+    return cats.members.indices[at + np.arange(int(sizes.sum()))]
+
+
 def _inside_counts(nbrs: NeighborSet, cats: CategoryIndex, cat_ids: list[int]) -> np.ndarray:
     """G of every membership: how many of the member's neighbors belong to
-    the category, for the listed categories' members in order. One category
-    at a time, gathering its members' neighbor entries, so no temporary
-    spans all memberships' neighbors at once."""
-    degrees = nbrs.out_degrees()
-    mask = np.zeros(nbrs.n, dtype=bool)
-    inside = []
-    for cat in cat_ids:
-        members = cats.members[cat]
-        mask[members] = True
-        c = degrees[members]
-        ends = np.cumsum(c)
-        # positions in nbrs.indices of each member's neighbors, member by member
-        at = np.repeat(nbrs.indptr[members] - (ends - c), c) + np.arange(ends[-1])
-        hit = mask[nbrs.indices[at]]
-        inside.append(np.bincount(np.repeat(np.arange(len(members)), c)[hit],
-                                  minlength=len(members)))
-        mask[members] = False
-    return np.concatenate(inside)
+    the category, for the listed categories' members in order.
+
+    Whole categories go in blocks: their members mark a (block categories
+    × n) table, every member's neighbor ids, offset by its category's row,
+    are looked up in it at once, and each count is a difference of the hits'
+    prefix sums at the membership's bounds. A block holds at most
+    ``_INSIDE_ELEMENTS`` table cells and neighbor entries together, or one
+    category.
+    """
+    n = nbrs.n
+    cat_ids = np.asarray(cat_ids, dtype=np.int64)
+    sizes = cats.members.lengths()[cat_ids]
+    members = _memberships(cats, cat_ids)
+    c = nbrs.out_degrees()[members]
+    member_at = np.concatenate(([0], np.cumsum(sizes)))
+    entry_at = np.concatenate(([0], np.cumsum(c)))
+    # where each member's neighbors start in nbrs.indices, less where they
+    # start among the gathered entries
+    shift = nbrs.indptr[members] - entry_at[:-1]
+    blocks = _runs(entry_at[member_at[1:]] - entry_at[member_at[:-1]] + n, _INSIDE_ELEMENTS)
+    table = np.zeros(max((hi - lo for lo, hi in blocks), default=0) * n, dtype=bool)
+    inside = np.empty(len(members), dtype=np.int64)
+    for lo, hi in blocks:
+        m_lo, m_hi = int(member_at[lo]), int(member_at[hi])
+        e_lo, e_hi = int(entry_at[m_lo]), int(entry_at[m_hi])
+        rows = np.repeat(np.arange(hi - lo) * n, sizes[lo:hi])
+        cells = rows + members[m_lo:m_hi]
+        table[cells] = True
+        cb = c[m_lo:m_hi]
+        at = np.repeat(shift[m_lo:m_hi], cb)
+        at += np.arange(e_lo, e_hi)
+        ids = nbrs.indices[at]
+        ids += np.repeat(rows, cb)
+        hits = np.zeros(e_hi - e_lo + 1, dtype=np.int64)
+        np.cumsum(table[ids], out=hits[1:])
+        bounds = entry_at[m_lo:m_hi + 1] - e_lo
+        inside[m_lo:m_hi] = hits[bounds[1:]] - hits[bounds[:-1]]
+        table[cells] = False
+    return inside
 
 
 def score_categories(nbrs: NeighborSet, cats: CategoryIndex, min_size: int = 2,
@@ -238,19 +315,22 @@ def score_categories(nbrs: NeighborSet, cats: CategoryIndex, min_size: int = 2,
 
     Returns the scores (in category-index order) and the skipped count.
     Each member observes C close neighbors, G of them members. p depends
-    only on the size, so each distinct (C, G, size) tail is computed once;
-    each mean is taken over the category's own observers in member order.
+    only on the size, so each distinct (C, G, size) tail is computed once.
+    Each category's sums are differences of prefix sums at its bounds; the
+    linear means of categories with the same observer count are row means
+    of one (categories, count) array, which give the bits of each category's
+    own 1-D mean.
     """
     if min_size < 2:
         raise ValueError("min_size must be at least 2")
     if nbrs.n != cats.n_entities:
         raise ValueError("neighbor set and category index cover different universes")
-    cat_ids = np.flatnonzero(cats.members.lengths() >= min_size).tolist()
+    cat_ids = np.flatnonzero(cats.members.lengths() >= min_size)
     skipped = cats.n_categories - len(cat_ids)
-    if not cat_ids:
+    if not len(cat_ids):
         return [], skipped
     sizes = cats.members.lengths()[cat_ids]
-    c_obs = nbrs.out_degrees()[np.concatenate([cats.members[cat] for cat in cat_ids])]
+    c_obs = nbrs.out_degrees()[_memberships(cats, cat_ids)]
     g_obs = _inside_counts(nbrs, cats, cat_ids)
 
     observed = c_obs > 0
@@ -263,36 +343,51 @@ def score_categories(nbrs: NeighborSet, cats: CategoryIndex, min_size: int = 2,
         raise ValueError("too many distinct (size, C, G) keys to pack in int64")
     keys = (np.repeat(size_rank, sizes) * span + c_obs) * span + g_obs
     distinct, which = np.unique(keys[observed], return_inverse=True)
-    p_of_size = np.array([p_cat(cats, cat_ids[i], adjusted=adjusted_p)
+    p_of_size = np.array([p_cat(cats, int(cat_ids[i]), adjusted=adjusted_p)
                           for i in first_cat.tolist()])
     logs = binomial_log_tails(distinct // span % span, distinct % span,
                               p_of_size[distinct // (span * span)])[which]
 
     ends = np.cumsum(sizes)
     starts = ends - sizes
-    obs_at = np.concatenate(([0], np.cumsum(observed)))
-    scores = []
-    for cat, lo, hi, obs_lo, obs_hi in zip(cat_ids, starts.tolist(), ends.tolist(),
-                                           obs_at[starts].tolist(), obs_at[ends].tolist()):
-        total = int(c_obs[lo:hi].sum())
-        arr = logs[obs_lo:obs_hi]
-        if not arr.size:
-            s, log_s = 1.0, 0.0
-        elif arr.max() > _LINEAR_MEAN_FLOOR:
-            s = float(np.exp(arr).mean())
-            log_s = min(0.0, math.log(s))
-        else:
-            log_mean = float(logsumexp(arr)) - math.log(arr.size)
-            s, log_s = math.exp(log_mean), min(0.0, log_mean)
-        scores.append(CategoryScore(
+
+    def per_category(values):
+        at = np.concatenate(([0], np.cumsum(values)))
+        return at[ends] - at[starts]
+
+    n_obs = per_category(observed)
+    obs_lo = np.concatenate(([0], np.cumsum(n_obs)))[:-1]
+    surprise = np.ones(len(cat_ids))
+    log_surprise = np.zeros(len(cat_ids))
+    seen = np.flatnonzero(n_obs)
+    top = np.maximum.reduceat(logs, obs_lo[seen]) if len(seen) else logs[:0]
+    in_linear = top > _LINEAR_MEAN_FLOOR
+    linear = seen[in_linear]
+    linear = linear[np.argsort(n_obs[linear], kind="stable")]  # grouped by count
+    for lo, hi in _equal_runs(n_obs[linear]):
+        rows = linear[lo:hi]
+        block = logs[obs_lo[rows, None] + np.arange(n_obs[rows[0]])]
+        surprise[rows] = np.exp(block).mean(axis=1)
+    # math.log, since np.log can differ from it in the last bit
+    log_surprise[linear] = [min(0.0, math.log(s)) for s in surprise[linear].tolist()]
+    for i in seen[~in_linear].tolist():
+        arr = logs[obs_lo[i]:obs_lo[i] + n_obs[i]]
+        log_mean = float(logsumexp(arr)) - math.log(arr.size)
+        surprise[i], log_surprise[i] = math.exp(log_mean), min(0.0, log_mean)
+    return [
+        CategoryScore(
             category=cat,
-            n_members=hi - lo,
-            conductance=int(g_obs[lo:hi].sum()) / total if total else None,
+            n_members=size,
+            conductance=inside / total if total else None,
             surprise=s,
             log_surprise=log_s,
-            n_observers_used=arr.size,
-        ))
-    return scores, skipped
+            n_observers_used=k,
+        )
+        for cat, size, inside, total, s, log_s, k in zip(
+            cat_ids.tolist(), sizes.tolist(), per_category(g_obs).tolist(),
+            per_category(c_obs).tolist(), surprise.tolist(), log_surprise.tolist(),
+            n_obs.tolist())
+    ], skipped
 
 
 def _check_criterion(criterion: str):

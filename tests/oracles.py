@@ -16,7 +16,14 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from catrank import metrics
-from catrank.coherence import CategoryScore, score_categories
+from catrank.coherence import (
+    _LINEAR_MEAN_FLOOR,
+    CategoryScore,
+    binomial_tail,
+    logsumexp,
+    p_cat,
+    score_categories,
+)
 from catrank.data_model import CSR, CategoryIndex, VoteDataset, csv_records
 from catrank.embeddings import HuffmanTree, _expit
 from catrank.errors import DataError
@@ -500,6 +507,89 @@ def co_prob(a: int, b: int, votes: VoteDataset | None = None,
         return None
     both = len(np.intersect1d(in_a, in_b, assume_unique=True))
     return math.sqrt((both / len(in_b)) * (both / len(in_a)))
+
+
+def inside_counts_by_category(nbrs, cats: CategoryIndex, cat_ids: list[int]) -> np.ndarray:
+    """G of every membership: how many of the member's neighbors belong to
+    the category, for the listed categories' members in order. One category
+    at a time, gathering its members' neighbor entries, so no temporary
+    spans all memberships' neighbors at once."""
+    degrees = nbrs.out_degrees()
+    mask = np.zeros(nbrs.n, dtype=bool)
+    inside = []
+    for cat in cat_ids:
+        members = cats.members[cat]
+        mask[members] = True
+        c = degrees[members]
+        ends = np.cumsum(c)
+        # positions in nbrs.indices of each member's neighbors, member by member
+        at = np.repeat(nbrs.indptr[members] - (ends - c), c) + np.arange(ends[-1])
+        hit = mask[nbrs.indices[at]]
+        inside.append(np.bincount(np.repeat(np.arange(len(members)), c)[hit],
+                                  minlength=len(members)))
+        mask[members] = False
+    return np.concatenate(inside)
+
+
+def score_categories_by_category(nbrs, cats: CategoryIndex, min_size: int = 2,
+                                 adjusted_p: bool = False) -> tuple[list[CategoryScore], int]:
+    """The package's ``score_categories`` one category at a time: inside
+    counts by a mask per category, and each category's sums and mean over
+    its own slice. Each distinct (size, C, G) tail comes from the reference
+    ``binomial_tail``, which the batched tails equal bit for bit."""
+    if min_size < 2:
+        raise ValueError("min_size must be at least 2")
+    if nbrs.n != cats.n_entities:
+        raise ValueError("neighbor set and category index cover different universes")
+    cat_ids = np.flatnonzero(cats.members.lengths() >= min_size).tolist()
+    skipped = cats.n_categories - len(cat_ids)
+    if not cat_ids:
+        return [], skipped
+    sizes = cats.members.lengths()[cat_ids]
+    c_obs = nbrs.out_degrees()[np.concatenate([cats.members[cat] for cat in cat_ids])]
+    g_obs = inside_counts_by_category(nbrs, cats, cat_ids)
+
+    observed = c_obs > 0
+    # One int64 per (size, C, G) key, ordered as the triples are: the size's
+    # rank among distinct sizes, then C, then G, each below ``span``.
+    size_values, first_cat, size_rank = np.unique(sizes, return_index=True,
+                                                  return_inverse=True)
+    span = int(c_obs.max()) + 1
+    if len(size_values) * span * span >= 2**63:
+        raise ValueError("too many distinct (size, C, G) keys to pack in int64")
+    keys = (np.repeat(size_rank, sizes) * span + c_obs) * span + g_obs
+    distinct, which = np.unique(keys[observed], return_inverse=True)
+    p_of_size = np.array([p_cat(cats, cat_ids[i], adjusted=adjusted_p)
+                          for i in first_cat.tolist()])
+    logs = np.array([binomial_tail(int(key // span % span), int(key % span),
+                                   float(p_of_size[key // (span * span)]))[1]
+                     for key in distinct.tolist()], dtype=np.float64)[which]
+
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    obs_at = np.concatenate(([0], np.cumsum(observed)))
+    scores = []
+    for cat, lo, hi, obs_lo, obs_hi in zip(cat_ids, starts.tolist(), ends.tolist(),
+                                           obs_at[starts].tolist(), obs_at[ends].tolist()):
+        total = int(c_obs[lo:hi].sum())
+        arr = logs[obs_lo:obs_hi]
+        if not arr.size:
+            s, log_s = 1.0, 0.0
+        elif arr.max() > _LINEAR_MEAN_FLOOR:
+            s = float(np.exp(arr).mean())
+            log_s = min(0.0, math.log(s))
+        else:
+            log_mean = float(logsumexp(arr)) - math.log(arr.size)
+            s, log_s = math.exp(log_mean), min(0.0, log_mean)
+        scores.append(CategoryScore(
+            category=cat,
+            n_members=hi - lo,
+            conductance=int(g_obs[lo:hi].sum()) / total if total else None,
+            surprise=s,
+            log_surprise=log_s,
+            n_observers_used=arr.size,
+        ))
+    return scores, skipped
 
 
 def score_alone(cat: int, nbrs, cats: CategoryIndex, adjusted_p: bool = False) -> CategoryScore:

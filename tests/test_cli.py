@@ -701,6 +701,53 @@ def test_bad_worker_count_in_config_is_rejected(tmp_path, capsys):
     assert "config workers: expected an integer of at least 1" in capsys.readouterr().err
 
 
+def _min_size_argv(tmp, stage):
+    """``stage`` on inputs that do not exist, so only a usage error can come
+    before reading them."""
+    if stage == "grid":
+        return ["grid", "--features", str(tmp / "missing.tsv"), "--categories",
+                str(tmp / "missing.json"), "--out-dir", str(tmp / "grid")]
+    criterion = ["--criterion", "surprise"] if stage == "rank" else []
+    return [stage, "--neighbors", str(tmp / "missing.tsv"), "--categories",
+            str(tmp / "missing.json"), *criterion, "--out", str(tmp / "s.csv")]
+
+
+@pytest.mark.parametrize("value", ["1", "-2", "two"])
+@pytest.mark.parametrize("stage", ["coherence", "rank", "grid"])
+def test_min_size_below_two_is_a_usage_error(tmp_path, capsys, stage, value):
+    with pytest.raises(SystemExit) as exc:
+        main([*_min_size_argv(tmp_path, stage), f"--min-size={value}"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"argument --min-size: expected an integer of at least 2, got {value!r}" in err
+    assert not (tmp_path / "s.csv").exists() and not (tmp_path / "grid").exists()
+
+
+@pytest.mark.parametrize("stage", ["coherence", "rank", "grid"])
+def test_min_size_below_two_in_config_is_rejected(tmp_path, capsys, stage):
+    cfg = tmp_path / "catrank.conf"
+    cfg.write_text("min-size = 1\n", encoding="utf-8")
+    assert main(["--config", str(cfg), *_min_size_argv(tmp_path, stage)]) == 2
+    assert capsys.readouterr().err == ("catrank: data error: config min_size: expected an "
+                                       "integer of at least 2, got '1'\n")
+
+
+def test_nothing_scorable_reads_the_same_for_coherence_and_rank(pipeline, capsys):
+    # the largest category has 6 members
+    tmp, work = pipeline
+    nb = str(write_clique_neighbors(tmp / "nb.tsv"))
+    (tmp / "out").mkdir()
+    stages = _scoring_stages(nb, str(work / "categories.json"), tmp / "out")
+    capsys.readouterr()
+    for argv in stages:
+        assert main([*argv, "--min-size", "7"]) == 2
+        assert capsys.readouterr().err == ("catrank: data error: no scorable category "
+                                           "(all below --min-size)\n")
+    assert not list((tmp / "out").iterdir())
+    for argv in stages:
+        assert main([*argv, "--min-size", "6"]) == 0
+
+
 @pytest.mark.parametrize("from_walks", [False, True], ids=["graph", "walk-file"])
 def test_embed_refuses_a_corpus_without_pairs(tmp_path, capsys, from_walks):
     # two self-loops: ingest drops them, leaving two entities and no edge

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 from scipy.special import logsumexp as scipy_logsumexp
 
@@ -24,6 +26,7 @@ from catrank.data_model import FeatureMatrix, VoteDataset
 from catrank.neighbors import (
     DEFAULT_EXACT_LIMIT,
     DEFAULT_SAMPLE_PAIRS,
+    NeighborSet,
     calibrate_thresholds,
     filter_by_distance,
     knn_by_count,
@@ -38,6 +41,7 @@ from oracles import (
     inside_counts_by_product,
     log_of_fraction,
     score_alone,
+    score_categories_by_category,
 )
 
 
@@ -121,20 +125,20 @@ def test_batched_tails_equal_binomial_tail_bitwise(monkeypatch, budget):
     c, g, p = _tail_keys()
     want = np.array([binomial_tail(int(a), int(b), float(q))[1] for a, b, q in zip(c, g, p)])
     monkeypatch.setattr(coherence, "_BLOCK_ELEMENTS", budget)
-    shapes = []
-    logsumexp = coherence.logsumexp
+    blocks = []  # the tail lengths of each block's keys
+    block = coherence._log_tails_block
 
-    def recording(a, axis):
-        shapes.append(a.shape)
-        return logsumexp(a, axis=axis)
+    def recording(c, g, *rest):
+        blocks.append((c - g + 1).tolist())
+        return block(c, g, *rest)
 
-    monkeypatch.setattr(coherence, "logsumexp", recording)
+    monkeypatch.setattr(coherence, "_log_tails_block", recording)
     got = binomial_log_tails(c, g, p)
     assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
-    assert all(rows * length <= budget or rows == 1 for rows, length in shapes)
+    assert all(sum(lengths) <= budget or len(lengths) == 1 for lengths in blocks)
     # the 1,500 keys of tail length 400 span several blocks at every budget
-    assert sum(rows for rows, length in shapes if length == 400) >= 1500
-    assert sum(1 for _, length in shapes if length == 400) > 1
+    assert sum(lengths.count(400) for lengths in blocks) >= 1500
+    assert sum(1 for lengths in blocks if 400 in lengths) > 1
 
 
 @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
@@ -351,6 +355,61 @@ def test_inside_counts_match_sparse_product():
         cat_ids = rng.permutation(6).tolist()
         got = coherence._inside_counts(nbrs, cats, cat_ids)
         assert got.tolist() == inside_counts_by_product(nbrs, cats, cat_ids).tolist()
+
+
+def _score_bits(scores, skipped):
+    return skipped, [(s.category, s.n_members,
+                      None if s.conductance is None else s.conductance.hex(),
+                      s.surprise.hex(), s.log_surprise.hex(), s.n_observers_used)
+                     for s in scores]
+
+
+# a clique of this many members in a universe of _DEEP_N entities: every
+# member's tail is about 119 * log(120 / _DEEP_N), below the linear-mean floor
+_DEEP_SIZE, _DEEP_N = 120, 100_000
+
+
+@pytest.mark.parametrize("budget", [None, 1000, 1])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_score_categories_equal_per_category_oracle_bitwise(budget, data):
+    # random neighbor lists with zero-degree observers, categories below
+    # min_size and two of equal size (so they share tail keys), sometimes
+    # beside a clique whose tails all fall below the linear-mean floor;
+    # every field must carry the per-category oracle's bits at every budget
+    n_small = data.draw(st.integers(2, 30), label="n_small")
+    deep = data.draw(st.booleans(), label="deep")
+    n = _DEEP_N if deep else n_small
+    lists = [data.draw(st.lists(st.integers(0, n_small - 1).filter(lambda x, v=v: x != v),
+                                max_size=8, unique=True), label=f"row {v}")
+             for v in range(n_small)]
+    member_lists = [data.draw(st.permutations(range(n_small)), label=f"cat {i}")
+                    [:data.draw(st.integers(1, n_small), label=f"size {i}")]
+                    for i in range(data.draw(st.integers(2, 6), label="n_cats"))]
+    member_lists[1] = member_lists[1][:len(member_lists[0])]
+    member_lists[1] += [v for v in range(n_small) if v not in member_lists[1]][
+        :len(member_lists[0]) - len(member_lists[1])]
+    lists[member_lists[0][0]] = []  # an observer with zero neighbors
+    if deep:
+        clique = list(range(n_small, n_small + _DEEP_SIZE))
+        member_lists.append(clique)
+        lists += [[u for u in clique if u != v] for v in clique]
+    lengths = [len(row) for row in lists] + [0] * (n - len(lists))
+    indices = np.array([u for row in lists for u in sorted(row)], dtype=np.int64)
+    nbrs = NeighborSet(indptr=np.concatenate(([0], np.cumsum(lengths))), indices=indices,
+                       distances=np.ones(len(indices)))
+    cats = categories_from_members(member_lists, n)
+    min_size = data.draw(st.integers(2, 4), label="min_size")
+    adjusted_p = data.draw(st.booleans(), label="adjusted_p")
+    want = score_categories_by_category(nbrs, cats, min_size, adjusted_p)
+    with pytest.MonkeyPatch.context() as patch:
+        if budget is not None:
+            patch.setattr(coherence, "_INSIDE_ELEMENTS", budget)
+            patch.setattr(coherence, "_BLOCK_ELEMENTS", budget)
+        got = score_categories(nbrs, cats, min_size, adjusted_p)
+    assert _score_bits(*got) == _score_bits(*want)
+    if deep:
+        assert got[0][-1].log_surprise < coherence._LINEAR_MEAN_FLOOR
 
 
 def test_surprise_monotone_in_inside_count():
