@@ -200,7 +200,7 @@ def build_parser() -> _Parser:
     rp.add_argument("--graph", help="checked against --categories; needed to resolve "
                     "--subset entity ids")
     rp.add_argument("--subset", help="file of entity ids, one per line")
-    rp.add_argument("--bucket-width", type=int, default=1)
+    rp.add_argument("--bucket-width", type=_int_at_least(1), default=1)
     rp.add_argument("--out", required=True)
     rp = rsub.add_parser("quantiles", parents=[calibration])
     rp.add_argument("--features", required=True)
@@ -210,7 +210,7 @@ def build_parser() -> _Parser:
     rp = rsub.add_parser("top")
     rp.add_argument("--ranking", required=True)
     rp.add_argument("--categories", required=True)
-    rp.add_argument("--top", type=int, default=100)
+    rp.add_argument("--top", type=_int_at_least(1), default=100)
     rp.add_argument("--out", required=True, help="CSV output path")
     rp.add_argument("--text", help="aligned text output path")
     return parser

@@ -26,8 +26,8 @@ elements of runs of keys end to end, and per-category sums as prefix sums at
 category bounds. Every float sum over one tail's or one category's values is
 a row sum of a 2-D array, which numpy adds up as it adds up the same values
 in 1-D (``np.add.reduceat`` and zero padding do not). So each tail equals
-``binomial_tail(C, G, p)`` bit for bit, which stays the reference routine,
-and each score is the one the category gets when scored alone.
+the one-tail-at-a-time reference ``binomial_tail`` of the tests' oracles bit
+for bit, and each score is the one the category gets when scored alone.
 """
 
 from __future__ import annotations
@@ -115,33 +115,9 @@ def logsumexp(a: np.ndarray, axis: int | None = None):
     return np.squeeze(np.log1p(s) + np.log(m) + top, axis=axis)
 
 
-def binomial_tail(c: int, g: int, p: float) -> tuple[float, float]:
-    """P(X >= g) for X ~ Binomial(c, p), returned as (linear, log).
-
-    The linear value may underflow to 0; the log value stays exact-ish.
-    """
-    if g < 0 or c < 0 or g > c:
-        raise ValueError(f"need 0 <= g <= c, got g={g}, c={c}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    if g == 0:
-        return 1.0, 0.0
-    if p == 0.0:
-        return 0.0, -math.inf
-    if p == 1.0:
-        return 1.0, 0.0
-    xs = np.arange(g, c + 1)
-    lgam = log_gamma_table(c + 1)
-    log_pmf = (
-        lgam[c + 1] - lgam[xs + 1] - lgam[c - xs + 1]
-        + xs * math.log(p) + (c - xs) * math.log1p(-p)
-    )
-    log_tail = min(0.0, float(logsumexp(log_pmf)))
-    return math.exp(log_tail), log_tail
-
-
 def binomial_log_tails(c: np.ndarray, g: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """``binomial_tail(c[i], g[i], p[i])[1]`` for every i, bit for bit.
+    """log P(X >= g[i]) for X ~ Binomial(c[i], p[i]), for every i, bit for
+    bit as the reference ``binomial_tail`` in the tests' oracles gives it.
 
     The live keys, ordered by tail length, go in runs of at most
     ``_BLOCK_ELEMENTS`` tail elements (or one key, when a single tail is
@@ -150,7 +126,9 @@ def binomial_log_tails(c: np.ndarray, g: np.ndarray, p: np.ndarray) -> np.ndarra
     bad = (g < 0) | (g > c) | ~((p >= 0.0) & (p <= 1.0))
     if bad.any():
         at = int(bad.argmax())
-        binomial_tail(int(c[at]), int(g[at]), float(p[at]))  # raises its ValueError
+        if g[at] < 0 or g[at] > c[at]:
+            raise ValueError(f"need 0 <= g <= c, got g={int(g[at])}, c={int(c[at])}")
+        raise ValueError(f"p must lie in [0, 1], got {float(p[at])}")
     out = np.zeros(len(c), dtype=np.float64)
     out[(g > 0) & (p == 0.0)] = -math.inf
     live = np.flatnonzero((g > 0) & (p > 0.0) & (p < 1.0))

@@ -9,7 +9,8 @@ External formats (each line format but neighbor lists skips blank lines and
               little-endian float32, row-major, with a ``<path>.json``
               sidecar mapping entity id to row
   votes       UTF-8 CSV with header, ``question_id,choice_1,...,choice_m,
-              voted_index`` (1-based voted index)
+              voted_index`` (1-based voted index, any ``int()`` spelling;
+              cells stripped), refused where its first bad record ends
 
 In memory, id rows (adjacency, category members, neighbor lists) are one
 ``CSR`` layout, and a vote set is one ``VoteDataset`` array layout that
@@ -199,6 +200,15 @@ def _line_holding(path: str, name: str) -> str:
 
 def _codes(names: list[str], index: dict[str, int]) -> np.ndarray:
     return np.fromiter(map(index.__getitem__, names), dtype=np.int64, count=len(names))
+
+
+def _codes_or(names: list[str], index: dict[str, int], miss) -> np.ndarray:
+    """``_codes``, where a name ``index`` misses is coded ``miss(name)``."""
+    try:
+        return _codes(names, index)
+    except KeyError:
+        return np.fromiter((index[s] if s in index else miss(s) for s in names),
+                           dtype=np.int64, count=len(names))
 
 
 # ---------------------------------------------------------------------------
@@ -642,82 +652,70 @@ class VoteDataset:
 
 
 def load_votes(path: str, cats: CategoryIndex) -> VoteDataset:
-    """Ingest the vote CSV; choice columns carry category names. The records
-    are read once and checked in array passes; a file that fails any of them
-    is read again and checked one record at a time, which reports its first
-    bad line, or loads it where the record checks accept a cell the array
-    checks do not (a voted index written ``+2``, a name with spaces around)."""
-    votes = _votes_as_arrays(path, cats)
-    return votes if votes is not None else _votes_by_record(path, cats)
-
-
-def _votes_as_arrays(path: str, cats: CategoryIndex) -> VoteDataset | None:
-    """The votes of the CSV, or None unless it reads without error, every
-    voted index is written 1 to m, every choice is a category's exact name,
-    no record repeats a choice and each question keeps the choices of its
-    first record."""
-    number: dict[str, int] = {}
-    parts = []
-    try:
-        records = csv_records(path, "vote file")
-        m = len(next(records)) - 2
-        if m < 2:
-            return None
-        positions = {str(i + 1): i for i in range(m)}
-        while rows := [row for _, row in islice(records, _VOTE_CHUNK)]:
-            parts.append((
-                np.fromiter((number.setdefault(row[0].strip(), len(number)) for row in rows),
-                            np.int64, len(rows)),
-                _codes(list(chain.from_iterable(row[1:-1] for row in rows)),
-                       cats.index).reshape(-1, m),
-                _codes([row[-1] for row in rows], positions)))
-    except (DataError, KeyError):
-        return None
-    if not parts:
-        return None
-    question, choices, voted = (np.concatenate(part) for part in zip(*parts))
-    ordered = np.sort(choices, axis=1)
-    if (ordered[:, 1:] == ordered[:, :-1]).any():
-        return None
-    first = np.unique(question, return_index=True)[1]  # each question's first record
-    if (choices != choices[first][question]).any():
-        return None
-    return VoteDataset(qids=list(number), choices=choices[first], question=question, voted=voted)
-
-
-def _votes_by_record(path: str, cats: CategoryIndex) -> VoteDataset:
-    """The vote CSV checked one record at a time: DataError at the first bad
-    line, in file order."""
-    choice_lists: list[list[int]] = []
-    by_id: dict[str, int] = {}
-    answers: list[tuple[int, int]] = []
+    """Ingest the vote CSV; choice columns carry category names. Records are
+    read once, ``_VOTE_CHUNK`` at a time, into arrays and checked there: a
+    voted index may be any spelling ``int()`` reads as 1..m, and question ids
+    and names are compared after stripping surrounding spaces. DataError at
+    the line where the first bad record ends, worded by reading that record
+    again; a CSV syntax or cell-count error later in the file loses to it."""
     records = csv_records(path, "vote file")
     m = len(next(records)) - 2
     if m < 2:
         raise DataError(f"{path}: header must carry at least 2 choice columns")
-    for lineno, row in records:
-        qid = row[0].strip()
+    positions = {str(i + 1): i for i in range(m)}
+    number: dict[str, int] = {}
+
+    def position(cell: str) -> int:  # -1 unless int() reads it as 1..m
         try:
-            voted = int(row[-1])
+            at = int(cell) - 1
         except ValueError:
-            raise DataError(f"{path}:{lineno}: voted index is not an integer") from None
-        if not 1 <= voted <= m:
-            raise DataError(f"{path}:{lineno}: voted index {voted} outside [1, {m}]")
-        try:
-            choices = [cats.index[c.strip()] for c in row[1:-1]]
-        except KeyError as e:
-            raise DataError(f"{path}:{lineno}: unknown category {e.args[0]!r}") from None
-        if len(set(choices)) != m:
-            raise DataError(f"{path}:{lineno}: duplicate categories in choices")
-        qi = by_id.setdefault(qid, len(by_id))
-        if qi == len(choice_lists):
-            choice_lists.append(choices)
-        elif choice_lists[qi] != choices:
-            raise DataError(f"{path}:{lineno}: question {qid!r} repeats with different choices")
-        answers.append((qi, voted - 1))
-    if not answers:
+            return -1
+        return at if 0 <= at < m else -1
+
+    def arrays(rows):
+        return (np.fromiter((number.setdefault(row[0].strip(), len(number)) for row in rows),
+                            np.int64, len(rows)),
+                _codes_or(list(chain.from_iterable(row[1:-1] for row in rows)), cats.index,
+                          lambda name: cats.index.get(name.strip(), -1)).reshape(-1, m),
+                _codes_or([row[-1] for row in rows], positions, position))
+
+    parts, rows, late = [], [], None
+    try:
+        for _, row in records:
+            rows.append(row)
+            if len(rows) == _VOTE_CHUNK:
+                parts.append(arrays(rows))
+                rows = []
+    except DataError as e:
+        late = e
+    parts.append(arrays(rows))
+    question, choices, voted = (np.concatenate(part) for part in zip(*parts))
+    first = np.unique(question, return_index=True)[1]  # each question's first record
+    # a record's checks, in the order they run on it
+    checks = (voted < 0, choices < 0, np.diff(np.sort(choices, axis=1)) == 0,
+              choices != choices[first][question])
+    if any(map(np.any, checks)):
+        bad = np.column_stack([c.reshape(len(voted), -1).any(axis=1) for c in checks])
+        at, check = divmod(int(bad.argmax()), len(checks))
+        lineno, row = next(islice(csv_records(path, "vote file"), at + 1, None))
+        if check == 0:
+            try:
+                why = f"voted index {int(row[-1])} outside [1, {m}]"
+            except ValueError:
+                why = "voted index is not an integer"
+        elif check == 1:
+            name = next(c.strip() for c in row[1:-1] if c.strip() not in cats.index)
+            why = f"unknown category {name!r}"
+        elif check == 2:
+            why = "duplicate categories in choices"
+        else:
+            why = f"question {row[0].strip()!r} repeats with different choices"
+        raise DataError(f"{path}:{lineno}: {why}")
+    if late is not None:
+        raise late
+    if not len(question):
         raise DataError(f"{path}: no answers")
-    return VoteDataset.from_lists(list(by_id), choice_lists, answers)
+    return VoteDataset(qids=list(number), choices=choices[first], question=question, voted=voted)
 
 
 def save_votes(votes: VoteDataset, cats: CategoryIndex, path: str):

@@ -5,6 +5,8 @@ from catrank.data_model import CSR, CategoryIndex, EntityGraph, FeatureMatrix
 from catrank.embeddings import generate_walks, train_skipgram
 from catrank.neighbors import NeighborSet
 
+pytest_plugins = ["pytester"]
+
 
 def graph_from_edges(edges, ids=None):
     """Build an EntityGraph directly from dense-index edge tuples."""

@@ -19,7 +19,7 @@ from catrank import metrics
 from catrank.coherence import (
     _LINEAR_MEAN_FLOOR,
     CategoryScore,
-    binomial_tail,
+    log_gamma_table,
     logsumexp,
     p_cat,
     score_categories,
@@ -27,6 +27,31 @@ from catrank.coherence import (
 from catrank.data_model import CSR, CategoryIndex, VoteDataset, csv_records
 from catrank.embeddings import HuffmanTree, _expit
 from catrank.errors import DataError
+
+
+def binomial_tail(c: int, g: int, p: float) -> tuple[float, float]:
+    """P(X >= g) for X ~ Binomial(c, p), returned as (linear, log).
+
+    The linear value may underflow to 0; the log value stays exact-ish.
+    """
+    if g < 0 or c < 0 or g > c:
+        raise ValueError(f"need 0 <= g <= c, got g={g}, c={c}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    if g == 0:
+        return 1.0, 0.0
+    if p == 0.0:
+        return 0.0, -math.inf
+    if p == 1.0:
+        return 1.0, 0.0
+    xs = np.arange(g, c + 1)
+    lgam = log_gamma_table(c + 1)
+    log_pmf = (
+        lgam[c + 1] - lgam[xs + 1] - lgam[c - xs + 1]
+        + xs * math.log(p) + (c - xs) * math.log1p(-p)
+    )
+    log_tail = min(0.0, float(logsumexp(log_pmf)))
+    return math.exp(log_tail), log_tail
 
 
 def exact_binomial_tail(c: int, g: int, p: Fraction) -> Fraction:

@@ -13,7 +13,7 @@ from scipy.special import xlogy
 
 from catrank import metrics
 from catrank.cli import main as cli_main
-from catrank.coherence import binomial_tail, rank_categories
+from catrank.coherence import binomial_log_tails, rank_categories
 from catrank.data_model import FeatureMatrix
 from catrank.embeddings import (
     WalkConfig,
@@ -78,9 +78,13 @@ def test_criterion_02_binomial_tail_sweep():
     for c in list(range(1, 51)) + [1000]:
         for p in (Fraction(1, 100), Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)):
             exact = exact_binomial_tails_all_g(c, p)
-            fp = float(p)
+            # the batched tails scoring runs, every g at once; the linear
+            # value is exp of the log, as the reference binomial_tail takes it
+            logs = binomial_log_tails(np.full(c + 1, c), np.arange(c + 1),
+                                      np.full(c + 1, float(p))).tolist()
             for g in range(c + 1):
-                linear, log = binomial_tail(c, g, fp)
+                log = logs[g]
+                linear = math.exp(log)
                 want = exact[g]
                 want_f = float(want)
                 if want_f > 0.0:

@@ -723,6 +723,22 @@ def test_min_size_below_two_is_a_usage_error(tmp_path, capsys, stage, value):
     assert not (tmp_path / "s.csv").exists() and not (tmp_path / "grid").exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "two"])
+@pytest.mark.parametrize("argv, flag", [
+    (["report", "top", "--ranking", "missing.csv", "--categories", "missing.json"], "--top"),
+    (["report", "stats", "--categories", "missing.json"], "--bucket-width"),
+])
+def test_a_report_count_below_one_is_a_usage_error(tmp_path, capsys, argv, flag, value):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:  # the inputs do not exist: nothing is read
+        main([*(str(tmp_path / a) if a.startswith("missing") else a for a in argv),
+              f"{flag}={value}", "--out", str(out)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected an integer of at least 1, got {value!r}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("stage", ["coherence", "rank", "grid"])
 def test_min_size_below_two_in_config_is_rejected(tmp_path, capsys, stage):
     cfg = tmp_path / "catrank.conf"

@@ -14,7 +14,6 @@ from catrank import coherence, evaluation, metrics, neighbors
 from catrank.coherence import (
     GridMenu,
     binomial_log_tails,
-    binomial_tail,
     log_gamma_table,
     logsumexp,
     p_cat,
@@ -36,6 +35,7 @@ from catrank.neighbors import (
 
 from conftest import categories_from_members, neighbor_set_from_lists, random_simplex
 from oracles import (
+    binomial_tail,
     exact_binomial_tail,
     exact_binomial_tails_all_g,
     inside_counts_by_product,
@@ -147,6 +147,15 @@ def test_batched_tails_reject_p_outside_unit_interval(p):
         binomial_tail(5, 2, p)
     with pytest.raises(ValueError) as got:
         binomial_log_tails(np.array([5, 5]), np.array([1, 2]), np.array([0.5, p]))
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("c, g", [(3, 4), (3, -1), (-2, 0)])
+def test_batched_tails_reject_g_outside_0_to_c(c, g):
+    with pytest.raises(ValueError) as want:
+        binomial_tail(c, g, 0.5)
+    with pytest.raises(ValueError) as got:
+        binomial_log_tails(np.array([5, c]), np.array([1, g]), np.array([0.5, 1.5]))
     assert str(got.value) == str(want.value)
 
 

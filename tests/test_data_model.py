@@ -3,13 +3,14 @@ import io
 import json
 import os
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catrank import cli, embeddings, report
+from catrank import cli, data_model, embeddings, report
 from catrank.data_model import (
     CSR,
     CategoryIndex,
@@ -465,7 +466,25 @@ def test_load_votes_matches_the_record_by_record_loader(tmp_path_factory, text):
     path = str(tmp_path_factory.mktemp("votes") / "v.csv")
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(text)
-    assert _votes_or_error(load_votes, path) == _votes_or_error(load_votes_by_row, path)
+    # small chunks put a bad record and a later read error in different chunks
+    for chunk in (1, 2, 3, data_model._VOTE_CHUNK):
+        with mock.patch.object(data_model, "_VOTE_CHUNK", chunk):
+            assert _votes_or_error(load_votes, path) == _votes_or_error(load_votes_by_row, path)
+
+
+@pytest.mark.parametrize("late", ["q1,c1,1", 'q1,c1,"c2,1'])  # a short record, a stray quote
+@pytest.mark.parametrize("gap", [0, 2])  # records between the two: same chunk of 2, a later one
+@pytest.mark.parametrize("bad_first", [True, False])
+def test_the_first_fault_in_file_order_wins_across_chunks(tmp_path, monkeypatch, late, gap,
+                                                          bad_first):
+    good, bad = "q1,c1,c2,1", "q1,c1,nope,1"
+    first, second = (bad, late) if bad_first else (late, bad)
+    path = write(tmp_path / "v.csv", vote_csv([first] + [good] * gap + [second, good], m=2))
+    monkeypatch.setattr(data_model, "_VOTE_CHUNK", 2)
+    got = _votes_or_error(load_votes, path)
+    assert got == _votes_or_error(load_votes_by_row, path)
+    assert ("v.csv:2: unknown category 'nope'" in got) is bad_first
+    assert ("expected 4 columns" in got) is not bad_first
 
 
 # ---------------------------------------------------------------------------
